@@ -24,7 +24,7 @@ from .market import (
     segment_timeline,
     set_feasible,
 )
-from .metrics import MetricsReport, UndefinedRatioError, revenue_ratio, social_efficiency, utilization_ratio
+from .metrics import UndefinedRatioError, revenue_ratio, social_efficiency, utilization_ratio
 from .oracle import OracleCapError, OracleResult, contiguous_optimal, enumerate_optimal, scan_critical_value
 from .pvg import PvgState, PvgStats, critical_value, pvg_allocate, pvg_payments, rho_bound, run_pvg
 from .vcg import SolverSizeError, VcgSolution, filter_reserve, run_vcg, solve_optimal, vcg_payments
@@ -45,7 +45,7 @@ __all__ = [
     "SegmentedTimeline", "Slot", "SpectrumAuctionError", "InfeasibleCommitError",
     "build_timelines", "commit_allocation", "fits_in_residual",
     "partition_markets", "segment_timeline", "set_feasible",
-    "MetricsReport", "UndefinedRatioError", "revenue_ratio",
+    "UndefinedRatioError", "revenue_ratio",
     "social_efficiency", "utilization_ratio",
     "OracleCapError", "OracleResult", "contiguous_optimal",
     "enumerate_optimal", "scan_critical_value",

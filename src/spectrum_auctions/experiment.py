@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 
 from .market import AuctionConfig, Job, LocalMarket
-from .metrics import MetricsReport, social_efficiency, utilization_ratio
+from .metrics import social_efficiency, utilization_ratio
 from .pvg import pvg_allocate, run_pvg
 from .vcg import SolverSizeError, run_vcg, solve_optimal
 from .workload import OccupancyGrid, WorkloadSpec, generate_requests
@@ -154,18 +154,11 @@ def run_experiment(grid: OccupancyGrid, plan: ExperimentPlan,
                         eff_ratio = None
                     else:
                         eff_ratio = 1.0 if vcg_eff == 0.0 else eff / vcg_eff
-                    report = MetricsReport(
-                        social_efficiency=eff,
-                        efficiency_ratio=eff_ratio,
-                        utilization_ratio=util,
-                        total_revenue=revenue,
-                        revenue_ratio=revenue / eff_zero if eff_zero else None,
-                    )
-                    row["efficiency"] = report.social_efficiency
-                    row["eff_ratio"] = report.efficiency_ratio
-                    row["utilization"] = report.utilization_ratio
-                    row["revenue"] = report.total_revenue
-                    row["revenue_ratio"] = report.revenue_ratio
+                    row["efficiency"] = eff
+                    row["eff_ratio"] = eff_ratio
+                    row["utilization"] = util
+                    row["revenue"] = revenue
+                    row["revenue_ratio"] = revenue / eff_zero if eff_zero else None
                     row["runtime_ms"] = runtime_ms
                 raw_rows.append(row)
 

@@ -3,30 +3,12 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
 from .market import AuctionOutcome, Job, LocalMarket, SpectrumAuctionError
 
 
 class UndefinedRatioError(SpectrumAuctionError):
     """A ratio was requested with a zero denominator."""
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """One mechanism's scores on one market run.
-
-    ``efficiency_ratio`` is this outcome's efficiency over the exact
-    optimum (1.0 for the exact mechanism itself); ``revenue_ratio``
-    normalizes revenue by the same mechanism's zero-reserve efficiency.
-    Either ratio is None when its denominator is unavailable.
-    """
-
-    social_efficiency: float
-    efficiency_ratio: float | None
-    utilization_ratio: float
-    total_revenue: float
-    revenue_ratio: float | None
 
 
 def social_efficiency(outcome: AuctionOutcome, jobs: Iterable[Job]) -> float:

@@ -227,11 +227,7 @@ def critical_value(market: LocalMarket, config: AuctionConfig, job: Job,
 def pvg_payments(market: LocalMarket, config: AuctionConfig,
                  stats: PvgStats | None = None) -> dict[int, float]:
     """Critical-value payments for the truthful-run winners; losers pay 0."""
-    base = pvg_allocate(market, config, stats=stats)
-    payments = {j.id: 0.0 for j in market.jobs}
-    for jid in sorted(base.assignment):
-        payments[jid] = critical_value(market, config, market.job_by_id(jid), stats=stats)
-    return payments
+    return run_pvg(market, config, stats=stats).payments
 
 
 def run_pvg(market: LocalMarket, config: AuctionConfig,

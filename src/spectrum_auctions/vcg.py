@@ -26,7 +26,6 @@ from .market import (
     SegmentedTimeline,
     SpectrumAuctionError,
     build_timelines,
-    fits_in_residual,
     set_feasible,
     window_flow_allocation,
 )
@@ -230,9 +229,8 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
 
     order = sorted(jobs, key=lambda j: (-j.unit_value, j.id))
     channel_ids = [c.id for c in market.channels]
-    empty = {cid: timelines[cid].empty_usage() for cid in channel_ids}
     candidates = {
-        j.id: [cid for cid in channel_ids if fits_in_residual(j, timelines[cid], empty[cid])]
+        j.id: [cid for cid in channel_ids if timelines[cid].window_capacity(j) >= j.duration]
         for j in order
     }
     search = _Search(order, channel_ids, timelines, candidates)

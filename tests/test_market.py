@@ -15,7 +15,8 @@ from spectrum_auctions import (
     segment_timeline,
     set_feasible,
 )
-from spectrum_auctions.market import window_flow_allocation
+from spectrum_auctions.market import SegmentedTimeline, Slot, window_flow_allocation
+from spectrum_auctions.oracle import _channel_set_feasible
 
 from conftest import BAND, REGION, random_market
 
@@ -269,14 +270,61 @@ class TestSetFeasible:
         rig = random.Random(5)
         for _ in range(200):
             market = random_market(rig, max_jobs=5, max_channels=1)
-            tl = segment_timeline(market.channels[0], list(market.jobs))
+            ch = market.channels[0]
+            tl = segment_timeline(ch, list(market.jobs))
             jobs = list(market.jobs)
             flows = window_flow_allocation(jobs, tl)
+            assert _channel_set_feasible(ch, jobs) == (flows is not None)
             assert set_feasible(jobs, tl) == (flows is not None)
             if flows is not None:
                 per_slot = [0] * len(tl.slots)
                 for j in jobs:
                     assert sum(flows[j.id]) == j.duration
+                    first, last = tl.window_range(j)
                     for i, a in enumerate(flows[j.id]):
+                        assert a == 0 or first <= i <= last
                         per_slot[i] += a
                 assert all(u <= s.capacity for u, s in zip(per_slot, tl.slots))
+
+
+class TestEdf:
+    def test_gap_with_nothing_released(self):
+        # the ready heap empties after slot 0 and the walk jumps to slot 2
+        ch = channel(1, [(0, 10)])
+        a = job(1, 1.0, 0, 2, 2)
+        b = job(2, 1.0, 6, 8, 2)
+        c = job(3, 1.0, 6, 8, 1)
+        tl = segment_timeline(ch, [a, b, c])
+        assert window_flow_allocation([a, b], tl) == {1: [2, 0, 0, 0], 2: [0, 0, 2, 0]}
+        assert not set_feasible([a, b, c], tl)
+        assert window_flow_allocation([a, b, c], tl) is None
+
+    def test_zero_capacity_slot_inside_window(self):
+        ch = channel(1, [(0, 2), (4, 6)])
+        spans = job(1, 1.0, 0, 6, 4)
+        too_long = job(2, 1.0, 0, 6, 5)
+        inside_gap = job(3, 1.0, 2, 4, 1)
+        tl = segment_timeline(ch, [spans, too_long, inside_gap])
+        assert [s.capacity for s in tl.slots] == [2, 0, 2]
+        assert window_flow_allocation([spans], tl) == {1: [2, 0, 2]}
+        assert not set_feasible([too_long], tl)
+        assert not set_feasible([inside_gap], tl)
+
+    def test_window_without_a_whole_slot(self):
+        # a hand-built timeline may record an empty (first > last) window
+        tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 4, 4),),
+                               job_windows={1: (1, 0), 2: (0, 0)})
+        empty, fine = job(1, 1.0, 0, 4, 1), job(2, 1.0, 0, 4, 1)
+        assert set_feasible([fine], tl)
+        assert not set_feasible([empty], tl)
+        assert not set_feasible([fine, empty], tl)
+        assert window_flow_allocation([empty], tl) is None
+
+    def test_tie_on_last_slot_serves_lower_id_first(self):
+        ch = channel(1, [(0, 4)])
+        low = job(1, 1.0, 0, 4, 1)
+        high = job(2, 1.0, 0, 4, 3)
+        cut = job(3, 1.0, 2, 4, 1)  # splits the axis at 2
+        tl = segment_timeline(ch, [low, high, cut])
+        assert window_flow_allocation([high, low], tl) == {1: [1, 0], 2: [1, 2]}
+        assert not set_feasible([low, high, cut], tl)
