@@ -17,6 +17,7 @@ from spectrum_auctions import (
     save_requests,
     synthesize_occupancy,
 )
+from spectrum_auctions.workload import HOT_WINDOW
 
 H = 3600
 
@@ -37,7 +38,7 @@ for ch in channels:
 for set_kind in (1, 2):
     spec = WorkloadSpec(n_requests=1000, set_kind=set_kind, seed=11)
     jobs = generate_requests(spec)
-    hs, he = spec.hot_window
+    hs, he = HOT_WINDOW
     hot = sum(1 for j in jobs if j.arrival < he and j.deadline > hs)
     hours = sum(j.duration for j in jobs) / H
     print(f"\nset {set_kind}: {len(jobs)} requests, total demand {hours:.0f}h, "

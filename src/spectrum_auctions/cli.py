@@ -19,6 +19,7 @@ import sys
 from math import sqrt
 
 from .experiment import ExperimentPlan, run_experiment, write_results_csv
+from .market import SpectrumAuctionError
 from .workload import (
     WorkloadSpec,
     generate_requests,
@@ -106,9 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; bad input ends in a one-line error and exit code 2."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (SpectrumAuctionError, ValueError, OSError) as err:
+        print(f"spectrum-auction: error: {err}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "gen-occupancy":
         grid = synthesize_occupancy(args.channels, args.days, args.duty_cycle,
                                     args.seed, slot_seconds=args.slot_seconds)

@@ -41,7 +41,6 @@ class PvgStats:
     commits: int = 0
     preemptions: int = 0
     readmissions: int = 0
-    allocate_runs: int = 0
 
 
 @dataclass
@@ -67,36 +66,30 @@ def eligible_order(jobs: list[Job], eta_s: float) -> list[Job]:
 
 
 def _eviction_prefix(job: Job, cid: int, state: PvgState,
-                     stats: PvgStats | None) -> list[Job] | None:
+                     stats: PvgStats) -> list[Job] | None:
     """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``.
 
     Candidates are the jobs allocated in this channel with any seconds
     inside ``job``'s window, ordered by per-second value ascending (ties:
-    descending id).  Removals are simulated cumulatively; the first point
-    at which the job fits defines the prefix.  None when even removing
-    every candidate does not help.
+    descending id), which is ``state.order`` reversed.  Removing one frees
+    exactly its in-window seconds, so a running total from the window's
+    residual finds the first point at which the job fits.  None when even
+    removing every candidate does not help.
     """
     timeline = state.timelines[cid]
     first, last = timeline.window_range(job)
-    by_id = {j.id: j for j in state.order}
-    candidates = []
-    for jid, assigned_cid in state.assignment.items():
-        if assigned_cid != cid:
-            continue
-        amounts = state.allocations[jid]
-        if any(amounts[l] for l in range(first, last + 1)):
-            candidates.append(by_id[jid])
-    candidates.sort(key=lambda j: (j.unit_value, -j.id))
-
-    sim = list(state.committed[cid])
+    free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
     prefix: list[Job] = []
-    for cand in candidates:
-        for l, a in enumerate(state.allocations[cand.id]):
-            sim[l] -= a
+    for cand in reversed(state.order):
+        if state.assignment.get(cand.id) != cid:
+            continue
+        freed = sum(state.allocations[cand.id][first:last + 1])
+        if not freed:
+            continue
         prefix.append(cand)
-        if stats is not None:
-            stats.fit_checks += 1
-        if fits_in_residual(job, timeline, sim):
+        stats.fit_checks += 1
+        free += freed
+        if free >= job.duration:
             return prefix
     return None
 
@@ -108,9 +101,10 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
 
     Deterministic in (market, config): all orderings carry explicit id
     tie-breaks.  ``on_step(state, job)`` fires after each processed job.
+    Work is counted into ``stats``, a fresh ``PvgStats`` when not given.
     """
-    if stats is not None:
-        stats.allocate_runs += 1
+    if stats is None:
+        stats = PvgStats()
     timelines = build_timelines(market)
     order = eligible_order(list(market.jobs), config.eta_s)
     state = PvgState(
@@ -121,15 +115,13 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
     channel_ids = [c.id for c in market.channels]
 
     def fits(job: Job, cid: int) -> bool:
-        if stats is not None:
-            stats.fit_checks += 1
+        stats.fit_checks += 1
         return fits_in_residual(job, timelines[cid], state.committed[cid])
 
     def accept(job: Job, cid: int) -> None:
         state.allocations[job.id] = commit_allocation(job, timelines[cid], state.committed[cid])
         state.assignment[job.id] = cid
-        if stats is not None:
-            stats.commits += 1
+        stats.commits += 1
 
     for idx, job in enumerate(order):
         placed = False
@@ -148,8 +140,7 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
                         release_allocation(timelines[cid], state.committed[cid],
                                            state.allocations.pop(victim.id))
                         del state.assignment[victim.id]
-                        if stats is not None:
-                            stats.preemptions += 1
+                        stats.preemptions += 1
                     accept(job, cid)
                     # case 3: readmission into this channel only
                     for earlier in order[:idx]:
@@ -157,8 +148,7 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
                             continue
                         if fits(earlier, cid):
                             accept(earlier, cid)
-                            if stats is not None:
-                                stats.readmissions += 1
+                            stats.readmissions += 1
                     placed = True
                     break
         if on_step is not None:

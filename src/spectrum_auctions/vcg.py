@@ -15,7 +15,6 @@ lose by its presence, floored at the reserve for its requested time.
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass
 
 from .market import (
@@ -31,7 +30,6 @@ from .market import (
 )
 
 DEFAULT_MAX_JOBS = 18
-MAX_JOBS_ENV = "SPECTRUM_VCG_MAX_JOBS"
 
 
 class SolverSizeError(SpectrumAuctionError):
@@ -51,12 +49,6 @@ class VcgSolution:
 def filter_reserve(jobs: list[Job], eta_s: float) -> list[Job]:
     """Keep exactly the jobs whose bid covers the reserve for their time."""
     return [j for j in jobs if j.bid_value >= eta_s * j.duration]
-
-
-def _job_cap(max_jobs: int | None) -> int:
-    if max_jobs is not None:
-        return max_jobs
-    return int(os.environ.get(MAX_JOBS_ENV, DEFAULT_MAX_JOBS))
 
 
 class _Search:
@@ -83,25 +75,14 @@ class _Search:
         self.masks: dict[int, int] = {c: 0 for c in channels}
         self.assignment: dict[int, int] = {}
         self.feas_memo: dict[tuple[int, int], bool] = {}
-        n = len(order)
-        self.suffix_value = [0.0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            self.suffix_value[i] = self.suffix_value[i + 1] + order[i].bid_value
-        # Prefix arrays over each depth's suffix sorted by rate descending:
-        # the fractional bound fills a seconds budget with the best rates,
-        # so it reduces to a bisect over cumulative durations.
-        self.frac_dur: list[list[int]] = []
-        self.frac_val: list[list[float]] = []
-        self.frac_rate: list[list[float]] = []
-        for i in range(n + 1):
-            rates = sorted(((j.unit_value, j.duration) for j in order[i:]), reverse=True)
-            cum_d, cum_v = [0], [0.0]
-            for rate, dur in rates:
-                cum_d.append(cum_d[-1] + dur)
-                cum_v.append(cum_v[-1] + rate * dur)
-            self.frac_dur.append(cum_d)
-            self.frac_val.append(cum_v)
-            self.frac_rate.append([r for r, _ in rates])
+        # Cumulative durations and values over ``order``, which is already
+        # best rate first: every depth's suffix is a run of these prefixes.
+        self.cum_dur = [0]
+        self.cum_val = [0.0]
+        for j in order:
+            self.cum_dur.append(self.cum_dur[-1] + j.duration)
+            self.cum_val.append(self.cum_val[-1] + j.bid_value)
+        self.suffix_value = [self.cum_val[-1] - v for v in self.cum_val]
         self.total_capacity = sum(tl.free_seconds for tl in timelines.values())
         self.value_by_id = {j.id: j.bid_value for j in order}
         self.best_welfare = -1.0
@@ -123,14 +104,19 @@ class _Search:
         return hit
 
     def fractional_bound(self, depth: int, used_seconds: int) -> float:
+        """Best-rate fill of the free seconds by the jobs from ``depth`` on.
+
+        Whole jobs up to the break item ``k``, then a split of it
+        (Dantzig's fractional knapsack bound).
+        """
         budget = self.total_capacity - used_seconds
         if budget <= 0:
             return 0.0
-        cum_d = self.frac_dur[depth]
-        k = bisect.bisect_right(cum_d, budget) - 1
-        bound = self.frac_val[depth][k]
-        if k < len(self.frac_rate[depth]):
-            bound += self.frac_rate[depth][k] * (budget - cum_d[k])
+        reach = self.cum_dur[depth] + budget
+        k = bisect.bisect_right(self.cum_dur, reach) - 1
+        bound = self.cum_val[k] - self.cum_val[depth]
+        if k < len(self.order):
+            bound += self.order[k].unit_value * (reach - self.cum_dur[k])
         return bound
 
     def greedy_incumbent(self) -> float:
@@ -213,15 +199,15 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
 
     Welfare ties are broken toward the lexicographically smallest winner
     id set, then the smallest channel ids, so payments are reproducible.
-    Worst case is exponential; the job cap (``max_jobs`` argument, else the
-    ``SPECTRUM_VCG_MAX_JOBS`` environment variable, else 18) guards it.
+    Worst case is exponential; the job cap (``max_jobs``, default
+    ``DEFAULT_MAX_JOBS``) guards it.
     """
     jobs = filter_reserve(list(market.jobs), eta_s)
-    cap = _job_cap(max_jobs)
+    cap = DEFAULT_MAX_JOBS if max_jobs is None else max_jobs
     if len(jobs) > cap:
         raise SolverSizeError(
             f"{len(jobs)} jobs exceed the exact-solver cap of {cap}; "
-            f"raise {MAX_JOBS_ENV} or pass max_jobs to override"
+            "pass max_jobs (--vcg-max-jobs) to override"
         )
     timelines = build_timelines(market)
     if not jobs or not market.channels:

@@ -19,6 +19,12 @@ from .market import Channel, Job, SpectrumAuctionError
 
 DAY_SECONDS = 86_400
 DEFAULT_SLOT_SECONDS = 75
+# Request-generator ranges: times in whole seconds with both ends drawable,
+# bid rates in currency per hour.
+HOT_WINDOW = (68_400, 79_200)  # 19:00-22:00
+DURATION_RANGE = (1_800, 7_200)  # 0.5-2 h
+WINDOW_RANGE = (7_200, 14_400)  # 2-4 h
+VALUE_RATE_RANGE = (1.0, 10.0)
 
 
 class OccupancyFormatError(SpectrumAuctionError):
@@ -182,24 +188,20 @@ class WorkloadSpec:
     """Parameters of one synthetic request batch.
 
     Durations and window lengths are drawn uniformly (integer seconds)
-    from their ranges; bids are per-hour rates drawn from
-    ``value_rate_range`` times the duration in hours.  For set 2, a
-    ``hot_fraction`` share of requests gets windows intersecting
-    ``hot_window`` and the rest are kept entirely outside it.
+    from ``DURATION_RANGE`` and ``WINDOW_RANGE``; bids are per-hour rates
+    drawn from ``VALUE_RATE_RANGE`` times the duration in hours.  For set
+    2, a ``hot_fraction`` share of requests gets windows intersecting
+    ``HOT_WINDOW`` and the rest are kept entirely outside it.  Job ids
+    run 1..n_requests.
     """
 
     n_requests: int
     set_kind: int = 1
     hot_fraction: float = 0.8
-    hot_window: tuple[int, int] = (68_400, 79_200)  # 19:00-22:00
-    duration_range: tuple[int, int] = (1_800, 7_200)  # 0.5-2 h
-    window_range: tuple[int, int] = (7_200, 14_400)  # 2-4 h
-    value_rate_range: tuple[float, float] = (1.0, 10.0)  # currency per hour
     horizon: int = DAY_SECONDS
     seed: int = 0
     region: str = "r1"
     band_type: str = "tv"
-    id_offset: int = 0
 
     def __post_init__(self) -> None:
         if self.n_requests < 0:
@@ -208,19 +210,18 @@ class WorkloadSpec:
             raise ValueError("set_kind must be 1 or 2")
         if not 0.0 < self.hot_fraction <= 1.0:
             raise ValueError("hot_fraction must lie in (0, 1]")
-        hs, he = self.hot_window
-        if not 0 <= hs < he <= self.horizon:
-            raise ValueError("hot_window must be a nonempty range inside the horizon")
-        if self.window_range[1] > self.horizon:
+        if HOT_WINDOW[1] > self.horizon:
+            raise ValueError("the hot window must lie inside the horizon")
+        if WINDOW_RANGE[1] > self.horizon:
             raise ValueError("windows cannot exceed the horizon")
 
 
 def generate_requests(spec: WorkloadSpec) -> list[Job]:
     """Draw one deterministic batch of jobs for the given spec."""
     rng = np.random.default_rng(spec.seed)
-    t_lo, t_hi = spec.duration_range
-    w_lo, w_hi = spec.window_range
-    hs, he = spec.hot_window
+    t_lo, t_hi = DURATION_RANGE
+    w_lo, w_hi = WINDOW_RANGE
+    hs, he = HOT_WINDOW
     jobs = []
     for i in range(spec.n_requests):
         window = int(rng.integers(w_lo, w_hi + 1))
@@ -233,9 +234,9 @@ def generate_requests(spec: WorkloadSpec) -> list[Job]:
             arrival = _arrival_missing(rng, window, hs, he, spec.horizon)
         else:
             arrival = int(rng.integers(0, spec.horizon - window + 1))
-        rate = float(rng.uniform(*spec.value_rate_range))
+        rate = float(rng.uniform(*VALUE_RATE_RANGE))
         jobs.append(Job(
-            id=spec.id_offset + i + 1,
+            id=i + 1,
             region=spec.region,
             band_type=spec.band_type,
             bid_value=rate * duration / 3600.0,

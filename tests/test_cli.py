@@ -84,3 +84,49 @@ class TestSweep:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBadInput:
+    """Bad input ends in one error line on stderr and exit code 2."""
+
+    @pytest.fixture
+    def request_csv(self, tmp_path):
+        path = tmp_path / "req.csv"
+        assert main(["gen-requests", "--lambda", "3", "--seed", "7", "--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def assert_error(capsys, argv, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("spectrum-auction: error: ")
+        assert "\n" not in err and needle in err
+
+    def test_zero_xi(self, grid_csv, tmp_path, capsys):
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--xi", "0",
+                                   "--out", str(tmp_path / "x.csv")], "xi")
+
+    def test_day_out_of_range(self, grid_csv, tmp_path, capsys):
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--day", "3",
+                                   "--out", str(tmp_path / "x.csv")], "day 3")
+
+    def test_non_numeric_bid(self, grid_csv, request_csv, tmp_path, capsys):
+        lines = request_csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "abc"
+        lines[1] = ",".join(cells)
+        request_csv.write_text("\n".join(lines) + "\n")
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--out", str(tmp_path / "x.csv")], "abc")
+
+    def test_duplicate_request_id(self, grid_csv, request_csv, tmp_path, capsys):
+        lines = request_csv.read_text().splitlines()
+        lines[2] = "1" + lines[2][lines[2].index(","):]
+        request_csv.write_text("\n".join(lines) + "\n")
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--out", str(tmp_path / "x.csv")], "duplicate job id 1")
+
+    def test_missing_grid_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        self.assert_error(capsys, ["run", "--grid", str(missing), "--lambda", "3",
+                                   "--out", str(tmp_path / "x.csv")], str(missing))

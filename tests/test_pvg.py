@@ -19,7 +19,9 @@ from spectrum_auctions import (
     run_pvg,
     solve_optimal,
 )
+from spectrum_auctions.market import fits_in_residual
 from spectrum_auctions.oracle import scan_critical_value
+from spectrum_auctions.pvg import _eviction_prefix
 
 from conftest import BAND, REGION, random_market, random_reserve
 
@@ -38,6 +40,25 @@ def market(jobs, channels):
 
 def one_channel(*intervals):
     return Channel(1, REGION, BAND, tuple(intervals))
+
+
+def simulated_eviction_prefix(job, cid, state):
+    """Reference: remove cheapest overlapping winners one by one, re-checking the fit.
+
+    Returns the prefix (None if no removal helps) and the fit checks made.
+    """
+    timeline = state.timelines[cid]
+    first, last = timeline.window_range(job)
+    candidates = sorted(
+        (j for j in state.order if state.assignment.get(j.id) == cid
+         and any(state.allocations[j.id][first:last + 1])),
+        key=lambda j: (j.unit_value, -j.id))
+    usage = list(state.committed[cid])
+    for n, cand in enumerate(candidates, start=1):
+        usage = [u - a for u, a in zip(usage, state.allocations[cand.id])]
+        if fits_in_residual(job, timeline, usage):
+            return candidates[:n], n
+    return None, len(candidates)
 
 
 class TestAllocation:
@@ -112,6 +133,25 @@ class TestAllocation:
         out = pvg_allocate(market([a, b, c, newcomer], [ch]), AuctionConfig(beta=1.1), stats=stats)
         assert out.assignment == {1: 1, 4: 1}
         assert stats.preemptions == 2
+
+    def test_eviction_prefix_matches_simulated_removals(self, rng):
+        compared = 0
+
+        def check(state, current_job):
+            nonlocal compared
+            for j in state.order:
+                if j.id in state.assignment:
+                    continue
+                for cid in state.timelines:
+                    stats = PvgStats()
+                    prefix = _eviction_prefix(j, cid, state, stats)
+                    assert (prefix, stats.fit_checks) == simulated_eviction_prefix(j, cid, state)
+                    compared += prefix is not None
+
+        for _ in range(80):
+            m = random_market(rng, max_jobs=8, max_channels=2)
+            pvg_allocate(m, AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR])), on_step=check)
+        assert compared > 50
 
     def test_per_slot_usage_never_exceeds_capacity(self, rng):
         def check(state, current_job):

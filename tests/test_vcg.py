@@ -13,8 +13,9 @@ from spectrum_auctions import (
     solve_optimal,
     vcg_payments,
 )
+from spectrum_auctions.market import build_timelines
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
-from spectrum_auctions.vcg import MAX_JOBS_ENV
+from spectrum_auctions.vcg import _Search
 
 from conftest import BAND, REGION, random_market, random_reserve
 
@@ -28,6 +29,23 @@ def job(jid, v, a, d, t):
 
 def market(jobs, channels):
     return LocalMarket(REGION, BAND, tuple(jobs), tuple(channels))
+
+
+def cent_market(rng):
+    """A random market with cent-valued bids, which binary floats cannot hold exactly."""
+    base = random_market(rng, max_jobs=7, max_channels=2)
+    return LocalMarket(REGION, BAND, tuple(
+        replace(j, bid_value=rng.randint(1, 1200) / 100) for j in base.jobs), base.channels)
+
+
+def best_rate_fill(jobs, budget):
+    """Fractional knapsack from scratch: seconds go to the best per-second rates."""
+    bound = 0.0
+    for j in sorted(jobs, key=lambda j: j.unit_value, reverse=True):
+        take = min(j.duration, max(budget, 0))
+        bound += j.unit_value * take
+        budget -= take
+    return bound
 
 
 @pytest.fixture
@@ -83,6 +101,16 @@ class TestSolveOptimal:
             eta = random_reserve(rng)
             assert solve_optimal(m, eta).welfare == enumerate_optimal(m, eta).best_welfare
 
+    def test_matches_exhaustive_enumeration_on_cent_bids(self, rng):
+        for _ in range(200):
+            m = cent_market(rng)
+            eta = rng.choice([0.0, rng.randint(1, 150) / 100])
+            sol = solve_optimal(m, eta)
+            res = enumerate_optimal(m, eta)
+            assert sol.welfare == res.best_welfare
+            assert tuple(sorted(sol.assignment)) == min(
+                tuple(sorted(s)) for s in res.best_winner_sets)
+
     def test_tiebreak_prefers_smaller_winner_ids(self):
         ch = Channel(1, REGION, BAND, ((0, 2),))
         a = job(1, 4.0, 0, 2, 2)
@@ -117,15 +145,6 @@ class TestSolveOptimal:
             solve_optimal(m, 0.0, max_jobs=4)
         assert solve_optimal(m, 0.0, max_jobs=5).welfare == 5.0
 
-    def test_job_cap_env_override(self, monkeypatch):
-        jobs = [job(i + 1, 1.0, 0, 8, 1) for i in range(5)]
-        m = market(jobs, [Channel(1, REGION, BAND, ((0, 8),))])
-        monkeypatch.setenv(MAX_JOBS_ENV, "4")
-        with pytest.raises(SolverSizeError):
-            solve_optimal(m, 0.0)
-        monkeypatch.setenv(MAX_JOBS_ENV, "5")
-        assert solve_optimal(m, 0.0).welfare == 5.0
-
     def test_allocations_respect_constraints(self, rng):
         for _ in range(60):
             m = random_market(rng, max_jobs=6, max_channels=2)
@@ -143,6 +162,21 @@ class TestSolveOptimal:
             for cid, usage in per_channel_usage.items():
                 tl = sol.timelines[cid]
                 assert all(u <= s.capacity for u, s in zip(usage, tl.slots))
+
+
+class TestFractionalBound:
+    def test_matches_best_rate_fill_at_every_depth(self, rng):
+        for _ in range(60):
+            m = cent_market(rng)
+            order = sorted(m.jobs, key=lambda j: (-j.unit_value, j.id))
+            timelines = build_timelines(m)
+            cids = [c.id for c in m.channels]
+            search = _Search(order, cids, timelines, {j.id: cids for j in order})
+            total = sum(tl.free_seconds for tl in timelines.values())
+            for depth in range(len(order) + 1):
+                for used in (0, rng.randint(0, total), total - 1, total):
+                    expected = best_rate_fill(order[depth:], total - used)
+                    assert abs(search.fractional_bound(depth, used) - expected) <= 1e-9
 
 
 class TestVcgPayments:

@@ -14,6 +14,7 @@ from spectrum_auctions import (
     save_requests,
     synthesize_occupancy,
 )
+from spectrum_auctions.workload import HOT_WINDOW
 
 DAY = 86_400
 
@@ -114,14 +115,14 @@ class TestGenerateRequests:
     def test_hot_fraction_within_binomial_band(self):
         spec = WorkloadSpec(n_requests=1000, set_kind=2, hot_fraction=0.8, seed=5)
         jobs = generate_requests(spec)
-        hs, he = spec.hot_window
+        hs, he = HOT_WINDOW
         hot = sum(1 for j in jobs if j.arrival < he and j.deadline > hs)
         assert abs(hot / 1000 - 0.8) <= 0.04
 
     def test_cold_requests_avoid_hot_window_entirely(self):
         spec = WorkloadSpec(n_requests=500, set_kind=2, hot_fraction=0.5, seed=6)
         jobs = generate_requests(spec)
-        hs, he = spec.hot_window
+        hs, he = HOT_WINDOW
         for j in jobs:
             intersects = j.arrival < he and j.deadline > hs
             inside_free = j.deadline <= hs or j.arrival >= he
