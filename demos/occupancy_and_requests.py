@@ -44,13 +44,16 @@ for set_kind in (1, 2):
     print(f"\nset {set_kind}: {len(jobs)} requests, total demand {hours:.0f}h, "
           f"{100 * hot / len(jobs):.1f}% touch the 19:00-22:00 hot window")
 
-out_dir = Path(tempfile.mkdtemp(prefix="spectrum-demo-"))
-save_occupancy(grid, str(out_dir / "grid.csv"))
-save_requests(generate_requests(WorkloadSpec(n_requests=25, set_kind=2, seed=3)),
-              str(out_dir / "requests.csv"))
-reloaded = load_occupancy(str(out_dir / "grid.csv"))
-assert (reloaded.occupancy == grid.occupancy).all()
-print(f"\nwrote {out_dir}/grid.csv and requests.csv (round-trip verified)")
-print("Feed them to the CLI, e.g.:")
-print(f"  spectrum-auction run --grid {out_dir}/grid.csv "
-      f"--requests {out_dir}/requests.csv --day 0 --beta 2.0 --out results.csv")
+with tempfile.TemporaryDirectory(prefix="spectrum-demo-") as tmp:
+    out_dir = Path(tmp)
+    save_occupancy(grid, str(out_dir / "grid.csv"))
+    save_requests(generate_requests(WorkloadSpec(n_requests=25, set_kind=2, seed=3)),
+                  str(out_dir / "requests.csv"))
+    reloaded = load_occupancy(str(out_dir / "grid.csv"))
+    assert (reloaded.occupancy == grid.occupancy).all()
+print("\ngrid.csv and requests.csv round-trip verified (written to a temporary directory)")
+print("Write your own and feed them to the CLI, e.g.:")
+print("  spectrum-auction gen-occupancy --channels 3 --seed 7 --out grid.csv")
+print("  spectrum-auction gen-requests --lambda 25 --set 2 --seed 3 --out requests.csv")
+print("  spectrum-auction run --grid grid.csv --requests requests.csv --day 0 "
+      "--beta 2.0 --out results.csv")

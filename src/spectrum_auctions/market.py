@@ -15,7 +15,7 @@ plain lists owned by the caller; nothing here keeps global state.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 
 
@@ -164,11 +164,24 @@ class SegmentedTimeline:
     ``(first, last)`` covered by its ``[arrival, deadline)`` window;
     ``first > last`` means no whole slot lies inside the window, which
     ``segment_timeline`` never produces since it cuts at every endpoint.
+    ``window_capacities`` maps a job id to the summed slot capacity of its
+    window; it is derived from the two fields above when the timeline is
+    built, and bids never change it.
     """
 
     channel_id: int
     slots: tuple[Slot, ...]
     job_windows: dict[int, tuple[int, int]]
+    window_capacities: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        before = [0]  # capacity of slots[:l], at index l
+        for slot in self.slots:
+            before.append(before[-1] + slot.capacity)
+        object.__setattr__(self, "window_capacities", {
+            jid: before[last + 1] - before[first] if first <= last else 0
+            for jid, (first, last) in self.job_windows.items()
+        })
 
     def window_range(self, job: Job) -> tuple[int, int]:
         """Inclusive (first, last) slot indices inside the job's window."""
@@ -182,8 +195,7 @@ class SegmentedTimeline:
         return sum(s.capacity for s in self.slots)
 
     def window_capacity(self, job: Job) -> int:
-        first, last = self.window_range(job)
-        return sum(self.slots[l].capacity for l in range(first, last + 1))
+        return self.window_capacities[job.id]
 
 
 def partition_markets(jobs: list[Job], channels: list[Channel]) -> list[LocalMarket]:

@@ -10,10 +10,10 @@ cross-check.  Exhaustive enumeration is capped at 12 jobs / 3 channels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .market import AuctionConfig, Channel, Job, LocalMarket, SpectrumAuctionError
-from .pvg import bid_grid_point, bid_grid_size, _wins_at_bid
+from .pvg import bid_grid_point, bid_grid_size, pvg_allocate
 
 
 class OracleCapError(SpectrumAuctionError):
@@ -234,12 +234,24 @@ def contiguous_optimal(market: LocalMarket) -> float:
     return best
 
 
+def _wins_at_bid(market: LocalMarket, config: AuctionConfig, job: Job, bid: float) -> bool:
+    """Does ``job`` win when it alone changes its bid?  A full allocation run."""
+    deviated = LocalMarket(
+        region=market.region,
+        band_type=market.band_type,
+        jobs=tuple(replace(j, bid_value=bid) if j.id == job.id else j for j in market.jobs),
+        channels=market.channels,
+    )
+    return job.id in pvg_allocate(deviated, config).assignment
+
+
 def scan_critical_value(market: LocalMarket, config: AuctionConfig, job_id: int) -> float:
     """Least winning grid bid by plain linear scan from the reserve floor up.
 
-    Validates the mechanism's binary search: candidates are the same
-    ``eta_s * duration + k * xi`` offsets capped by the reported value.
-    The job must win at its truthful bid.
+    Validates the mechanism's binary search and its resumed probes: the
+    candidates are the same ``eta_s * duration + k * xi`` offsets capped
+    by the reported value, and each is decided by a from-scratch greedy
+    run on the deviated market.  The job must win at its truthful bid.
     """
     job = market.job_by_id(job_id)
     floor = config.eta_s * job.duration

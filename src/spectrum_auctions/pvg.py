@@ -10,14 +10,31 @@ minimal eviction prefix, the prefix is preempted and the newcomer commits
 the freed channel wherever they now fit without further eviction
 (case 3).  Jobs failing everywhere are rejected.
 
-The allocation is bid monotone, so each winner is charged the smallest
-grid bid at which it still wins, found by binary search over the bid grid
-between its reserve floor and its reported value.
+The allocation is meant to be bid monotone (case 3 retrying only the
+preempting channel breaks that on some multi-channel markets), so each
+winner is charged the smallest grid bid at which it still wins, found by
+binary search over the bid grid between its reserve floor and its
+reported value.
+
+Pricing replays only what a probe can change.  Segmentation does not
+depend on bids, so ``run_pvg`` cuts each channel's timeline once and keeps
+the state of its allocation run before every rank.  For winner i it then
+runs the market without i once, starting from the kept state at i's rank,
+and keeps that run's state before every rank too.  A probe at bid b puts
+i at its rank r for b under the processing key ``(-unit_value, id)`` and
+resumes from the state before rank r; it still runs to the end, because
+later jobs may preempt i or readmit it.  This is exact: processing a job
+reads only the jobs ranked above it (case-3 readmission scans
+``order[:idx]``, and an unprocessed job holds no seconds the eviction
+prefix could take), so the jobs above r are processed in the probe
+exactly as in the run without i, and the runs with and without i agree
+above i's own rank.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .market import (
@@ -45,11 +62,12 @@ class PvgStats:
 
 @dataclass
 class PvgState:
-    """Live view of the allocator handed to ``on_step`` observers.
+    """The allocator's state, handed live to ``on_step`` observers.
 
     ``order`` is the processing order (per-second value descending, ties
     by ascending id) over reserve-eligible jobs.  ``committed`` maps each
     channel to its per-slot used seconds.  Observers must not mutate.
+    Pricing keeps forks of it to resume runs from.
     """
 
     order: list[Job]
@@ -57,6 +75,20 @@ class PvgState:
     assignment: dict[int, int] = field(default_factory=dict)
     allocations: dict[int, list[int]] = field(default_factory=dict)
     committed: dict[int, list[int]] = field(default_factory=dict)
+
+    def fork(self, order: list[Job] | None = None) -> PvgState:
+        """An independent copy, over ``order`` when given.
+
+        Per-job allocation lists are shared: once committed they are only
+        ever dropped, never changed.
+        """
+        return PvgState(
+            order=self.order if order is None else order,
+            timelines=self.timelines,
+            assignment=dict(self.assignment),
+            allocations=dict(self.allocations),
+            committed={cid: list(used) for cid, used in self.committed.items()},
+        )
 
 
 def eligible_order(jobs: list[Job], eta_s: float) -> list[Job]:
@@ -94,25 +126,24 @@ def _eviction_prefix(job: Job, cid: int, state: PvgState,
     return None
 
 
-def pvg_allocate(market: LocalMarket, config: AuctionConfig,
-                 stats: PvgStats | None = None,
-                 on_step=None) -> AuctionOutcome:
-    """Run the greedy allocation; payments are left unset.
-
-    Deterministic in (market, config): all orderings carry explicit id
-    tie-breaks.  ``on_step(state, job)`` fires after each processed job.
-    Work is counted into ``stats``, a fresh ``PvgStats`` when not given.
-    """
-    if stats is None:
-        stats = PvgStats()
-    timelines = build_timelines(market)
-    order = eligible_order(list(market.jobs), config.eta_s)
-    state = PvgState(
-        order=order,
+def _initial_state(market: LocalMarket, config: AuctionConfig,
+                   timelines: dict[int, SegmentedTimeline]) -> PvgState:
+    return PvgState(
+        order=eligible_order(list(market.jobs), config.eta_s),
         timelines=timelines,
-        committed={c.id: timelines[c.id].empty_usage() for c in market.channels},
+        committed={cid: tl.empty_usage() for cid, tl in timelines.items()},
     )
-    channel_ids = [c.id for c in market.channels]
+
+
+def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
+            snapshots: list[PvgState] | None = None, on_step=None) -> None:
+    """Process ``state.order[start:]`` onto ``state``, in place.
+
+    When ``snapshots`` is given, a fork of the state before each processed
+    rank and one of the final state are appended to it, so a list already
+    holding the states before ranks ``0 .. start-1`` ends up indexed by rank.
+    """
+    order, timelines = state.order, state.timelines
 
     def fits(job: Job, cid: int) -> bool:
         stats.fit_checks += 1
@@ -123,15 +154,18 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
         state.assignment[job.id] = cid
         stats.commits += 1
 
-    for idx, job in enumerate(order):
+    for idx in range(start, len(order)):
+        if snapshots is not None:
+            snapshots.append(state.fork())
+        job = order[idx]
         placed = False
-        for cid in channel_ids:  # case 1: conflict-free acceptance
+        for cid in timelines:  # case 1: conflict-free acceptance
             if fits(job, cid):
                 accept(job, cid)
                 placed = True
                 break
         if not placed:
-            for cid in channel_ids:  # case 2: try to preempt cheaper overlap
+            for cid in timelines:  # case 2: try to preempt cheaper overlap
                 prefix = _eviction_prefix(job, cid, state, stats)
                 if prefix is None:
                     continue
@@ -153,13 +187,39 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
                     break
         if on_step is not None:
             on_step(state, job)
+    if snapshots is not None:
+        snapshots.append(state.fork())
 
+
+def _outcome(state: PvgState) -> AuctionOutcome:
     return AuctionOutcome(
         assignment=dict(state.assignment),
         allocations={k: list(v) for k, v in state.allocations.items()},
         payments={},
-        timelines=timelines,
+        timelines=state.timelines,
     )
+
+
+def pvg_allocate(market: LocalMarket, config: AuctionConfig,
+                 stats: PvgStats | None = None,
+                 on_step=None) -> AuctionOutcome:
+    """Run the greedy allocation; payments are left unset.
+
+    Deterministic in (market, config): all orderings carry explicit id
+    tie-breaks.  ``on_step(state, job)`` fires after each processed job.
+    Work is counted into ``stats``, a fresh ``PvgStats`` when not given.
+    """
+    state = _initial_state(market, config, build_timelines(market))
+    _greedy(state, config, 0, PvgStats() if stats is None else stats, on_step=on_step)
+    return _outcome(state)
+
+
+def _truthful_run(market: LocalMarket, config: AuctionConfig,
+                  stats: PvgStats) -> list[PvgState]:
+    """The market's own greedy run as its states before each rank, then its end state."""
+    snapshots: list[PvgState] = []
+    _greedy(_initial_state(market, config, build_timelines(market)), config, 0, stats, snapshots)
+    return snapshots
 
 
 def bid_grid_size(floor: float, top: float, xi: float) -> int:
@@ -179,35 +239,63 @@ def bid_grid_point(floor: float, top: float, xi: float, k: int, n: int) -> float
     return floor + k * xi if k < n else top
 
 
-def _wins_at_bid(market: LocalMarket, config: AuctionConfig, job: Job, bid: float,
-                 stats: PvgStats | None = None) -> bool:
-    deviated = LocalMarket(
-        region=market.region,
-        band_type=market.band_type,
-        jobs=tuple(replace(j, bid_value=bid) if j.id == job.id else j for j in market.jobs),
-        channels=market.channels,
-    )
-    outcome = pvg_allocate(deviated, config, stats=stats)
-    return job.id in outcome.assignment
+def _resumed_probe(market: LocalMarket, config: AuctionConfig, job: Job,
+                   truthful: list[PvgState], stats: PvgStats):
+    """Win predicate over ``job``'s bid that replays only the ranks after it.
+
+    Runs the market without ``job`` once, from the truthful run's state
+    at ``job``'s rank, keeping its state before each rank; each probe
+    inserts the deviated job at its rank under the processing key and
+    resumes from the state kept there.
+    """
+    order = truthful[0].order
+    others = [j for j in order if j.id != job.id]
+    # a job below the reserve at its own bid is not in ``order`` at all
+    rank = next((r for r, j in enumerate(order) if j.id == job.id), len(order))
+    without = truthful[:rank]
+    _greedy(truthful[rank].fork(others), config, rank, stats, without)
+    keys = [(-j.unit_value, j.id) for j in others]
+    source = market.job_by_id(job.id)
+
+    def wins(bid: float) -> bool:
+        probe = replace(source, bid_value=bid)
+        if probe.bid_value < config.eta_s * probe.duration:
+            return False
+        rank = bisect_left(keys, (-probe.unit_value, probe.id))
+        state = without[rank].fork(others[:rank] + [probe] + others[rank:])
+        _greedy(state, config, rank, stats)
+        return probe.id in state.assignment
+
+    return wins
 
 
 def critical_value(market: LocalMarket, config: AuctionConfig, job: Job,
-                   top: float | None = None, stats: PvgStats | None = None) -> float:
+                   top: float | None = None, stats: PvgStats | None = None,
+                   truthful: list[PvgState] | None = None) -> float:
     """Least grid bid at which ``job`` still wins, by binary search.
 
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below ``top`` (the reported value by default), plus ``top``.
     Bid monotonicity makes the win predicate a threshold over them.
+    ``truthful`` is the market's own run as ``_truthful_run`` keeps it;
+    ``run_pvg`` passes it so that all winners share one; without it the
+    run is made here.
     """
+    if stats is None:
+        stats = PvgStats()
     floor = config.eta_s * job.duration
     if top is None:
         top = job.bid_value
     n = bid_grid_size(floor, top, config.xi)
+    if n == 0:
+        return top
+    if truthful is None:
+        truthful = _truthful_run(market, config, stats)
+    wins = _resumed_probe(market, config, job, truthful, stats)
     lo, hi = 0, n  # candidate n == top wins by assumption
     while lo < hi:
         mid = (lo + hi) // 2
-        if _wins_at_bid(market, config, job, bid_grid_point(floor, top, config.xi, mid, n),
-                        stats=stats):
+        if wins(bid_grid_point(floor, top, config.xi, mid, n)):
             hi = mid
         else:
             lo = mid + 1
@@ -222,11 +310,19 @@ def pvg_payments(market: LocalMarket, config: AuctionConfig,
 
 def run_pvg(market: LocalMarket, config: AuctionConfig,
             stats: PvgStats | None = None) -> AuctionOutcome:
-    """Allocate, price, and package the greedy mechanism's outcome."""
-    outcome = pvg_allocate(market, config, stats=stats)
+    """Allocate, price, and package the greedy mechanism's outcome.
+
+    The timelines are cut once and every winner is priced by probes that
+    resume from the kept states of the allocation run (module docstring).
+    """
+    if stats is None:
+        stats = PvgStats()
+    truthful = _truthful_run(market, config, stats)
+    outcome = _outcome(truthful[-1])
     payments = {j.id: 0.0 for j in market.jobs}
     for jid in sorted(outcome.assignment):
-        payments[jid] = critical_value(market, config, market.job_by_id(jid), stats=stats)
+        payments[jid] = critical_value(market, config, market.job_by_id(jid),
+                                       stats=stats, truthful=truthful)
     outcome.payments = payments
     return outcome
 

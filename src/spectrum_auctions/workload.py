@@ -283,19 +283,37 @@ def save_requests(jobs: list[Job], path: str) -> None:
 
 
 def load_requests(path: str) -> list[Job]:
+    """Parse a request CSV, naming the file and line of any defect."""
+    parsers = {"id": int, "region": str, "band_type": str, "bid_value": float,
+               "arrival": int, "deadline": int, "duration": int}
     jobs = []
+    first_seen: dict[int, int] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != REQUEST_COLUMNS:
-            raise SpectrumAuctionError(f"unexpected request CSV header in {path}")
-        for row in reader:
-            jobs.append(Job(
-                id=int(row["id"]),
-                region=row["region"],
-                band_type=row["band_type"],
-                bid_value=float(row["bid_value"]),
-                arrival=int(row["arrival"]),
-                deadline=int(row["deadline"]),
-                duration=int(row["duration"]),
-            ))
+        reader = csv.reader(fh)
+        if next(reader, None) != REQUEST_COLUMNS:
+            raise SpectrumAuctionError(
+                f"{path}, line 1: expected header {','.join(REQUEST_COLUMNS)!r}")
+        for cells in reader:
+            if not cells:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(cells) != len(REQUEST_COLUMNS):
+                raise SpectrumAuctionError(
+                    f"{where}: row has {len(cells)} cells, expected {len(REQUEST_COLUMNS)}")
+            fields = {}
+            for name, cell in zip(REQUEST_COLUMNS, cells):
+                try:
+                    fields[name] = parsers[name](cell)
+                except ValueError:
+                    raise SpectrumAuctionError(
+                        f"{where}: {name} {cell!r} is not a valid {parsers[name].__name__}") from None
+            try:
+                job = Job(**fields)
+            except ValueError as err:
+                raise SpectrumAuctionError(f"{where}: {err}") from None
+            if job.id in first_seen:
+                raise SpectrumAuctionError(
+                    f"{where}: duplicate job id {job.id} (first on line {first_seen[job.id]})")
+            first_seen[job.id] = reader.line_num
+            jobs.append(job)
     return jobs

@@ -126,6 +126,26 @@ class TestBadInput:
         self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
                                    "--out", str(tmp_path / "x.csv")], "duplicate job id 1")
 
+    def test_bad_request_cell_names_file_and_line(self, grid_csv, request_csv, tmp_path,
+                                                  capsys):
+        lines = request_csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = "abc"
+        lines[2] = ",".join(cells)
+        request_csv.write_text("\n".join(lines) + "\n")
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--out", str(tmp_path / "x.csv")],
+                          f"{request_csv}, line 3: bid_value 'abc' is not a valid float")
+
+    def test_duplicate_request_id_names_both_lines(self, grid_csv, request_csv, tmp_path,
+                                                   capsys):
+        lines = request_csv.read_text().splitlines()
+        lines[3] = "1" + lines[3][lines[3].index(","):]
+        request_csv.write_text("\n".join(lines) + "\n")
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--out", str(tmp_path / "x.csv")],
+                          f"{request_csv}, line 4: duplicate job id 1 (first on line 2)")
+
     def test_missing_grid_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         self.assert_error(capsys, ["run", "--grid", str(missing), "--lambda", "3",

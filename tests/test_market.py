@@ -128,6 +128,21 @@ class TestSegmentTimeline:
                 )
                 assert tl.window_capacity(j) == direct
 
+    def test_window_capacities_recorded_at_segmentation(self):
+        rig = random.Random(9)
+        for _ in range(100):
+            market = random_market(rig, max_jobs=6, max_channels=1)
+            tl = segment_timeline(market.channels[0], list(market.jobs))
+            assert set(tl.window_capacities) == {j.id for j in market.jobs}
+            for j in market.jobs:
+                first, last = tl.window_range(j)
+                slot_sum = sum(s.capacity for s in tl.slots[first:last + 1])
+                assert tl.window_capacities[j.id] == slot_sum == tl.window_capacity(j)
+        # a hand-built timeline derives them too; an empty window holds 0
+        tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 2, 2), Slot(2, 4, 0), Slot(4, 6, 2)),
+                               job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
+        assert tl.window_capacities == {1: 0, 2: 4, 3: 2}
+
     def test_slots_tile_without_overlap(self):
         rig = random.Random(8)
         for _ in range(100):
