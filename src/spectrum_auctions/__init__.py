@@ -19,15 +19,16 @@ from .market import (
     SpectrumAuctionError,
     build_timelines,
     commit_allocation,
+    filter_reserve,
     fits_in_residual,
     partition_markets,
     segment_timeline,
     set_feasible,
 )
-from .metrics import UndefinedRatioError, revenue_ratio, social_efficiency, utilization_ratio
+from .metrics import social_efficiency, utilization_ratio
 from .oracle import OracleCapError, OracleResult, contiguous_optimal, enumerate_optimal, scan_critical_value
-from .pvg import PvgState, PvgStats, critical_value, pvg_allocate, pvg_payments, rho_bound, run_pvg
-from .vcg import SolverSizeError, VcgSolution, filter_reserve, run_vcg, solve_optimal, vcg_payments
+from .pvg import PvgStats, critical_value, pvg_allocate, rho_bound, run_pvg
+from .vcg import SolverSizeError, VcgSolution, run_vcg, solve_optimal, vcg_payments
 from .workload import (
     OccupancyFormatError,
     OccupancyGrid,
@@ -43,15 +44,13 @@ from .workload import (
 __all__ = [
     "AuctionConfig", "AuctionOutcome", "Channel", "Job", "LocalMarket",
     "SegmentedTimeline", "Slot", "SpectrumAuctionError", "InfeasibleCommitError",
-    "build_timelines", "commit_allocation", "fits_in_residual",
+    "build_timelines", "commit_allocation", "filter_reserve", "fits_in_residual",
     "partition_markets", "segment_timeline", "set_feasible",
-    "UndefinedRatioError", "revenue_ratio",
     "social_efficiency", "utilization_ratio",
     "OracleCapError", "OracleResult", "contiguous_optimal",
     "enumerate_optimal", "scan_critical_value",
-    "PvgState", "PvgStats", "critical_value", "pvg_allocate", "pvg_payments",
-    "rho_bound", "run_pvg",
-    "SolverSizeError", "VcgSolution", "filter_reserve", "run_vcg",
+    "PvgStats", "critical_value", "pvg_allocate", "rho_bound", "run_pvg",
+    "SolverSizeError", "VcgSolution", "run_vcg",
     "solve_optimal", "vcg_payments",
     "OccupancyFormatError", "OccupancyGrid", "WorkloadSpec",
     "generate_requests", "load_occupancy", "load_requests",

@@ -132,8 +132,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     grid = load_occupancy(args.grid)
+    requests = None
     if args.command == "run":
-        requests = None
         if args.requests is not None:
             requests = load_requests(args.requests)
             lambdas = [len(requests)]
@@ -142,25 +142,17 @@ def _run(args: argparse.Namespace) -> int:
         else:
             print("run: pass --requests or --lambda", file=sys.stderr)
             return 2
-        plan = ExperimentPlan(
-            lambdas=lambdas, eta_s_values=[args.eta_s], set_kinds=[args.set_kind],
-            trials=1 if requests is not None else args.trials,
-            master_seed=args.seed, beta=args.beta, xi=args.xi,
-            mechanisms=args.mechanisms, vcg_max_jobs=args.vcg_max_jobs,
-            timing=args.timing, hot_fraction=args.delta, day=args.day,
-        )
-        rows = run_experiment(grid, plan, requests=requests)
+        eta_s_values, set_kinds = [args.eta_s], [args.set_kind]
     else:
-        plan = ExperimentPlan(
-            lambdas=args.lambda_list, eta_s_values=args.eta_s_list,
-            set_kinds=args.sets, trials=args.trials, master_seed=args.seed,
-            beta=args.beta, xi=args.xi, mechanisms=args.mechanisms,
-            vcg_max_jobs=args.vcg_max_jobs, timing=args.timing,
-            hot_fraction=args.delta, day=args.day,
-        )
-        rows = run_experiment(grid, plan)
-
-    write_results_csv(rows, args.out)
+        lambdas, eta_s_values, set_kinds = args.lambda_list, args.eta_s_list, args.sets
+    plan = ExperimentPlan(
+        lambdas=lambdas, eta_s_values=eta_s_values, set_kinds=set_kinds,
+        trials=1 if requests is not None else args.trials,
+        master_seed=args.seed, beta=args.beta, xi=args.xi,
+        mechanisms=args.mechanisms, vcg_max_jobs=args.vcg_max_jobs,
+        timing=args.timing, hot_fraction=args.delta, day=args.day,
+    )
+    write_results_csv(run_experiment(grid, plan, requests=requests), args.out)
     return 0
 
 

@@ -22,18 +22,15 @@ from .market import AuctionConfig, Job, LocalMarket
 from .metrics import social_efficiency, utilization_ratio
 from .pvg import pvg_allocate, run_pvg
 from .vcg import SolverSizeError, run_vcg, solve_optimal
-from .workload import OccupancyGrid, WorkloadSpec, generate_requests
+from .workload import BAND_TYPE, REGION, OccupancyGrid, WorkloadSpec, generate_requests
 
 log = logging.getLogger(__name__)
 
-RESULT_COLUMNS = [
-    "set", "lambda", "eta_s", "beta", "trial", "mech",
-    "efficiency", "eff_ratio", "utilization", "revenue", "revenue_ratio", "runtime_ms",
-]
+NUMERIC_COLUMNS = ["efficiency", "eff_ratio", "utilization", "revenue", "revenue_ratio",
+                   "runtime_ms"]
+RESULT_COLUMNS = ["set", "lambda", "eta_s", "beta", "trial", "mech", *NUMERIC_COLUMNS]
 
 MECHANISM_ORDER = ("vcg", "pvg")
-REGION = "r1"
-BAND_TYPE = "tv"
 
 
 @dataclass
@@ -58,6 +55,10 @@ class ExperimentPlan:
             if m not in MECHANISM_ORDER:
                 raise ValueError(f"unknown mechanism {m!r}")
         self.mechanisms = tuple(m for m in MECHANISM_ORDER if m in self.mechanisms)
+        for name in ("lambdas", "eta_s_values", "set_kinds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate values in {name}: {values}")
 
 
 def trial_seed(master_seed: int, set_kind: int, lam: int, trial: int) -> int:
@@ -99,102 +100,91 @@ def run_experiment(grid: OccupancyGrid, plan: ExperimentPlan,
                    requests: list[Job] | None = None) -> list[dict]:
     """Run the full sweep and return raw rows followed by aggregate rows.
 
-    When ``requests`` is given the workload generator is bypassed: a
-    single trial runs per reserve level and the set column reads 0.
+    Raw rows come in the order set, lambda, eta_s, trial, mechanism, each
+    in plan order; the mean rows follow in the same order without the
+    trial.  When ``requests`` is given the workload generator is
+    bypassed: a single trial runs per reserve level and the set column
+    reads 0.
     """
     sliced = grid.day_slice(plan.day) if plan.day is not None else grid
     channels = tuple(sliced.to_channels(REGION, BAND_TYPE))
     horizon = sliced.horizon_seconds
 
-    raw_rows: list[dict] = []
     if requests is not None:
-        groups = [(0, len(requests), 0, tuple(requests))]
+        blocks = [(0, len(requests), [tuple(requests)])]
     else:
-        groups = []
-        for set_kind in plan.set_kinds:
-            for lam in plan.lambdas:
-                for trial in range(plan.trials):
-                    spec = WorkloadSpec(
-                        n_requests=lam, set_kind=set_kind,
-                        hot_fraction=plan.hot_fraction, horizon=horizon,
-                        seed=trial_seed(plan.master_seed, set_kind, lam, trial),
-                        region=REGION, band_type=BAND_TYPE,
-                    )
-                    groups.append((set_kind, lam, trial, tuple(generate_requests(spec))))
+        blocks = (
+            (set_kind, lam, [tuple(generate_requests(WorkloadSpec(
+                n_requests=lam, set_kind=set_kind,
+                hot_fraction=plan.hot_fraction, horizon=horizon,
+                seed=trial_seed(plan.master_seed, set_kind, lam, trial),
+            ))) for trial in range(plan.trials)])
+            for set_kind in plan.set_kinds for lam in plan.lambdas
+        )
 
-    for set_kind, lam, trial, jobs in groups:
-        market = LocalMarket(region=REGION, band_type=BAND_TYPE, jobs=jobs, channels=channels)
-        eff_zero_cache: dict[str, float | None] = {}
+    raw_rows: list[dict] = []
+    mean_rows: list[dict] = []
+    for set_kind, lam, trial_jobs in blocks:
+        markets = [LocalMarket(region=REGION, band_type=BAND_TYPE, jobs=jobs, channels=channels)
+                   for jobs in trial_jobs]
+        eff_zero_caches: list[dict[str, float | None]] = [{} for _ in markets]
         for eta_s in plan.eta_s_values:
             config = AuctionConfig(beta=plan.beta, eta_s=eta_s, xi=plan.xi)
-            results: dict[str, tuple | None] = {}
-            for mech in plan.mechanisms:
-                results[mech] = _run_mechanism(mech, market, config, plan.vcg_max_jobs, plan.timing)
-
-            vcg_eff = results.get("vcg")[0] if results.get("vcg") else None
-            for mech in plan.mechanisms:
-                row = {
-                    "set": set_kind, "lambda": lam, "eta_s": eta_s, "beta": plan.beta,
-                    "trial": trial, "mech": mech,
-                    "efficiency": None, "eff_ratio": None, "utilization": None,
-                    "revenue": None, "revenue_ratio": None, "runtime_ms": None,
-                }
-                measured = results[mech]
-                if measured is not None:
-                    eff, util, revenue, runtime_ms = measured
-                    if mech not in eff_zero_cache:
-                        if eta_s == 0.0:
-                            eff_zero_cache[mech] = eff
-                        else:
-                            eff_zero_cache[mech] = _zero_reserve_efficiency(mech, market, plan)
-                    eff_zero = eff_zero_cache[mech]
-                    if mech == "vcg":
-                        eff_ratio = 1.0
-                    elif vcg_eff is None:
-                        eff_ratio = None
-                    else:
-                        eff_ratio = 1.0 if vcg_eff == 0.0 else eff / vcg_eff
-                    row["efficiency"] = eff
-                    row["eff_ratio"] = eff_ratio
-                    row["utilization"] = util
-                    row["revenue"] = revenue
-                    row["revenue_ratio"] = revenue / eff_zero if eff_zero else None
-                    row["runtime_ms"] = runtime_ms
-                raw_rows.append(row)
-
-    set_order = {s: i for i, s in enumerate(dict.fromkeys(r["set"] for r in raw_rows))}
-    lam_order = {l: i for i, l in enumerate(plan.lambdas)}
-    eta_order = {e: i for i, e in enumerate(plan.eta_s_values)}
-    mech_order = {m: i for i, m in enumerate(plan.mechanisms)}
-
-    def sort_key(row):
-        return (set_order[row["set"]], lam_order.get(row["lambda"], 0),
-                eta_order[row["eta_s"]], row["trial"], mech_order[row["mech"]])
-
-    raw_rows.sort(key=sort_key)
-    return raw_rows + _aggregate_rows(raw_rows, plan)
+            by_mech: dict[str, list[dict]] = {}
+            for trial, market in enumerate(markets):
+                point = {"set": set_kind, "lambda": lam, "eta_s": eta_s, "beta": plan.beta,
+                         "trial": trial}
+                for row in _trial_rows(market, config, plan, eff_zero_caches[trial], point):
+                    raw_rows.append(row)
+                    by_mech.setdefault(row["mech"], []).append(row)
+            mean_rows += [_mean_row(rows) for rows in by_mech.values()]
+    return raw_rows + mean_rows
 
 
-def _aggregate_rows(raw_rows: list[dict], plan: ExperimentPlan) -> list[dict]:
-    """Mean-over-trials rows, one per (set, lambda, eta_s, mech)."""
-    grouped: dict[tuple, list[dict]] = {}
-    for row in raw_rows:
-        grouped.setdefault((row["set"], row["lambda"], row["eta_s"], row["mech"]), []).append(row)
+def _trial_rows(market: LocalMarket, config: AuctionConfig, plan: ExperimentPlan,
+                eff_zero_cache: dict[str, float | None], point: dict) -> list[dict]:
+    """One raw row per mechanism for one trial's market at one reserve level.
 
-    numeric = ["efficiency", "eff_ratio", "utilization", "revenue", "revenue_ratio", "runtime_ms"]
-    mech_order = {m: i for i, m in enumerate(plan.mechanisms)}
-    out = []
-    for key in sorted(grouped, key=lambda k: (k[0], k[1], k[2], mech_order[k[3]])):
-        rows = grouped[key]
-        agg = {
-            "set": key[0], "lambda": key[1], "eta_s": key[2], "beta": plan.beta,
-            "trial": "mean", "mech": key[3],
-        }
-        for col in numeric:
-            values = [r[col] for r in rows if r[col] is not None]
-            agg[col] = sum(values) / len(values) if values else None
-        out.append(agg)
-    return out
+    ``eff_zero_cache`` holds the market's zero-reserve efficiency per
+    mechanism across reserve levels.
+    """
+    results = {mech: _run_mechanism(mech, market, config, plan.vcg_max_jobs, plan.timing)
+               for mech in plan.mechanisms}
+    vcg_eff = results["vcg"][0] if results.get("vcg") else None
+    rows = []
+    for mech, measured in results.items():
+        row = dict(point, mech=mech, **dict.fromkeys(NUMERIC_COLUMNS))
+        if measured is not None:
+            eff, util, revenue, runtime_ms = measured
+            if mech not in eff_zero_cache:
+                if config.eta_s == 0.0:
+                    eff_zero_cache[mech] = eff
+                else:
+                    eff_zero_cache[mech] = _zero_reserve_efficiency(mech, market, plan)
+            eff_zero = eff_zero_cache[mech]
+            if mech == "vcg":
+                eff_ratio = 1.0
+            elif vcg_eff is None:
+                eff_ratio = None
+            else:
+                eff_ratio = 1.0 if vcg_eff == 0.0 else eff / vcg_eff
+            row["efficiency"] = eff
+            row["eff_ratio"] = eff_ratio
+            row["utilization"] = util
+            row["revenue"] = revenue
+            row["revenue_ratio"] = revenue / eff_zero if eff_zero else None
+            row["runtime_ms"] = runtime_ms
+        rows.append(row)
+    return rows
+
+
+def _mean_row(rows: list[dict]) -> dict:
+    """The mean over trials of one mechanism's rows at one (set, lambda, eta_s)."""
+    agg = dict(rows[0], trial="mean")
+    for col in NUMERIC_COLUMNS:
+        values = [r[col] for r in rows if r[col] is not None]
+        agg[col] = sum(values) / len(values) if values else None
+    return agg
 
 
 def format_cell(value) -> str:

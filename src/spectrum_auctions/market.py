@@ -15,6 +15,7 @@ plain lists owned by the caller; nothing here keeps global state.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -53,7 +54,7 @@ class Job:
 
     @property
     def unit_value(self) -> float:
-        """Bid per requested second; the greedy mechanism's sort key."""
+        """Bid per requested second; both mechanisms process jobs by it."""
         return self.bid_value / self.duration
 
 
@@ -198,6 +199,16 @@ class SegmentedTimeline:
         return self.window_capacities[job.id]
 
 
+def filter_reserve(jobs: Iterable[Job], eta_s: float) -> list[Job]:
+    """Keep exactly the jobs whose bid covers the reserve for their time."""
+    return [j for j in jobs if j.bid_value >= eta_s * j.duration]
+
+
+def processing_key(job: Job) -> tuple[float, int]:
+    """Both mechanisms' job order: per-second bid descending, ties by ascending id."""
+    return (-job.unit_value, job.id)
+
+
 def partition_markets(jobs: list[Job], channels: list[Channel]) -> list[LocalMarket]:
     """Group jobs and channels into local markets by (region, band_type).
 
@@ -254,12 +265,7 @@ def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]
     inside the window is both necessary and sufficient.
     """
     first, last = timeline.window_range(job)
-    residual = 0
-    for l in range(first, last + 1):
-        residual += timeline.slots[l].capacity - committed[l]
-        if residual >= job.duration:
-            return True
-    return residual >= job.duration
+    return timeline.window_capacity(job) - sum(committed[first:last + 1]) >= job.duration
 
 
 def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> list[int]:

@@ -1,14 +1,10 @@
-"""Outcome metrics: efficiency, utilization, revenue and their ratios."""
+"""Outcome metrics: social efficiency and channel utilization."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
-from .market import AuctionOutcome, Job, LocalMarket, SpectrumAuctionError
-
-
-class UndefinedRatioError(SpectrumAuctionError):
-    """A ratio was requested with a zero denominator."""
+from .market import AuctionOutcome, Job, LocalMarket
 
 
 def social_efficiency(outcome: AuctionOutcome, jobs: Iterable[Job]) -> float:
@@ -33,15 +29,3 @@ def utilization_ratio(outcomes: AuctionOutcome | Iterable[AuctionOutcome],
     if free == 0:
         return 0.0
     return allocated / free
-
-
-def revenue_ratio(payments: Mapping[int, float] | Iterable[float],
-                  eff_at_zero_reserve: float) -> float:
-    """Total payments over the mechanism's efficiency at zero reserve."""
-    if isinstance(payments, Mapping):
-        total = sum(payments.values())
-    else:
-        total = sum(payments)
-    if eff_at_zero_reserve == 0:
-        raise UndefinedRatioError("revenue ratio undefined: zero-reserve efficiency is 0")
-    return total / eff_at_zero_reserve

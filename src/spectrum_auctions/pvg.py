@@ -14,16 +14,17 @@ The allocation is meant to be bid monotone (case 3 retrying only the
 preempting channel breaks that on some multi-channel markets), so each
 winner is charged the smallest grid bid at which it still wins, found by
 binary search over the bid grid between its reserve floor and its
-reported value.
+reported value.  ``run_pvg`` allocates and prices a market;
+``critical_value`` prices one job at its own reported bid.
 
 Pricing replays only what a probe can change.  Segmentation does not
 depend on bids, so ``run_pvg`` cuts each channel's timeline once and keeps
 the state of its allocation run before every rank.  For winner i it then
 runs the market without i once, starting from the kept state at i's rank,
 and keeps that run's state before every rank too.  A probe at bid b puts
-i at its rank r for b under the processing key ``(-unit_value, id)`` and
-resumes from the state before rank r; it still runs to the end, because
-later jobs may preempt i or readmit it.  This is exact: processing a job
+i at its rank r for b under ``processing_key`` and resumes from the
+state before rank r; it still runs to the end, because later jobs may
+preempt i or readmit it.  This is exact: processing a job
 reads only the jobs ranked above it (case-3 readmission scans
 ``order[:idx]``, and an unprocessed job holds no seconds the eviction
 prefix could take), so the jobs above r are processed in the probe
@@ -45,7 +46,9 @@ from .market import (
     SegmentedTimeline,
     build_timelines,
     commit_allocation,
+    filter_reserve,
     fits_in_residual,
+    processing_key,
     release_allocation,
 )
 
@@ -62,12 +65,12 @@ class PvgStats:
 
 @dataclass
 class PvgState:
-    """The allocator's state, handed live to ``on_step`` observers.
+    """The allocator's state between two processed ranks.
 
-    ``order`` is the processing order (per-second value descending, ties
-    by ascending id) over reserve-eligible jobs.  ``committed`` maps each
-    channel to its per-slot used seconds.  Observers must not mutate.
-    Pricing keeps forks of it to resume runs from.
+    ``order`` is the processing order (``processing_key``) over
+    reserve-eligible jobs.  ``committed`` maps each channel to its
+    per-slot used seconds.  ``_truthful_run`` keeps a fork of it before
+    every rank, which pricing resumes runs from.
     """
 
     order: list[Job]
@@ -89,12 +92,6 @@ class PvgState:
             allocations=dict(self.allocations),
             committed={cid: list(used) for cid, used in self.committed.items()},
         )
-
-
-def eligible_order(jobs: list[Job], eta_s: float) -> list[Job]:
-    """Reserve-eligible jobs in processing order."""
-    keep = [j for j in jobs if j.bid_value >= eta_s * j.duration]
-    return sorted(keep, key=lambda j: (-j.unit_value, j.id))
 
 
 def _eviction_prefix(job: Job, cid: int, state: PvgState,
@@ -129,14 +126,14 @@ def _eviction_prefix(job: Job, cid: int, state: PvgState,
 def _initial_state(market: LocalMarket, config: AuctionConfig,
                    timelines: dict[int, SegmentedTimeline]) -> PvgState:
     return PvgState(
-        order=eligible_order(list(market.jobs), config.eta_s),
+        order=sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key),
         timelines=timelines,
         committed={cid: tl.empty_usage() for cid, tl in timelines.items()},
     )
 
 
 def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
-            snapshots: list[PvgState] | None = None, on_step=None) -> None:
+            snapshots: list[PvgState] | None = None) -> None:
     """Process ``state.order[start:]`` onto ``state``, in place.
 
     When ``snapshots`` is given, a fork of the state before each processed
@@ -185,8 +182,6 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
                             stats.readmissions += 1
                     placed = True
                     break
-        if on_step is not None:
-            on_step(state, job)
     if snapshots is not None:
         snapshots.append(state.fork())
 
@@ -201,16 +196,15 @@ def _outcome(state: PvgState) -> AuctionOutcome:
 
 
 def pvg_allocate(market: LocalMarket, config: AuctionConfig,
-                 stats: PvgStats | None = None,
-                 on_step=None) -> AuctionOutcome:
+                 stats: PvgStats | None = None) -> AuctionOutcome:
     """Run the greedy allocation; payments are left unset.
 
     Deterministic in (market, config): all orderings carry explicit id
-    tie-breaks.  ``on_step(state, job)`` fires after each processed job.
-    Work is counted into ``stats``, a fresh ``PvgStats`` when not given.
+    tie-breaks.  Work is counted into ``stats``, a fresh ``PvgStats``
+    when not given.
     """
     state = _initial_state(market, config, build_timelines(market))
-    _greedy(state, config, 0, PvgStats() if stats is None else stats, on_step=on_step)
+    _greedy(state, config, 0, PvgStats() if stats is None else stats)
     return _outcome(state)
 
 
@@ -254,14 +248,14 @@ def _resumed_probe(market: LocalMarket, config: AuctionConfig, job: Job,
     rank = next((r for r, j in enumerate(order) if j.id == job.id), len(order))
     without = truthful[:rank]
     _greedy(truthful[rank].fork(others), config, rank, stats, without)
-    keys = [(-j.unit_value, j.id) for j in others]
+    keys = [processing_key(j) for j in others]
     source = market.job_by_id(job.id)
 
     def wins(bid: float) -> bool:
         probe = replace(source, bid_value=bid)
-        if probe.bid_value < config.eta_s * probe.duration:
+        if not filter_reserve([probe], config.eta_s):
             return False
-        rank = bisect_left(keys, (-probe.unit_value, probe.id))
+        rank = bisect_left(keys, processing_key(probe))
         state = without[rank].fork(others[:rank] + [probe] + others[rank:])
         _greedy(state, config, rank, stats)
         return probe.id in state.assignment
@@ -270,12 +264,12 @@ def _resumed_probe(market: LocalMarket, config: AuctionConfig, job: Job,
 
 
 def critical_value(market: LocalMarket, config: AuctionConfig, job: Job,
-                   top: float | None = None, stats: PvgStats | None = None,
+                   stats: PvgStats | None = None,
                    truthful: list[PvgState] | None = None) -> float:
     """Least grid bid at which ``job`` still wins, by binary search.
 
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
-    strictly below ``top`` (the reported value by default), plus ``top``.
+    strictly below the reported value ``job.bid_value``, plus that value.
     Bid monotonicity makes the win predicate a threshold over them.
     ``truthful`` is the market's own run as ``_truthful_run`` keeps it;
     ``run_pvg`` passes it so that all winners share one; without it the
@@ -284,8 +278,7 @@ def critical_value(market: LocalMarket, config: AuctionConfig, job: Job,
     if stats is None:
         stats = PvgStats()
     floor = config.eta_s * job.duration
-    if top is None:
-        top = job.bid_value
+    top = job.bid_value
     n = bid_grid_size(floor, top, config.xi)
     if n == 0:
         return top
@@ -300,12 +293,6 @@ def critical_value(market: LocalMarket, config: AuctionConfig, job: Job,
         else:
             lo = mid + 1
     return bid_grid_point(floor, top, config.xi, lo, n)
-
-
-def pvg_payments(market: LocalMarket, config: AuctionConfig,
-                 stats: PvgStats | None = None) -> dict[int, float]:
-    """Critical-value payments for the truthful-run winners; losers pay 0."""
-    return run_pvg(market, config, stats=stats).payments
 
 
 def run_pvg(market: LocalMarket, config: AuctionConfig,

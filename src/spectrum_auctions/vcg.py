@@ -25,6 +25,8 @@ from .market import (
     SegmentedTimeline,
     SpectrumAuctionError,
     build_timelines,
+    filter_reserve,
+    processing_key,
     set_feasible,
     window_flow_allocation,
 )
@@ -44,11 +46,6 @@ class VcgSolution:
     assignment: dict[int, int]
     allocations: dict[int, list[int]]
     timelines: dict[int, SegmentedTimeline]
-
-
-def filter_reserve(jobs: list[Job], eta_s: float) -> list[Job]:
-    """Keep exactly the jobs whose bid covers the reserve for their time."""
-    return [j for j in jobs if j.bid_value >= eta_s * j.duration]
 
 
 class _Search:
@@ -202,7 +199,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     Worst case is exponential; the job cap (``max_jobs``, default
     ``DEFAULT_MAX_JOBS``) guards it.
     """
-    jobs = filter_reserve(list(market.jobs), eta_s)
+    jobs = filter_reserve(market.jobs, eta_s)
     cap = DEFAULT_MAX_JOBS if max_jobs is None else max_jobs
     if len(jobs) > cap:
         raise SolverSizeError(
@@ -213,7 +210,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     if not jobs or not market.channels:
         return VcgSolution(0.0, {}, {}, timelines)
 
-    order = sorted(jobs, key=lambda j: (-j.unit_value, j.id))
+    order = sorted(jobs, key=processing_key)
     channel_ids = [c.id for c in market.channels]
     candidates = {
         j.id: [cid for cid in channel_ids if timelines[cid].window_capacity(j) >= j.duration]

@@ -25,6 +25,9 @@ HOT_WINDOW = (68_400, 79_200)  # 19:00-22:00
 DURATION_RANGE = (1_800, 7_200)  # 0.5-2 h
 WINDOW_RANGE = (7_200, 14_400)  # 2-4 h
 VALUE_RATE_RANGE = (1.0, 10.0)
+# Every generated request and every grid channel sits in this one market.
+REGION = "r1"
+BAND_TYPE = "tv"
 
 
 class OccupancyFormatError(SpectrumAuctionError):
@@ -192,7 +195,7 @@ class WorkloadSpec:
     drawn from ``VALUE_RATE_RANGE`` times the duration in hours.  For set
     2, a ``hot_fraction`` share of requests gets windows intersecting
     ``HOT_WINDOW`` and the rest are kept entirely outside it.  Job ids
-    run 1..n_requests.
+    run 1..n_requests, all in market (``REGION``, ``BAND_TYPE``).
     """
 
     n_requests: int
@@ -200,8 +203,6 @@ class WorkloadSpec:
     hot_fraction: float = 0.8
     horizon: int = DAY_SECONDS
     seed: int = 0
-    region: str = "r1"
-    band_type: str = "tv"
 
     def __post_init__(self) -> None:
         if self.n_requests < 0:
@@ -237,8 +238,8 @@ def generate_requests(spec: WorkloadSpec) -> list[Job]:
         rate = float(rng.uniform(*VALUE_RATE_RANGE))
         jobs.append(Job(
             id=i + 1,
-            region=spec.region,
-            band_type=spec.band_type,
+            region=REGION,
+            band_type=BAND_TYPE,
             bid_value=rate * duration / 3600.0,
             arrival=arrival,
             deadline=arrival + window,

@@ -29,15 +29,16 @@ from spectrum_auctions import (
     critical_value,
     generate_requests,
     pvg_allocate,
-    pvg_payments,
     rho_bound,
+    run_pvg,
     social_efficiency,
     solve_optimal,
     synthesize_occupancy,
 )
 from spectrum_auctions.cli import main as cli_main
-from spectrum_auctions.experiment import BAND_TYPE, REGION, trial_seed
+from spectrum_auctions.experiment import trial_seed
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal, scan_critical_value
+from spectrum_auctions.workload import BAND_TYPE, REGION
 
 from conftest import random_market, random_reserve
 
@@ -104,7 +105,6 @@ def test_criterion_3_empirical_efficiency_ratio():
                 spec = WorkloadSpec(
                     n_requests=lam, set_kind=set_kind, horizon=grid.horizon_seconds,
                     seed=trial_seed(0, set_kind, lam, trial),
-                    region=REGION, band_type=BAND_TYPE,
                 )
                 jobs = generate_requests(spec)
                 market = LocalMarket(REGION, BAND_TYPE, tuple(jobs), channels)
@@ -151,7 +151,7 @@ def _pvg_utility(market, job, config, reported_bid, reported_t):
     out = pvg_allocate(dev_market, config)
     if job.id not in out.assignment:
         return 0.0
-    payment = critical_value(dev_market, config, dev_job, top=reported_bid)
+    payment = critical_value(dev_market, config, dev_job)
     return job.bid_value - payment
 
 
@@ -242,8 +242,8 @@ def test_criterion_7_payment_bounds_and_scan_equality():
     for _ in range(50):
         market = random_market(rig, max_jobs=5, max_channels=2)
         config = AuctionConfig(beta=BETA_STAR, eta_s=random_reserve(rig), xi=XI)
-        payments = pvg_payments(market, config)
-        outcome = pvg_allocate(market, config)
+        outcome = run_pvg(market, config)
+        payments = outcome.payments
         for jid in sorted(outcome.assignment):
             job = market.job_by_id(jid)
             assert config.eta_s * job.duration <= payments[jid] <= job.bid_value

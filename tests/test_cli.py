@@ -1,8 +1,10 @@
 """End-to-end CLI checks over temp files."""
 
+from pathlib import Path
+
 import pytest
 
-from spectrum_auctions import load_occupancy, load_requests
+from spectrum_auctions import load_occupancy, load_requests, save_occupancy, synthesize_occupancy
 from spectrum_auctions.cli import main
 from spectrum_auctions.experiment import RESULT_COLUMNS
 
@@ -86,6 +88,25 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestGolden:
+    """Results CSVs pinned byte for byte; the files are committed outputs."""
+
+    DATA = Path(__file__).parent / "data"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("golden_sweep.csv", ["sweep", "--lambda-list", "8,15,25", "--eta-s-list", "0.0,0.0005",
+                              "--sets", "1,2", "--beta", "2.0", "--trials", "2", "--seed", "1"]),
+        ("golden_run.csv", ["run", "--lambda", "15", "--set", "2", "--eta-s", "0.0005",
+                            "--trials", "2", "--seed", "3"]),
+    ])
+    def test_matches_committed_csv(self, tmp_path, name, argv):
+        grid = tmp_path / "grid.csv"
+        save_occupancy(synthesize_occupancy(3, 1, 0.5, seed=7), str(grid))
+        out = tmp_path / name
+        assert main(argv + ["--grid", str(grid), "--out", str(out)]) == 0
+        assert out.read_bytes() == (self.DATA / name).read_bytes()
+
+
 class TestBadInput:
     """Bad input ends in one error line on stderr and exit code 2."""
 
@@ -145,6 +166,17 @@ class TestBadInput:
         self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
                                    "--out", str(tmp_path / "x.csv")],
                           f"{request_csv}, line 4: duplicate job id 1 (first on line 2)")
+
+    @pytest.mark.parametrize("flag, values, name", [
+        ("--lambda-list", "3,2,3", "lambdas"),
+        ("--eta-s-list", "0.0,0.001,0.0", "eta_s_values"),
+        ("--sets", "2,2", "set_kinds"),
+    ])
+    def test_duplicate_sweep_value(self, grid_csv, tmp_path, capsys, flag, values, name):
+        # a repeated flag overrides the earlier one
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3", flag, values,
+                                   "--out", str(tmp_path / "x.csv")],
+                          f"duplicate values in {name}")
 
     def test_missing_grid_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

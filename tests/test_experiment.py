@@ -57,13 +57,16 @@ class TestRowArithmetic:
     def test_rows_sorted_canonically(self, grid):
         plan = ExperimentPlan(lambdas=[3, 2], eta_s_values=[0.0, 0.001],
                               set_kinds=[1], trials=2, master_seed=5)
-        rows = raw_rows(run_experiment(grid, plan))
-        keys = [(r["lambda"], r["eta_s"], r["trial"], r["mech"]) for r in rows]
+        rows = run_experiment(grid, plan)
         lam_rank = {3: 0, 2: 1}
         eta_rank = {0.0: 0, 0.001: 1}
         mech_rank = {"vcg": 0, "pvg": 1}
-        ranked = [(lam_rank[a], eta_rank[b], c, mech_rank[d]) for a, b, c, d in keys]
+        ranked = [(lam_rank[r["lambda"]], eta_rank[r["eta_s"]], r["trial"], mech_rank[r["mech"]])
+                  for r in raw_rows(rows)]
         assert ranked == sorted(ranked)
+        means = [(lam_rank[r["lambda"]], eta_rank[r["eta_s"]], mech_rank[r["mech"]])
+                 for r in agg_rows(rows)]
+        assert means == sorted(means)
 
 
 class TestDeterminism:

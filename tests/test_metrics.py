@@ -7,12 +7,9 @@ from spectrum_auctions import (
     Channel,
     Job,
     LocalMarket,
-    UndefinedRatioError,
     pvg_allocate,
-    revenue_ratio,
     run_vcg,
     social_efficiency,
-    solve_optimal,
     utilization_ratio,
 )
 
@@ -89,23 +86,6 @@ class TestUtilizationRatio:
         m = LocalMarket(REGION, BAND, (), ())
         out = pvg_allocate(m, AuctionConfig())
         assert utilization_ratio(out, m) == 0.0
-
-
-class TestRevenueRatio:
-    def test_t1_vcg_revenue_over_efficiency(self, t1):
-        out = run_vcg(t1, AuctionConfig())
-        eff0 = solve_optimal(t1, 0.0).welfare
-        assert revenue_ratio(out.payments, eff0) == 8.0 / 16.0
-
-    def test_zero_payments(self):
-        assert revenue_ratio({1: 0.0, 2: 0.0}, 5.0) == 0.0
-
-    def test_payments_equal_efficiency(self):
-        assert revenue_ratio([7.0, 9.0], 16.0) == 1.0
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(UndefinedRatioError):
-            revenue_ratio({1: 1.0}, 0.0)
 
 
 class TestAggregateRationality:

@@ -11,8 +11,7 @@ from spectrum_auctions import (
     Job,
     LocalMarket,
     OracleCapError,
-    pvg_allocate,
-    pvg_payments,
+    run_pvg,
 )
 from spectrum_auctions.oracle import (
     contiguous_optimal,
@@ -127,6 +126,6 @@ class TestScanCriticalValue:
         for _ in range(10):
             m = random_market(rng, max_jobs=4, max_channels=2)
             config = AuctionConfig(beta=2.0, eta_s=random_reserve(rng), xi=0.01)
-            pays = pvg_payments(m, config)
-            for jid in sorted(pvg_allocate(m, config).assignment):
-                assert pays[jid] == scan_critical_value(m, config, jid)
+            out = run_pvg(m, config)
+            for jid in sorted(out.assignment):
+                assert out.payments[jid] == scan_critical_value(m, config, jid)

@@ -14,7 +14,6 @@ from spectrum_auctions import (
     PvgStats,
     critical_value,
     pvg_allocate,
-    pvg_payments,
     rho_bound,
     run_pvg,
     solve_optimal,
@@ -142,36 +141,33 @@ class TestAllocation:
 
     def test_eviction_prefix_matches_simulated_removals(self, rng):
         compared = 0
-
-        def check(state, current_job):
-            nonlocal compared
-            for j in state.order:
-                if j.id in state.assignment:
-                    continue
-                for cid in state.timelines:
-                    stats = PvgStats()
-                    prefix = _eviction_prefix(j, cid, state, stats)
-                    assert (prefix, stats.fit_checks) == simulated_eviction_prefix(j, cid, state)
-                    compared += prefix is not None
-
         for _ in range(80):
             m = random_market(rng, max_jobs=8, max_channels=2)
-            pvg_allocate(m, AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR])), on_step=check)
+            config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
+            for state in _truthful_run(m, config, PvgStats()):
+                for j in state.order:
+                    if j.id in state.assignment:
+                        continue
+                    for cid in state.timelines:
+                        stats = PvgStats()
+                        prefix = _eviction_prefix(j, cid, state, stats)
+                        assert (prefix, stats.fit_checks) == simulated_eviction_prefix(j, cid, state)
+                        compared += prefix is not None
         assert compared > 50
 
     def test_per_slot_usage_never_exceeds_capacity(self, rng):
-        def check(state, current_job):
-            for cid, usage in state.committed.items():
-                slots = state.timelines[cid].slots
-                assert all(0 <= u <= s.capacity for u, s in zip(usage, slots))
-
         for _ in range(80):
             m = random_market(rng, max_jobs=7, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.0, 1.5, BETA_STAR, 3.0]),
                                    eta_s=random_reserve(rng))
-            out = pvg_allocate(m, config, on_step=check)
-            for jid, cid in out.assignment.items():
-                assert sum(out.allocations[jid]) == m.job_by_id(jid).duration
+            states = _truthful_run(m, config, PvgStats())
+            for state in states:
+                for cid, usage in state.committed.items():
+                    slots = state.timelines[cid].slots
+                    assert all(0 <= u <= s.capacity for u, s in zip(usage, slots))
+            final = states[-1]
+            for jid, cid in final.assignment.items():
+                assert sum(final.allocations[jid]) == m.job_by_id(jid).duration
 
     def test_deterministic(self, rng):
         for _ in range(20):
@@ -189,27 +185,26 @@ class TestPayments:
         a, b = job(1, 10.0, 0, 2 * H, 2 * H), job(2, 6.0, 0, 2 * H, 2 * H)
         m = market([a, b], [ch])
         config = AuctionConfig(beta=BETA_STAR, eta_s=0.0, xi=0.01)
-        pays = pvg_payments(m, config)
+        pays = run_pvg(m, config).payments
         assert pays == {1: 6.0, 2: 0.0}
 
     def test_lone_job_pays_grid_floor(self):
         m = market([job(1, 5.0, 0, 2 * H, H)], [one_channel((0, 2 * H))])
-        pays = pvg_payments(m, AuctionConfig(beta=2.0, eta_s=0.0))
+        pays = run_pvg(m, AuctionConfig(beta=2.0, eta_s=0.0)).payments
         assert pays == {1: 0.0}
 
     def test_lone_job_pays_reserve_floor(self):
         m = market([job(1, 5.0, 0, 2 * H, H)], [one_channel((0, 2 * H))])
-        pays = pvg_payments(m, AuctionConfig(beta=2.0, eta_s=0.001))
+        pays = run_pvg(m, AuctionConfig(beta=2.0, eta_s=0.001)).payments
         assert pays == {1: 0.001 * H}
 
     def test_matches_linear_scan_exactly(self, rng):
         for _ in range(12):
             m = random_market(rng, max_jobs=5, max_channels=2)
             config = AuctionConfig(beta=BETA_STAR, eta_s=random_reserve(rng), xi=0.01)
-            pays = pvg_payments(m, config)
-            out = pvg_allocate(m, config)
+            out = run_pvg(m, config)
             for jid in sorted(out.assignment):
-                assert pays[jid] == scan_critical_value(m, config, jid)
+                assert out.payments[jid] == scan_critical_value(m, config, jid)
 
     def test_payment_within_reserve_and_bid(self, rng):
         for _ in range(20):
@@ -295,13 +290,13 @@ class TestResumedPricing:
                     dev = market([dev_job if x.id == j.id else x for x in m.jobs], m.channels)
                     if j.id not in pvg_allocate(dev, config).assignment:
                         continue
-                    price = critical_value(dev, config, dev_job, top=reported)
+                    price = critical_value(dev, config, dev_job)
                     assert price == scan_critical_value(dev, config, j.id)
                     # priced from a market where the job bids below its reserve
                     if config.eta_s > 0:
                         cheap = market([replace(j, bid_value=0.0) if x.id == j.id else x
                                         for x in m.jobs], m.channels)
-                        assert critical_value(cheap, config, dev_job, top=reported) == price
+                        assert critical_value(cheap, config, dev_job) == price
                     checked += 1
         assert checked > 100
 
@@ -394,7 +389,7 @@ class TestComplexityTrend:
                 chans = [Channel(c + 1, REGION, BAND, ((0, 24),)) for c in range(2)]
                 m = market(jobs, chans)
                 stats = PvgStats()
-                pvg_payments(m, config, stats=stats)
+                run_pvg(m, config, stats=stats)
                 steps += stats.fit_checks
             totals[n] = steps
         assert totals[8] < totals[16] < totals[32]
