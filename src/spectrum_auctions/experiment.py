@@ -59,6 +59,13 @@ class ExperimentPlan:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate values in {name}: {values}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.vcg_max_jobs is not None and self.vcg_max_jobs < 0:
+            raise ValueError(f"vcg_max_jobs must not be negative, got {self.vcg_max_jobs}")
+        for lam in self.lambdas:
+            if lam < 0:
+                raise ValueError(f"lambda must not be negative, got {lam}")
 
 
 def trial_seed(master_seed: int, set_kind: int, lam: int, trial: int) -> int:

@@ -10,6 +10,14 @@ remaining free seconds with the best per-second rates first).
 
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
+The market without a winner is the same market with one bid removed, so
+each pivot re-solve runs the same search over the solution's timelines,
+branching order and candidate channels, with that winner excluded: it
+gets no candidate channel and adds nothing to the bounds.  (The
+timelines are then cut at the winner's window ends too; a finer cut
+decides feasibility the same way.)  Job indices, and with them the
+channel bitmasks, mean the same job in every pivot, so all the pivots
+share one feasibility memo.
 """
 
 from __future__ import annotations
@@ -53,7 +61,12 @@ class _Search:
 
     Jobs are indexed by their position in the branching order (best rate
     first); each channel's tentative job set is an index bitmask, which
-    keeps the feasibility memo keys cheap to hash.
+    keeps the feasibility memo keys cheap to hash.  ``without`` is the
+    index of a job to leave out (a pivot re-solve): it has no candidate
+    channel and adds 0 seconds and 0.0 value to the prefix sums, so the
+    bounds equal those of the order without it, bit for bit.  A memo
+    passed in as ``feas_memo`` is shared with other searches over the
+    same order and timelines.
     """
 
     # Bounds are compared with a hair of slack: an exactly-tight float
@@ -62,26 +75,29 @@ class _Search:
     # harmless for exactness.
     PRUNE_EPS = 1e-9
 
-    def __init__(self, order: list[Job], channels: list[int],
-                 timelines: dict[int, SegmentedTimeline],
-                 candidates: dict[int, list[int]]):
+    def __init__(self, order: list[Job], timelines: dict[int, SegmentedTimeline],
+                 candidates: list[list[int]], without: int | None = None,
+                 feas_memo: dict[tuple[int, int], bool] | None = None):
         self.order = order
-        self.channels = channels
         self.timelines = timelines
-        self.candidates = [candidates[j.id] for j in order]
-        self.masks: dict[int, int] = {c: 0 for c in channels}
+        self.candidates = [[] if i == without else c for i, c in enumerate(candidates)]
+        self.masks = dict.fromkeys(timelines, 0)
         self.assignment: dict[int, int] = {}
-        self.feas_memo: dict[tuple[int, int], bool] = {}
+        self.feas_memo = {} if feas_memo is None else feas_memo
         # Cumulative durations and values over ``order``, which is already
         # best rate first: every depth's suffix is a run of these prefixes.
+        # The excluded job's zero-width entry is never the break item.
         self.cum_dur = [0]
         self.cum_val = [0.0]
-        for j in order:
-            self.cum_dur.append(self.cum_dur[-1] + j.duration)
-            self.cum_val.append(self.cum_val[-1] + j.bid_value)
+        for i, j in enumerate(order):
+            kept = i != without
+            self.cum_dur.append(self.cum_dur[-1] + (j.duration if kept else 0))
+            self.cum_val.append(self.cum_val[-1] + (j.bid_value if kept else 0.0))
         self.suffix_value = [self.cum_val[-1] - v for v in self.cum_val]
         self.total_capacity = sum(tl.free_seconds for tl in timelines.values())
         self.value_by_id = {j.id: j.bid_value for j in order}
+        # The first leaf replaces this; the slack pruning keeps every
+        # optimal leaf, so the tie-break still sees them all.
         self.best_welfare = -1.0
         self.best_key: tuple | None = None
         self.best_assignment: dict[int, int] | None = None
@@ -116,33 +132,7 @@ class _Search:
             bound += self.order[k].unit_value * (reach - self.cum_dur[k])
         return bound
 
-    def greedy_incumbent(self) -> float:
-        """Feasible warm-start welfare: greedy passes in two orderings.
-
-        Tries best-rate-first and best-value-first, assigning each job to
-        the first channel that stays feasible; the larger total primes
-        the pruning cutoff.
-        """
-        best = 0.0
-        by_rate = range(len(self.order))
-        by_value = sorted(by_rate, key=lambda i: (-self.order[i].bid_value, self.order[i].id))
-        for ordering in (by_rate, by_value):
-            masks = {c: 0 for c in self.channels}
-            accepted = []
-            for idx in ordering:
-                for cid in self.candidates[idx]:
-                    trial = masks[cid] | (1 << idx)
-                    if self.channel_feasible(cid, trial):
-                        masks[cid] = trial
-                        accepted.append(self.order[idx].id)
-                        break
-            best = max(best, self._canonical_welfare(accepted))
-        return best
-
     def run(self) -> tuple[float, dict[int, int]]:
-        # The incumbent's own leaf survives the slack pruning, so a best
-        # assignment is always recovered.
-        self.best_welfare = self.greedy_incumbent()
         self._dfs(0, 0.0, 0)
         assert self.best_assignment is not None
         return self.best_welfare, self.best_assignment
@@ -191,6 +181,17 @@ def _bits(mask: int):
         idx += 1
 
 
+def _search_setup(jobs: list[Job], market: LocalMarket,
+                  timelines: dict[int, SegmentedTimeline]) -> tuple[list[Job], list[list[int]]]:
+    """The branching order of reserve-eligible ``jobs`` and each one's candidate channels."""
+    order = sorted(jobs, key=processing_key)
+    candidates = [
+        [c.id for c in market.channels if timelines[c.id].window_capacity(j) >= j.duration]
+        for j in order
+    ]
+    return order, candidates
+
+
 def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None) -> VcgSolution:
     """Exact welfare-maximizing assignment for one local market.
 
@@ -210,44 +211,40 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     if not jobs or not market.channels:
         return VcgSolution(0.0, {}, {}, timelines)
 
-    order = sorted(jobs, key=processing_key)
-    channel_ids = [c.id for c in market.channels]
-    candidates = {
-        j.id: [cid for cid in channel_ids if timelines[cid].window_capacity(j) >= j.duration]
-        for j in order
-    }
-    search = _Search(order, channel_ids, timelines, candidates)
-    welfare, assignment = search.run()
+    order, candidates = _search_setup(jobs, market, timelines)
+    welfare, assignment = _Search(order, timelines, candidates).run()
     by_id = {j.id: j for j in jobs}
 
     allocations: dict[int, list[int]] = {}
-    for cid in channel_ids:
-        members = [by_id[jid] for jid in sorted(assignment) if assignment[jid] == cid]
+    for c in market.channels:
+        members = [by_id[jid] for jid in sorted(assignment) if assignment[jid] == c.id]
         if not members:
             continue
-        flows = window_flow_allocation(members, timelines[cid])
+        flows = window_flow_allocation(members, timelines[c.id])
         assert flows is not None, "search accepted an infeasible channel set"
         allocations.update(flows)
     return VcgSolution(welfare, assignment, allocations, timelines)
 
 
-def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float,
-                 max_jobs: int | None = None) -> dict[int, float]:
+def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> dict[int, float]:
     """Pivot payments for the given optimum; losers pay zero.
 
     Each winner's price is the optimum of the market without it minus
     what the others get at the actual optimum, floored at the reserve.
+    That optimum is a search over the solution's timelines and the
+    market's branching order with the winner excluded; every pivot
+    search shares one feasibility memo.  The exact-solver cap is not
+    checked again: a pivot is never larger than the market.
     """
     payments = {j.id: 0.0 for j in market.jobs}
+    order, candidates = _search_setup(filter_reserve(market.jobs, eta_s), market,
+                                      solution.timelines)
+    rank = {j.id: i for i, j in enumerate(order)}
+    feas_memo: dict[tuple[int, int], bool] = {}
     for jid in sorted(solution.assignment):
-        job = market.job_by_id(jid)
-        others = LocalMarket(
-            region=market.region,
-            band_type=market.band_type,
-            jobs=tuple(j for j in market.jobs if j.id != jid),
-            channels=market.channels,
-        )
-        welfare_without = solve_optimal(others, eta_s, max_jobs=max_jobs).welfare
+        job = order[rank[jid]]
+        welfare_without, _ = _Search(order, solution.timelines, candidates,
+                                     without=rank[jid], feas_memo=feas_memo).run()
         pivot = welfare_without - (solution.welfare - job.bid_value)
         payments[jid] = max(pivot, eta_s * job.duration)
     return payments
@@ -257,7 +254,7 @@ def run_vcg(market: LocalMarket, config: AuctionConfig,
             max_jobs: int | None = None) -> AuctionOutcome:
     """Solve, price, and package the exact mechanism's outcome."""
     solution = solve_optimal(market, config.eta_s, max_jobs=max_jobs)
-    payments = vcg_payments(market, solution, config.eta_s, max_jobs=max_jobs)
+    payments = vcg_payments(market, solution, config.eta_s)
     return AuctionOutcome(
         assignment=dict(solution.assignment),
         allocations={k: list(v) for k, v in solution.allocations.items()},

@@ -178,6 +178,21 @@ class TestBadInput:
                                    "--out", str(tmp_path / "x.csv")],
                           f"duplicate values in {name}")
 
+    def test_zero_trials(self, grid_csv, tmp_path, capsys):
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3",
+                                   "--trials", "0", "--out", str(tmp_path / "x.csv")],
+                          "trials must be at least 1, got 0")
+
+    def test_negative_vcg_max_jobs(self, grid_csv, tmp_path, capsys):
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3",
+                                   "--vcg-max-jobs", "-1", "--out", str(tmp_path / "x.csv")],
+                          "vcg_max_jobs must not be negative, got -1")
+
+    def test_negative_lambda(self, grid_csv, tmp_path, capsys):
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "-3",
+                                   "--out", str(tmp_path / "x.csv")],
+                          "lambda must not be negative, got -3")
+
     def test_missing_grid_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         self.assert_error(capsys, ["run", "--grid", str(missing), "--lambda", "3",

@@ -5,14 +5,17 @@ from dataclasses import replace
 import pytest
 
 from spectrum_auctions import (
+    AuctionConfig,
     Channel,
     Job,
     LocalMarket,
     SolverSizeError,
     filter_reserve,
+    run_vcg,
     solve_optimal,
     vcg_payments,
 )
+from spectrum_auctions import vcg
 from spectrum_auctions.market import build_timelines
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
 from spectrum_auctions.vcg import _Search
@@ -31,9 +34,9 @@ def market(jobs, channels):
     return LocalMarket(REGION, BAND, tuple(jobs), tuple(channels))
 
 
-def cent_market(rng):
+def cent_market(rng, max_jobs=7):
     """A random market with cent-valued bids, which binary floats cannot hold exactly."""
-    base = random_market(rng, max_jobs=7, max_channels=2)
+    base = random_market(rng, max_jobs=max_jobs, max_channels=2)
     return LocalMarket(REGION, BAND, tuple(
         replace(j, bid_value=rng.randint(1, 1200) / 100) for j in base.jobs), base.channels)
 
@@ -171,12 +174,32 @@ class TestFractionalBound:
             order = sorted(m.jobs, key=lambda j: (-j.unit_value, j.id))
             timelines = build_timelines(m)
             cids = [c.id for c in m.channels]
-            search = _Search(order, cids, timelines, {j.id: cids for j in order})
+            search = _Search(order, timelines, [cids for _ in order])
             total = sum(tl.free_seconds for tl in timelines.values())
             for depth in range(len(order) + 1):
                 for used in (0, rng.randint(0, total), total - 1, total):
                     expected = best_rate_fill(order[depth:], total - used)
                     assert abs(search.fractional_bound(depth, used) - expected) <= 1e-9
+
+    def test_excluded_job_is_left_out_at_every_depth(self, rng):
+        for _ in range(40):
+            m = cent_market(rng)
+            order = sorted(m.jobs, key=lambda j: (-j.unit_value, j.id))
+            timelines = build_timelines(m)
+            cids = [c.id for c in m.channels]
+            total = sum(tl.free_seconds for tl in timelines.values())
+            for without in range(len(order)):
+                search = _Search(order, timelines, [cids for _ in order], without=without)
+                assert search.candidates[without] == []
+                # the same search built over the order with that job removed
+                others = order[:without] + order[without + 1:]
+                rebuilt = _Search(others, timelines, [cids for _ in others])
+                for depth in range(len(order) + 1):
+                    rest = [j for i, j in enumerate(order) if i >= depth and i != without]
+                    for used in (0, rng.randint(0, total), total - 1, total):
+                        bound = search.fractional_bound(depth, used)
+                        assert abs(bound - best_rate_fill(rest, total - used)) <= 1e-9
+                        assert bound == rebuilt.fractional_bound(depth - (depth > without), used)
 
 
 class TestVcgPayments:
@@ -207,6 +230,42 @@ class TestVcgPayments:
             for j in m.jobs:
                 if j.id not in sol.assignment:
                     assert pay[j.id] == 0.0
+
+    def test_matches_oracle_pivot(self, rng):
+        """Each winner pays max(OPT(market - i) - (W* - b_i), eta * t_i), OPT by enumeration."""
+        markets = [(random_market(rng, max_jobs=6, max_channels=2), random_reserve(rng))
+                   for _ in range(40)]
+        markets += [(cent_market(rng, max_jobs=6), rng.choice([0.0, rng.randint(1, 150) / 100]))
+                    for _ in range(40)]
+        priced = 0
+        for m, eta in markets:
+            sol = solve_optimal(m, eta)
+            best = enumerate_optimal(m, eta).best_welfare
+            pay = vcg_payments(m, sol, eta)
+            for jid in sol.assignment:
+                j = m.job_by_id(jid)
+                others = LocalMarket(REGION, BAND, tuple(x for x in m.jobs if x.id != jid),
+                                     m.channels)
+                without = enumerate_optimal(others, eta).best_welfare
+                assert pay[jid] == max(without - (best - j.bid_value), eta * j.duration)
+                priced += 1
+        assert priced > 40
+
+    def test_segments_each_market_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(market):
+            calls.append(market)
+            return build_timelines(market)
+
+        monkeypatch.setattr(vcg, "build_timelines", counting)
+        winners = 0
+        for _ in range(20):
+            m = random_market(rng, max_jobs=6, max_channels=2)
+            calls.clear()
+            winners += len(run_vcg(m, AuctionConfig()).assignment)
+            assert calls == [m]
+        assert winners > 20
 
 
 class TestBidMonotonicity:
