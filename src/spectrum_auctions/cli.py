@@ -140,8 +140,7 @@ def _run(args: argparse.Namespace) -> int:
         elif args.lam is not None:
             lambdas = [args.lam]
         else:
-            print("run: pass --requests or --lambda", file=sys.stderr)
-            return 2
+            raise ValueError("run needs --requests or --lambda")
         eta_s_values, set_kinds = [args.eta_s], [args.set_kind]
     else:
         lambdas, eta_s_values, set_kinds = args.lambda_list, args.eta_s_list, args.sets

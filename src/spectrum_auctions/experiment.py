@@ -55,8 +55,10 @@ class ExperimentPlan:
             if m not in MECHANISM_ORDER:
                 raise ValueError(f"unknown mechanism {m!r}")
         self.mechanisms = tuple(m for m in MECHANISM_ORDER if m in self.mechanisms)
-        for name in ("lambdas", "eta_s_values", "set_kinds"):
+        for name in ("lambdas", "eta_s_values", "set_kinds", "mechanisms"):
             values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate values in {name}: {values}")
         if self.trials < 1:

@@ -369,6 +369,16 @@ def build_timelines(market: LocalMarket) -> dict[int, SegmentedTimeline]:
     return {c.id: segment_timeline(c, list(market.jobs)) for c in market.channels}
 
 
+def candidate_channels(jobs: Iterable[Job],
+                       timelines: dict[int, SegmentedTimeline]) -> dict[int, list[int]]:
+    """Each job id's channels, in ``timelines`` order, whose window capacity covers it.
+
+    No allocation can place a job on any other channel.
+    """
+    return {j.id: [cid for cid, tl in timelines.items() if tl.window_capacity(j) >= j.duration]
+            for j in jobs}
+
+
 @dataclass
 class AuctionOutcome:
     """Result of running one mechanism on one local market.

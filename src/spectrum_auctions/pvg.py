@@ -1,14 +1,14 @@
 """Polynomial-time greedy auction with preemption and critical-value pricing.
 
 Jobs are processed by descending per-second bid value.  A job is accepted
-outright into the first channel with enough residual window capacity
-(case 1).  Otherwise, per channel, the cheapest currently-allocated jobs
-overlapping its window are tentatively removed one by one until it would
-fit; if the newcomer's bid exceeds ``beta`` times the total value of that
-minimal eviction prefix, the prefix is preempted and the newcomer commits
-(case 2), after which earlier-ranked unplaced jobs are re-admitted into
-the freed channel wherever they now fit without further eviction
-(case 3).  Jobs failing everywhere are rejected.
+outright into the first of its ``market.candidate_channels`` with enough
+residual window capacity (case 1).  Otherwise, per candidate channel, the
+cheapest allocated jobs overlapping its window are tentatively removed
+one by one until it would fit; if the newcomer's bid exceeds ``beta``
+times the total value of that minimal eviction prefix, the prefix is
+preempted and the newcomer commits (case 2), after which earlier-ranked
+unplaced jobs are re-admitted into the freed channel wherever they now
+fit without further eviction (case 3).  Jobs failing everywhere are rejected.
 
 The allocation is meant to be bid monotone (case 3 retrying only the
 preempting channel breaks that on some multi-channel markets), so each
@@ -45,6 +45,7 @@ from .market import (
     LocalMarket,
     SegmentedTimeline,
     build_timelines,
+    candidate_channels,
     commit_allocation,
     filter_reserve,
     fits_in_residual,
@@ -68,13 +69,14 @@ class PvgState:
     """The allocator's state between two processed ranks.
 
     ``order`` is the processing order (``processing_key``) over
-    reserve-eligible jobs.  ``committed`` maps each channel to its
-    per-slot used seconds.  ``_truthful_run`` keeps a fork of it before
-    every rank, which pricing resumes runs from.
+    reserve-eligible jobs, ``candidates`` every market job's candidate
+    channels, ``committed`` each channel's per-slot used seconds.
+    ``_truthful_run`` keeps a fork before every rank for pricing to resume from.
     """
 
     order: list[Job]
     timelines: dict[int, SegmentedTimeline]
+    candidates: dict[int, list[int]]
     assignment: dict[int, int] = field(default_factory=dict)
     allocations: dict[int, list[int]] = field(default_factory=dict)
     committed: dict[int, list[int]] = field(default_factory=dict)
@@ -88,6 +90,7 @@ class PvgState:
         return PvgState(
             order=self.order if order is None else order,
             timelines=self.timelines,
+            candidates=self.candidates,
             assignment=dict(self.assignment),
             allocations=dict(self.allocations),
             committed={cid: list(used) for cid, used in self.committed.items()},
@@ -103,7 +106,7 @@ def _eviction_prefix(job: Job, cid: int, state: PvgState,
     descending id), which is ``state.order`` reversed.  Removing one frees
     exactly its in-window seconds, so a running total from the window's
     residual finds the first point at which the job fits.  None when even
-    removing every candidate does not help.
+    removing every candidate does not help, as on any non-candidate channel.
     """
     timeline = state.timelines[cid]
     first, last = timeline.window_range(job)
@@ -128,6 +131,7 @@ def _initial_state(market: LocalMarket, config: AuctionConfig,
     return PvgState(
         order=sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key),
         timelines=timelines,
+        candidates=candidate_channels(market.jobs, timelines),
         committed={cid: tl.empty_usage() for cid, tl in timelines.items()},
     )
 
@@ -155,14 +159,12 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
         if snapshots is not None:
             snapshots.append(state.fork())
         job = order[idx]
-        placed = False
-        for cid in timelines:  # case 1: conflict-free acceptance
+        for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
             if fits(job, cid):
                 accept(job, cid)
-                placed = True
                 break
-        if not placed:
-            for cid in timelines:  # case 2: try to preempt cheaper overlap
+        else:
+            for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
                 prefix = _eviction_prefix(job, cid, state, stats)
                 if prefix is None:
                     continue
@@ -180,7 +182,6 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
                         if fits(earlier, cid):
                             accept(earlier, cid)
                             stats.readmissions += 1
-                    placed = True
                     break
     if snapshots is not None:
         snapshots.append(state.fork())

@@ -11,19 +11,19 @@ remaining free seconds with the best per-second rates first).
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
 The market without a winner is the same market with one bid removed, so
-each pivot re-solve runs the same search over the solution's timelines,
-branching order and candidate channels, with that winner excluded: it
-gets no candidate channel and adds nothing to the bounds.  (The
-timelines are then cut at the winner's window ends too; a finer cut
-decides feasibility the same way.)  Job indices, and with them the
-channel bitmasks, mean the same job in every pivot, so all the pivots
-share one feasibility memo.
+each pivot reruns the solve's own search (same timelines, branching
+order and ``market.candidate_channels``) with that winner excluded: it
+is never accepted and adds nothing to the bounds.  (The timelines are
+then cut at the winner's window ends too; a finer cut decides
+feasibility the same way.)  Job indices, and with them the channel
+bitmasks, mean the same job in every run, so the solve and all its
+pivots share one feasibility memo.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .market import (
     AuctionConfig,
@@ -33,6 +33,7 @@ from .market import (
     SegmentedTimeline,
     SpectrumAuctionError,
     build_timelines,
+    candidate_channels,
     filter_reserve,
     processing_key,
     set_feasible,
@@ -54,19 +55,16 @@ class VcgSolution:
     assignment: dict[int, int]
     allocations: dict[int, list[int]]
     timelines: dict[int, SegmentedTimeline]
+    _search: _Search | None = field(default=None, repr=False, compare=False)
 
 
 class _Search:
-    """DFS state for the branch and bound.
+    """DFS state for the branch and bound over one market.
 
     Jobs are indexed by their position in the branching order (best rate
     first); each channel's tentative job set is an index bitmask, which
-    keeps the feasibility memo keys cheap to hash.  ``without`` is the
-    index of a job to leave out (a pivot re-solve): it has no candidate
-    channel and adds 0 seconds and 0.0 value to the prefix sums, so the
-    bounds equal those of the order without it, bit for bit.  A memo
-    passed in as ``feas_memo`` is shared with other searches over the
-    same order and timelines.
+    keeps the feasibility memo keys cheap to hash.  ``run()`` is the solve
+    and ``run(without=i)`` a pivot re-solve; all runs share the memo.
     """
 
     # Bounds are compared with a hair of slack: an exactly-tight float
@@ -76,26 +74,30 @@ class _Search:
     PRUNE_EPS = 1e-9
 
     def __init__(self, order: list[Job], timelines: dict[int, SegmentedTimeline],
-                 candidates: list[list[int]], without: int | None = None,
-                 feas_memo: dict[tuple[int, int], bool] | None = None):
+                 candidates: list[list[int]]):
         self.order = order
         self.timelines = timelines
-        self.candidates = [[] if i == without else c for i, c in enumerate(candidates)]
+        self.candidates = candidates
         self.masks = dict.fromkeys(timelines, 0)
         self.assignment: dict[int, int] = {}
-        self.feas_memo = {} if feas_memo is None else feas_memo
+        self.feas_memo: dict[tuple[int, int], bool] = {}
+        self.total_capacity = sum(tl.free_seconds for tl in timelines.values())
+        self.value_by_id = {j.id: j.bid_value for j in order}
+        self._reset(None)
+
+    def _reset(self, without: int | None) -> None:
         # Cumulative durations and values over ``order``, which is already
         # best rate first: every depth's suffix is a run of these prefixes.
-        # The excluded job's zero-width entry is never the break item.
+        # The excluded job adds 0 to both, so the bounds equal those of the
+        # order without it, bit for bit; it is never the break item.
+        self.without = without
         self.cum_dur = [0]
         self.cum_val = [0.0]
-        for i, j in enumerate(order):
+        for i, j in enumerate(self.order):
             kept = i != without
             self.cum_dur.append(self.cum_dur[-1] + (j.duration if kept else 0))
             self.cum_val.append(self.cum_val[-1] + (j.bid_value if kept else 0.0))
         self.suffix_value = [self.cum_val[-1] - v for v in self.cum_val]
-        self.total_capacity = sum(tl.free_seconds for tl in timelines.values())
-        self.value_by_id = {j.id: j.bid_value for j in order}
         # The first leaf replaces this; the slack pruning keeps every
         # optimal leaf, so the tie-break still sees them all.
         self.best_welfare = -1.0
@@ -132,7 +134,9 @@ class _Search:
             bound += self.order[k].unit_value * (reach - self.cum_dur[k])
         return bound
 
-    def run(self) -> tuple[float, dict[int, int]]:
+    def run(self, without: int | None = None) -> tuple[float, dict[int, int]]:
+        """Best welfare and assignment, never accepting the job at index ``without``."""
+        self._reset(without)
         self._dfs(0, 0.0, 0)
         assert self.best_assignment is not None
         return self.best_welfare, self.best_assignment
@@ -149,7 +153,7 @@ class _Search:
             return
         job = self.order[depth]
         bit = 1 << depth
-        for cid in self.candidates[depth]:
+        for cid in () if depth == self.without else self.candidates[depth]:
             trial = self.masks[cid] | bit
             if not self.channel_feasible(cid, trial):
                 continue
@@ -181,17 +185,6 @@ def _bits(mask: int):
         idx += 1
 
 
-def _search_setup(jobs: list[Job], market: LocalMarket,
-                  timelines: dict[int, SegmentedTimeline]) -> tuple[list[Job], list[list[int]]]:
-    """The branching order of reserve-eligible ``jobs`` and each one's candidate channels."""
-    order = sorted(jobs, key=processing_key)
-    candidates = [
-        [c.id for c in market.channels if timelines[c.id].window_capacity(j) >= j.duration]
-        for j in order
-    ]
-    return order, candidates
-
-
 def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None) -> VcgSolution:
     """Exact welfare-maximizing assignment for one local market.
 
@@ -208,11 +201,10 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
             "pass max_jobs (--vcg-max-jobs) to override"
         )
     timelines = build_timelines(market)
-    if not jobs or not market.channels:
-        return VcgSolution(0.0, {}, {}, timelines)
-
-    order, candidates = _search_setup(jobs, market, timelines)
-    welfare, assignment = _Search(order, timelines, candidates).run()
+    order = sorted(jobs, key=processing_key)
+    candidates = candidate_channels(order, timelines)
+    search = _Search(order, timelines, [candidates[j.id] for j in order])
+    welfare, assignment = search.run()
     by_id = {j.id: j for j in jobs}
 
     allocations: dict[int, list[int]] = {}
@@ -223,7 +215,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
         flows = window_flow_allocation(members, timelines[c.id])
         assert flows is not None, "search accepted an infeasible channel set"
         allocations.update(flows)
-    return VcgSolution(welfare, assignment, allocations, timelines)
+    return VcgSolution(welfare, assignment, allocations, timelines, search)
 
 
 def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> dict[int, float]:
@@ -231,22 +223,17 @@ def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> di
 
     Each winner's price is the optimum of the market without it minus
     what the others get at the actual optimum, floored at the reserve.
-    That optimum is a search over the solution's timelines and the
-    market's branching order with the winner excluded; every pivot
-    search shares one feasibility memo.  The exact-solver cap is not
-    checked again: a pivot is never larger than the market.
+    That optimum is the solve's own search rerun with the winner
+    excluded, so ``solution`` comes from ``solve_optimal`` at this
+    ``eta_s``.  The exact-solver cap is not checked again: a pivot is
+    never larger than the market.
     """
     payments = {j.id: 0.0 for j in market.jobs}
-    order, candidates = _search_setup(filter_reserve(market.jobs, eta_s), market,
-                                      solution.timelines)
-    rank = {j.id: i for i, j in enumerate(order)}
-    feas_memo: dict[tuple[int, int], bool] = {}
-    for jid in sorted(solution.assignment):
-        job = order[rank[jid]]
-        welfare_without, _ = _Search(order, solution.timelines, candidates,
-                                     without=rank[jid], feas_memo=feas_memo).run()
-        pivot = welfare_without - (solution.welfare - job.bid_value)
-        payments[jid] = max(pivot, eta_s * job.duration)
+    for i, job in enumerate(solution._search.order):
+        if job.id in solution.assignment:
+            welfare_without, _ = solution._search.run(without=i)
+            pivot = welfare_without - (solution.welfare - job.bid_value)
+            payments[job.id] = max(pivot, eta_s * job.duration)
     return payments
 
 

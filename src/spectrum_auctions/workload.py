@@ -65,7 +65,7 @@ class OccupancyGrid:
         """Extract one 24 h window as its own grid."""
         per_day = DAY_SECONDS // self.slot_seconds
         start = day * per_day
-        if start + per_day > self.horizon_slots:
+        if day < 0 or start + per_day > self.horizon_slots:
             raise ValueError(f"day {day} out of range for a {self.horizon_slots}-slot grid")
         return OccupancyGrid(self.slot_seconds, self.occupancy[:, start:start + per_day].copy())
 

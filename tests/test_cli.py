@@ -62,9 +62,10 @@ class TestRun:
         raw = [l for l in lines[1:] if ",mean," not in l]
         assert all(l.startswith("0,5,") for l in raw)  # set=0, lambda=5
 
-    def test_requires_workload_or_requests(self, grid_csv, tmp_path):
-        assert main(["run", "--grid", grid_csv,
-                     "--out", str(tmp_path / "x.csv")]) == 2
+    def test_requires_workload_or_requests(self, grid_csv, tmp_path, capsys):
+        TestBadInput.assert_error(capsys, ["run", "--grid", grid_csv,
+                                           "--out", str(tmp_path / "x.csv")],
+                                  "run needs --requests or --lambda")
 
 
 class TestSweep:
@@ -128,8 +129,9 @@ class TestBadInput:
                                    "--out", str(tmp_path / "x.csv")], "xi")
 
     def test_day_out_of_range(self, grid_csv, tmp_path, capsys):
-        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--day", "3",
-                                   "--out", str(tmp_path / "x.csv")], "day 3")
+        for day in ("3", "-1"):
+            self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--day", day,
+                                       "--out", str(tmp_path / "x.csv")], f"day {day} out of range")
 
     def test_non_numeric_bid(self, grid_csv, request_csv, tmp_path, capsys):
         lines = request_csv.read_text().splitlines()
@@ -177,6 +179,17 @@ class TestBadInput:
         self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3", flag, values,
                                    "--out", str(tmp_path / "x.csv")],
                           f"duplicate values in {name}")
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--lambda-list", "lambdas"),
+        ("--eta-s-list", "eta_s_values"),
+        ("--sets", "set_kinds"),
+        ("--mechanisms", "mechanisms"),
+    ])
+    def test_empty_sweep_list(self, grid_csv, tmp_path, capsys, flag, name):
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3", flag, "",
+                                   "--out", str(tmp_path / "x.csv")],
+                          f"{name} must not be empty")
 
     def test_zero_trials(self, grid_csv, tmp_path, capsys):
         self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3",

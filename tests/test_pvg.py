@@ -140,7 +140,7 @@ class TestAllocation:
         assert stats.preemptions == 2
 
     def test_eviction_prefix_matches_simulated_removals(self, rng):
-        compared = 0
+        compared = non_candidates = 0
         for _ in range(80):
             m = random_market(rng, max_jobs=8, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
@@ -148,12 +148,17 @@ class TestAllocation:
                 for j in state.order:
                     if j.id in state.assignment:
                         continue
-                    for cid in state.timelines:
+                    for cid, timeline in state.timelines.items():
                         stats = PvgStats()
                         prefix = _eviction_prefix(j, cid, state, stats)
                         assert (prefix, stats.fit_checks) == simulated_eviction_prefix(j, cid, state)
                         compared += prefix is not None
+                        if not fits_in_residual(j, timeline, state.committed[cid]):
+                            # only a candidate channel can be cleared for the job
+                            assert (prefix is None) == (cid not in state.candidates[j.id])
+                            non_candidates += cid not in state.candidates[j.id]
         assert compared > 50
+        assert non_candidates > 0
 
     def test_per_slot_usage_never_exceeds_capacity(self, rng):
         for _ in range(80):

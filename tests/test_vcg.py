@@ -16,7 +16,7 @@ from spectrum_auctions import (
     vcg_payments,
 )
 from spectrum_auctions import vcg
-from spectrum_auctions.market import build_timelines
+from spectrum_auctions.market import build_timelines, set_feasible
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
 from spectrum_auctions.vcg import _Search
 
@@ -188,9 +188,10 @@ class TestFractionalBound:
             timelines = build_timelines(m)
             cids = [c.id for c in m.channels]
             total = sum(tl.free_seconds for tl in timelines.values())
+            search = _Search(order, timelines, [cids for _ in order])
             for without in range(len(order)):
-                search = _Search(order, timelines, [cids for _ in order], without=without)
-                assert search.candidates[without] == []
+                _, assignment = search.run(without=without)
+                assert order[without].id not in assignment
                 # the same search built over the order with that job removed
                 others = order[:without] + order[without + 1:]
                 rebuilt = _Search(others, timelines, [cids for _ in others])
@@ -250,6 +251,24 @@ class TestVcgPayments:
                 assert pay[jid] == max(without - (best - j.bid_value), eta * j.duration)
                 priced += 1
         assert priced > 40
+
+    def test_decides_each_channel_set_once(self, rng, monkeypatch):
+        """The solve and every pivot share one memo: no (channel, job set) is decided twice."""
+        decided: dict[tuple[int, frozenset[int]], int] = {}
+
+        def counting(jobs, timeline):
+            key = (timeline.channel_id, frozenset(j.id for j in jobs))
+            decided[key] = decided.get(key, 0) + 1
+            return set_feasible(jobs, timeline)
+
+        monkeypatch.setattr(vcg, "set_feasible", counting)
+        winners = 0
+        for _ in range(40):
+            m = random_market(rng, max_jobs=7, max_channels=3)
+            decided.clear()
+            winners += len(run_vcg(m, AuctionConfig(eta_s=random_reserve(rng))).assignment)
+            assert all(n == 1 for n in decided.values())
+        assert winners > 40
 
     def test_segments_each_market_once(self, rng, monkeypatch):
         calls = []
