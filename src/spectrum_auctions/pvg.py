@@ -177,7 +177,7 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
                     accept(job, cid)
                     # case 3: readmission into this channel only
                     for earlier in order[:idx]:
-                        if earlier.id in state.assignment:
+                        if earlier.id in state.assignment or cid not in state.candidates[earlier.id]:
                             continue
                         if fits(earlier, cid):
                             accept(earlier, cid)

@@ -10,20 +10,24 @@ remaining free seconds with the best per-second rates first).
 
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
-The market without a winner is the same market with one bid removed, so
-each pivot reruns the solve's own search (same timelines, branching
-order and ``market.candidate_channels``) with that winner excluded: it
-is never accepted and adds nothing to the bounds.  (The timelines are
-then cut at the winner's window ends too; a finer cut decides
-feasibility the same way.)  Job indices, and with them the channel
-bitmasks, mean the same job in every run, so the solve and all its
-pivots share one feasibility memo.
+The market without winner k is the solve's own tree with k rejected, so
+one pricing search over the solve's setup (timelines, branching order,
+``market.candidate_channels`` and feasibility memo) prices every winner
+at once, the way shortest-path Vickrey prices are found all together
+(Hershberger & Suri 2001).  It keeps ``best_without[k]`` per winner,
+starting at the welfare of the optimum without k.  A leaf raises the
+entry of every winner it rejects, and a node is pruned when its bound
+is below the smallest entry among the winners it has not accepted (so
+also once it has accepted them all).  That minimum is cached per set of
+accepted winners until a leaf raises an entry.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .market import (
     AuctionConfig,
@@ -63,8 +67,12 @@ class _Search:
 
     Jobs are indexed by their position in the branching order (best rate
     first); each channel's tentative job set is an index bitmask, which
-    keeps the feasibility memo keys cheap to hash.  ``run()`` is the solve
-    and ``run(without=i)`` a pivot re-solve; all runs share the memo.
+    keeps the feasibility memo keys cheap to hash.  One DFS body serves
+    every run: a run has a list of targets, each the best welfare over
+    the leaves that leave out one job (its excluded bit), and a node is
+    searched while some target it can still reach might rise.
+    ``solve()`` has one target that excludes nothing; ``price()`` one per
+    winner.  All runs share the feasibility memo.
     """
 
     # Bounds are compared with a hair of slack: an exactly-tight float
@@ -83,26 +91,12 @@ class _Search:
         self.feas_memo: dict[tuple[int, int], bool] = {}
         self.total_capacity = sum(tl.free_seconds for tl in timelines.values())
         self.value_by_id = {j.id: j.bid_value for j in order}
-        self._reset(None)
-
-    def _reset(self, without: int | None) -> None:
         # Cumulative durations and values over ``order``, which is already
         # best rate first: every depth's suffix is a run of these prefixes.
-        # The excluded job adds 0 to both, so the bounds equal those of the
-        # order without it, bit for bit; it is never the break item.
-        self.without = without
-        self.cum_dur = [0]
-        self.cum_val = [0.0]
-        for i, j in enumerate(self.order):
-            kept = i != without
-            self.cum_dur.append(self.cum_dur[-1] + (j.duration if kept else 0))
-            self.cum_val.append(self.cum_val[-1] + (j.bid_value if kept else 0.0))
+        self.cum_dur = list(accumulate((j.duration for j in order), initial=0))
+        self.cum_val = list(accumulate((j.bid_value for j in order), initial=0.0))
         self.suffix_value = [self.cum_val[-1] - v for v in self.cum_val]
-        # The first leaf replaces this; the slack pruning keeps every
-        # optimal leaf, so the tie-break still sees them all.
-        self.best_welfare = -1.0
-        self.best_key: tuple | None = None
-        self.best_assignment: dict[int, int] | None = None
+        self.suffix_dur = [self.cum_dur[-1] - d for d in self.cum_dur]
 
     def _canonical_welfare(self, winner_ids) -> float:
         # id-ordered sum: equal winner sets always give bitwise-equal
@@ -110,13 +104,10 @@ class _Search:
         return sum((self.value_by_id[w] for w in sorted(winner_ids)), 0.0)
 
     def channel_feasible(self, cid: int, mask: int) -> bool:
-        key = (cid, mask)
-        hit = self.feas_memo.get(key)
-        if hit is None:
-            members = [self.order[i] for i in _bits(mask)]
-            hit = set_feasible(members, self.timelines[cid])
-            self.feas_memo[key] = hit
-        return hit
+        """Decide one channel's job set and memoize it; the DFS reads the memo first."""
+        members = [self.order[i] for i in _bits(mask)]
+        fits = self.feas_memo[cid, mask] = set_feasible(members, self.timelines[cid])
+        return fits
 
     def fractional_bound(self, depth: int, used_seconds: int) -> float:
         """Best-rate fill of the free seconds by the jobs from ``depth`` on.
@@ -134,46 +125,94 @@ class _Search:
             bound += self.order[k].unit_value * (reach - self.cum_dur[k])
         return bound
 
-    def run(self, without: int | None = None) -> tuple[float, dict[int, int]]:
-        """Best welfare and assignment, never accepting the job at index ``without``."""
-        self._reset(without)
-        self._dfs(0, 0.0, 0)
+    def solve(self) -> tuple[float, dict[int, int]]:
+        """Best welfare and its assignment, ties to the smallest (winner ids, channel ids)."""
+        self._run([0], [-1.0])
         assert self.best_assignment is not None
-        return self.best_welfare, self.best_assignment
+        return self.best[0], self.best_assignment
 
-    def _dfs(self, depth: int, value: float, used_seconds: int) -> None:
+    def price(self, winners: dict[int, int]) -> list[tuple[Job, float]]:
+        """Best welfare without each winner of ``winners``, all from one DFS.
+
+        ``winners`` is the solve's assignment.  Each target starts at the
+        others' welfare in it, which is feasible without that winner, so
+        the bound prunes from the root.
+        """
+        targets = [i for i, j in enumerate(self.order) if j.id in winners]
+        self._run([1 << i for i in targets], [
+            self._canonical_welfare(w for w in winners if w != self.order[i].id)
+            for i in targets])
+        return [(self.order[i], best) for i, best in zip(targets, self.best)]
+
+    def _run(self, excluded: list[int], best: list[float]) -> None:
+        # A node carries ``accepted``, the excluded bits it has taken;
+        # target t is alive there while ``excluded[t] & accepted`` is 0.
+        # The cutoff of each ``accepted`` is cached until a leaf raises a
+        # target (every optimal leaf is kept by the slack pruning, so the
+        # tie-break still sees them all).
+        self.excluded = excluded
+        self.best = best
+        self.watched = sum(excluded)
+        self.cutoffs: dict[int, float] = {}
+        self.best_key: tuple | None = None
+        self.best_assignment: dict[int, int] | None = None
+        self._dfs(0, 0.0, 0, 0)
+
+    def _cutoff(self, accepted: int) -> float:
+        # min best over the live targets; with none left nothing can rise
+        cutoff = min((b for b, bit in zip(self.best, self.excluded) if not bit & accepted),
+                     default=math.inf) - self.PRUNE_EPS
+        self.cutoffs[accepted] = cutoff
+        return cutoff
+
+    def _dfs(self, depth: int, value: float, used_seconds: int, accepted: int) -> None:
+        cutoff = self.cutoffs.get(accepted)
+        if cutoff is None:
+            cutoff = self._cutoff(accepted)
         remaining = self.suffix_value[depth]
-        cutoff = self.best_welfare - self.PRUNE_EPS
         if value + remaining < cutoff:
             return
-        if remaining > 0 and value + self.fractional_bound(depth, used_seconds) < cutoff:
+        # the fractional bound is below ``remaining`` only when the jobs left
+        # overflow the free seconds
+        if (used_seconds + self.suffix_dur[depth] > self.total_capacity
+                and value + self.fractional_bound(depth, used_seconds) < cutoff):
             return
         if depth == len(self.order):
-            self._offer_leaf()
+            self._offer_leaf(accepted)
             return
         job = self.order[depth]
         bit = 1 << depth
-        for cid in () if depth == self.without else self.candidates[depth]:
+        taken = accepted | (bit & self.watched)
+        for cid in self.candidates[depth]:
             trial = self.masks[cid] | bit
-            if not self.channel_feasible(cid, trial):
+            fits = self.feas_memo.get((cid, trial))
+            if fits is None:
+                fits = self.channel_feasible(cid, trial)
+            if not fits:
                 continue
             self.masks[cid] = trial
             self.assignment[job.id] = cid
-            self._dfs(depth + 1, value + job.bid_value, used_seconds + job.duration)
+            self._dfs(depth + 1, value + job.bid_value, used_seconds + job.duration, taken)
             del self.assignment[job.id]
             self.masks[cid] &= ~bit
-        self._dfs(depth + 1, value, used_seconds)
+        self._dfs(depth + 1, value, used_seconds, accepted)
 
-    def _offer_leaf(self) -> None:
+    def _offer_leaf(self, accepted: int) -> None:
         winners = tuple(sorted(self.assignment))
         canon = self._canonical_welfare(winners)
-        if canon < self.best_welfare:
-            return
-        key = (winners, tuple(self.assignment[w] for w in winners))
-        if canon > self.best_welfare or self.best_key is None or key < self.best_key:
-            self.best_welfare = canon
-            self.best_key = key
-            self.best_assignment = dict(self.assignment)
+        best = self.best
+        for t, bit in enumerate(self.excluded):
+            if bit & accepted or canon < best[t]:
+                continue
+            if bit == 0:  # the solve keeps its assignment; ties go to the smaller key
+                key = (winners, tuple(self.assignment[w] for w in winners))
+                if canon == best[t] and key >= self.best_key:
+                    continue
+                self.best_key, self.best_assignment = key, dict(self.assignment)
+            elif canon == best[t]:
+                continue
+            best[t] = canon
+            self.cutoffs.clear()
 
 
 def _bits(mask: int):
@@ -204,7 +243,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     order = sorted(jobs, key=processing_key)
     candidates = candidate_channels(order, timelines)
     search = _Search(order, timelines, [candidates[j.id] for j in order])
-    welfare, assignment = search.run()
+    welfare, assignment = search.solve()
     by_id = {j.id: j for j in jobs}
 
     allocations: dict[int, list[int]] = {}
@@ -223,17 +262,15 @@ def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> di
 
     Each winner's price is the optimum of the market without it minus
     what the others get at the actual optimum, floored at the reserve.
-    That optimum is the solve's own search rerun with the winner
-    excluded, so ``solution`` comes from ``solve_optimal`` at this
-    ``eta_s``.  The exact-solver cap is not checked again: a pivot is
-    never larger than the market.
+    One pricing pass over the solve's own search finds every winner's
+    optimum without it, so ``solution`` comes from ``solve_optimal`` at
+    this ``eta_s``.  The exact-solver cap is not checked again: the pass
+    searches the solve's own tree.
     """
     payments = {j.id: 0.0 for j in market.jobs}
-    for i, job in enumerate(solution._search.order):
-        if job.id in solution.assignment:
-            welfare_without, _ = solution._search.run(without=i)
-            pivot = welfare_without - (solution.welfare - job.bid_value)
-            payments[job.id] = max(pivot, eta_s * job.duration)
+    for job, welfare_without in solution._search.price(solution.assignment):
+        pivot = welfare_without - (solution.welfare - job.bid_value)
+        payments[job.id] = max(pivot, eta_s * job.duration)
     return payments
 
 

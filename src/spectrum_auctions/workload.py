@@ -149,6 +149,13 @@ def synthesize_occupancy(channels: int, days: int, duty_cycle: float, seed: int,
     """
     if not 0.0 <= duty_cycle <= 1.0:
         raise ValueError("duty_cycle must lie in [0, 1]")
+    if slot_seconds <= 0:
+        raise ValueError(f"slot_seconds must be positive, got {slot_seconds}")
+    if slot_seconds > DAY_SECONDS:
+        raise ValueError(f"slot_seconds must not exceed a day ({DAY_SECONDS}), got {slot_seconds}")
+    for name, count in (("channels", channels), ("days", days)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     per_day = DAY_SECONDS // slot_seconds
     rng = np.random.default_rng(seed)
     day_rows = []

@@ -206,6 +206,19 @@ class TestBadInput:
                                    "--out", str(tmp_path / "x.csv")],
                           "lambda must not be negative, got -3")
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--slot-seconds", "0", "slot_seconds must be positive, got 0"),
+        ("--slot-seconds", "-5", "slot_seconds must be positive, got -5"),
+        ("--slot-seconds", "86401", "slot_seconds must not exceed a day (86400), got 86401"),
+        ("--days", "0", "days must be at least 1, got 0"),
+        ("--channels", "0", "channels must be at least 1, got 0"),
+    ])
+    def test_bad_occupancy_flag(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "grid.csv"
+        self.assert_error(capsys, ["gen-occupancy", "--channels", "2", "--days", "1", flag, value,
+                                   "--out", str(out)], message)
+        assert not out.exists()
+
     def test_missing_grid_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         self.assert_error(capsys, ["run", "--grid", str(missing), "--lambda", "3",

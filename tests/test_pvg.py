@@ -18,7 +18,8 @@ from spectrum_auctions import (
     run_pvg,
     solve_optimal,
 )
-from spectrum_auctions.market import fits_in_residual
+from spectrum_auctions import pvg
+from spectrum_auctions.market import build_timelines, candidate_channels, fits_in_residual
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
 from spectrum_auctions.pvg import (
     _eviction_prefix,
@@ -159,6 +160,26 @@ class TestAllocation:
                             non_candidates += cid not in state.candidates[j.id]
         assert compared > 50
         assert non_candidates > 0
+
+    def test_fit_checks_only_on_candidate_channels(self, rng, monkeypatch):
+        """No case, readmission included, tests a channel that can never hold the job."""
+        checked = []
+
+        def recording(job, timeline, usage):
+            checked.append((job.id, timeline.channel_id))
+            return fits_in_residual(job, timeline, usage)
+
+        monkeypatch.setattr(pvg, "fits_in_residual", recording)
+        readmissions = 0
+        for _ in range(150):
+            m = random_market(rng, max_jobs=8, max_channels=3)
+            candidates = candidate_channels(m.jobs, build_timelines(m))
+            stats = PvgStats()
+            checked.clear()
+            run_pvg(m, AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR])), stats=stats)
+            assert all(cid in candidates[jid] for jid, cid in checked)
+            readmissions += stats.readmissions
+        assert readmissions > 0
 
     def test_per_slot_usage_never_exceeds_capacity(self, rng):
         for _ in range(80):
