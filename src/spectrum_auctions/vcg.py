@@ -8,18 +8,28 @@ channel's job set jointly feasible, and two upper bounds prune the tree
 (plain remaining-value sum, and a fractional relaxation that fills the
 remaining free seconds with the best per-second rates first).
 
+The market is first cut into time components: sorted by arrival, a
+new component starts wherever the next arrival is at or after every
+earlier deadline (windows are half-open, so touching windows part).
+Components cover disjoint time, so a channel's job set is feasible
+exactly when each component's part of it is, the optimum is the union of
+the component optima, and removing a winner changes only its own
+component.  Each component gets its own search over the market's one
+set of timelines and candidate channels.
+
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
 The market without winner k is the solve's own tree with k rejected, so
-one pricing search over the solve's setup (timelines, branching order,
-``market.candidate_channels`` and feasibility memo) prices every winner
-at once, the way shortest-path Vickrey prices are found all together
-(Hershberger & Suri 2001).  It keeps ``best_without[k]`` per winner,
-starting at the welfare of the optimum without k.  A leaf raises the
-entry of every winner it rejects, and a node is pruned when its bound
-is below the smallest entry among the winners it has not accepted (so
-also once it has accepted them all).  That minimum is cached per set of
-accepted winners until a leaf raises an entry.
+one pricing search per component over the solve's setup (timelines,
+branching order, ``market.candidate_channels`` and feasibility memo)
+prices every winner in it at once, the way shortest-path Vickrey prices
+are found all together (Hershberger & Suri 2001).  It keeps
+``best_without[k]`` per winner, starting at the welfare of the
+component's optimum without k.  A leaf raises the entry of every winner
+it rejects, and a node is pruned when its bound is below the smallest
+entry among the winners it has not accepted (so also once it has
+accepted them all).  That minimum is cached per set of accepted winners
+until a leaf raises an entry.
 """
 
 from __future__ import annotations
@@ -59,11 +69,11 @@ class VcgSolution:
     assignment: dict[int, int]
     allocations: dict[int, list[int]]
     timelines: dict[int, SegmentedTimeline]
-    _search: _Search | None = field(default=None, repr=False, compare=False)
+    _searches: list[_Search] | None = field(default=None, repr=False, compare=False)
 
 
 class _Search:
-    """DFS state for the branch and bound over one market.
+    """DFS state for the branch and bound over one time component.
 
     Jobs are indexed by their position in the branching order (best rate
     first); each channel's tentative job set is an index bitmask, which
@@ -72,7 +82,8 @@ class _Search:
     the leaves that leave out one job (its excluded bit), and a node is
     searched while some target it can still reach might rise.
     ``solve()`` has one target that excludes nothing; ``price()`` one per
-    winner.  All runs share the feasibility memo.
+    winner, each keeping the winner set of the leaf that set it.  All
+    runs share the feasibility memo.
     """
 
     # Bounds are compared with a hair of slack: an exactly-tight float
@@ -98,11 +109,6 @@ class _Search:
         self.suffix_value = [self.cum_val[-1] - v for v in self.cum_val]
         self.suffix_dur = [self.cum_dur[-1] - d for d in self.cum_dur]
 
-    def _canonical_welfare(self, winner_ids) -> float:
-        # id-ordered sum: equal winner sets always give bitwise-equal
-        # welfare, no matter the order the search accepted them in
-        return sum((self.value_by_id[w] for w in sorted(winner_ids)), 0.0)
-
     def channel_feasible(self, cid: int, mask: int) -> bool:
         """Decide one channel's job set and memoize it; the DFS reads the memo first."""
         members = [self.order[i] for i in _bits(mask)]
@@ -125,26 +131,27 @@ class _Search:
             bound += self.order[k].unit_value * (reach - self.cum_dur[k])
         return bound
 
-    def solve(self) -> tuple[float, dict[int, int]]:
-        """Best welfare and its assignment, ties to the smallest (winner ids, channel ids)."""
-        self._run([0], [-1.0])
+    def solve(self) -> dict[int, int]:
+        """The best assignment, ties to the smallest (winner ids, channel ids)."""
+        self._run([0], [-1.0], [()])
         assert self.best_assignment is not None
-        return self.best[0], self.best_assignment
+        return self.best_assignment
 
-    def price(self, winners: dict[int, int]) -> list[tuple[Job, float]]:
-        """Best welfare without each winner of ``winners``, all from one DFS.
+    def price(self, winners: set[int]) -> list[tuple[Job, tuple[int, ...]]]:
+        """The best winner set without each winner of ``winners``, all from one DFS.
 
-        ``winners`` is the solve's assignment.  Each target starts at the
-        others' welfare in it, which is feasible without that winner, so
-        the bound prunes from the root.
+        ``winners`` is the solve's winner set.  Each target starts at the
+        others in it, which are feasible without that winner, so the
+        bound prunes from the root.
         """
         targets = [i for i, j in enumerate(self.order) if j.id in winners]
-        self._run([1 << i for i in targets], [
-            self._canonical_welfare(w for w in winners if w != self.order[i].id)
-            for i in targets])
-        return [(self.order[i], best) for i, best in zip(targets, self.best)]
+        others = [tuple(sorted(w for w in winners if w != self.order[i].id)) for i in targets]
+        self._run([1 << i for i in targets],
+                  [_canonical_welfare(self.value_by_id, ids) for ids in others], others)
+        return [(self.order[i], ids) for i, ids in zip(targets, self.best_sets)]
 
-    def _run(self, excluded: list[int], best: list[float]) -> None:
+    def _run(self, excluded: list[int], best: list[float],
+             best_sets: list[tuple[int, ...]]) -> None:
         # A node carries ``accepted``, the excluded bits it has taken;
         # target t is alive there while ``excluded[t] & accepted`` is 0.
         # The cutoff of each ``accepted`` is cached until a leaf raises a
@@ -152,6 +159,7 @@ class _Search:
         # tie-break still sees them all).
         self.excluded = excluded
         self.best = best
+        self.best_sets = best_sets
         self.watched = sum(excluded)
         self.cutoffs: dict[int, float] = {}
         self.best_key: tuple | None = None
@@ -199,7 +207,7 @@ class _Search:
 
     def _offer_leaf(self, accepted: int) -> None:
         winners = tuple(sorted(self.assignment))
-        canon = self._canonical_welfare(winners)
+        canon = _canonical_welfare(self.value_by_id, winners)
         best = self.best
         for t, bit in enumerate(self.excluded):
             if bit & accepted or canon < best[t]:
@@ -212,7 +220,41 @@ class _Search:
             elif canon == best[t]:
                 continue
             best[t] = canon
+            self.best_sets[t] = winners
             self.cutoffs.clear()
+
+
+def _canonical_welfare(value_by_id: dict[int, float], winner_ids) -> float:
+    # id-ordered sum: equal winner sets always give bitwise-equal welfare,
+    # no matter the order the search accepted them in
+    return sum((value_by_id[w] for w in sorted(winner_ids)), 0.0)
+
+
+def _time_components(jobs: list[Job]) -> list[list[Job]]:
+    """Jobs in runs of overlapping ``[arrival, deadline)`` windows, in time order.
+
+    Sorted by (arrival, id), a new run starts wherever the next arrival
+    is at or after the largest deadline so far.
+    """
+    components: list[list[Job]] = []
+    end = -math.inf
+    for j in sorted(jobs, key=lambda j: (j.arrival, j.id)):
+        if j.arrival >= end:
+            components.append([])
+        components[-1].append(j)
+        end = max(end, j.deadline)
+    return components
+
+
+def _component_searches(jobs: list[Job],
+                        timelines: dict[int, SegmentedTimeline]) -> list[_Search]:
+    """One search per time component, over the market's timelines and candidates."""
+    candidates = candidate_channels(jobs, timelines)
+    searches = []
+    for component in _time_components(jobs):
+        order = sorted(component, key=processing_key)
+        searches.append(_Search(order, timelines, [candidates[j.id] for j in order]))
+    return searches
 
 
 def _bits(mask: int):
@@ -227,10 +269,15 @@ def _bits(mask: int):
 def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None) -> VcgSolution:
     """Exact welfare-maximizing assignment for one local market.
 
-    Welfare ties are broken toward the lexicographically smallest winner
-    id set, then the smallest channel ids, so payments are reproducible.
+    Each time component is solved on its own, and welfare ties are broken
+    per component: toward the lexicographically smallest winner id set,
+    then the smallest channel ids, so payments are reproducible.  With
+    positive bids this is the market-wide smallest winner id set too.  A
+    zero-bid job wins only when, in its own component, a winner with a
+    higher id wins beside it; winners in other components do not count.
     Worst case is exponential; the job cap (``max_jobs``, default
-    ``DEFAULT_MAX_JOBS``) guards it.
+    ``DEFAULT_MAX_JOBS``) counts every eligible job of the market and
+    guards it.
     """
     jobs = filter_reserve(market.jobs, eta_s)
     cap = DEFAULT_MAX_JOBS if max_jobs is None else max_jobs
@@ -240,11 +287,12 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
             "pass max_jobs (--vcg-max-jobs) to override"
         )
     timelines = build_timelines(market)
-    order = sorted(jobs, key=processing_key)
-    candidates = candidate_channels(order, timelines)
-    search = _Search(order, timelines, [candidates[j.id] for j in order])
-    welfare, assignment = search.solve()
+    searches = _component_searches(jobs, timelines)
+    assignment: dict[int, int] = {}
+    for search in searches:
+        assignment.update(search.solve())
     by_id = {j.id: j for j in jobs}
+    welfare = _canonical_welfare({j.id: j.bid_value for j in jobs}, assignment)
 
     allocations: dict[int, list[int]] = {}
     for c in market.channels:
@@ -254,7 +302,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
         flows = window_flow_allocation(members, timelines[c.id])
         assert flows is not None, "search accepted an infeasible channel set"
         allocations.update(flows)
-    return VcgSolution(welfare, assignment, allocations, timelines, search)
+    return VcgSolution(welfare, assignment, allocations, timelines, searches)
 
 
 def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> dict[int, float]:
@@ -262,15 +310,24 @@ def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> di
 
     Each winner's price is the optimum of the market without it minus
     what the others get at the actual optimum, floored at the reserve.
-    One pricing pass over the solve's own search finds every winner's
-    optimum without it, so ``solution`` comes from ``solve_optimal`` at
-    this ``eta_s``.  The exact-solver cap is not checked again: the pass
-    searches the solve's own tree.
+    One pricing pass per time component finds every winner's optimum
+    without it, over the solve's own searches when ``solution`` comes
+    from ``solve_optimal`` at this ``eta_s``, and over searches built
+    afresh from ``market`` at ``eta_s`` otherwise.  The exact-solver cap
+    is not checked again: the passes search the solve's own tree.
     """
+    searches = solution._searches
+    if searches is None:
+        searches = _component_searches(filter_reserve(market.jobs, eta_s), build_timelines(market))
+    value_by_id = {j.id: j.bid_value for j in market.jobs}
     payments = {j.id: 0.0 for j in market.jobs}
-    for job, welfare_without in solution._search.price(solution.assignment):
-        pivot = welfare_without - (solution.welfare - job.bid_value)
-        payments[job.id] = max(pivot, eta_s * job.duration)
+    for search in searches:
+        own = {w for w in solution.assignment if w in search.value_by_id}
+        rest = [w for w in solution.assignment if w not in own]
+        for job, best_set in search.price(own):
+            welfare_without = _canonical_welfare(value_by_id, [*rest, *best_set])
+            pivot = welfare_without - (solution.welfare - job.bid_value)
+            payments[job.id] = max(pivot, eta_s * job.duration)
     return payments
 
 

@@ -10,6 +10,7 @@ from spectrum_auctions import (
     Job,
     LocalMarket,
     SolverSizeError,
+    VcgSolution,
     filter_reserve,
     run_vcg,
     solve_optimal,
@@ -18,9 +19,9 @@ from spectrum_auctions import (
 from spectrum_auctions import vcg
 from spectrum_auctions.market import build_timelines, set_feasible
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
-from spectrum_auctions.vcg import _Search
+from spectrum_auctions.vcg import _Search, _time_components
 
-from conftest import BAND, REGION, random_market, random_reserve
+from conftest import BAND, REGION, random_channel, random_job, random_market, random_reserve
 
 H = 3600
 
@@ -39,6 +40,20 @@ def cent_market(rng, max_jobs=7, max_channels=2):
     base = random_market(rng, max_jobs=max_jobs, max_channels=max_channels)
     return LocalMarket(REGION, BAND, tuple(
         replace(j, bid_value=rng.randint(1, 1200) / 100) for j in base.jobs), base.channels)
+
+
+def clustered_market(rng, clusters, lone_first):
+    """Jobs in ``clusters`` groups, group c inside [8c, 8c + 6), ids shuffled across groups."""
+    sizes = [1 if c == 0 and lone_first else rng.randint(1, 3) for c in range(clusters)]
+    ids = rng.sample(range(1, sum(sizes) + 1), sum(sizes))
+    jobs = []
+    for c, size in enumerate(sizes):
+        for _ in range(size):
+            j = random_job(rng, ids[len(jobs)], grid_max=6)
+            jobs.append(replace(j, arrival=j.arrival + 8 * c, deadline=j.deadline + 8 * c))
+    channels = tuple(random_channel(rng, cid + 1, grid_max=8 * clusters)
+                     for cid in range(rng.randint(1, 2)))
+    return LocalMarket(REGION, BAND, tuple(jobs), channels)
 
 
 def best_rate_fill(jobs, budget):
@@ -167,6 +182,72 @@ class TestSolveOptimal:
                 assert all(u <= s.capacity for u, s in zip(usage, tl.slots))
 
 
+class TestTimeComponents:
+    def test_cut_where_no_window_spans_the_gap(self):
+        a, b = job(1, 1.0, 0, 4, 1), job(2, 1.0, 2, 6, 1)
+        c, d = job(3, 1.0, 6, 9, 1), job(4, 1.0, 7, 8, 1)  # c touches b's deadline
+        e = job(5, 1.0, 9, 12, 1)  # touches c's deadline
+        assert _time_components([e, d, c, b, a]) == [[a, b], [c, d], [e]]
+        # one window across both gaps joins everything
+        span = job(6, 1.0, 3, 10, 1)
+        assert _time_components([a, b, c, d, e, span]) == [[a, b, span, c, d, e]]
+
+    def test_components_are_the_overlap_graph_components(self, rng):
+        for _ in range(100):
+            jobs = [random_job(rng, jid + 1, grid_max=20) for jid in range(rng.randint(1, 10))]
+            parent = {j.id: j.id for j in jobs}
+
+            def root(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for x in jobs:
+                for y in jobs:
+                    if x.arrival < y.deadline and y.arrival < x.deadline:
+                        parent[root(x.id)] = root(y.id)
+            expected = {}
+            for j in jobs:
+                expected.setdefault(root(j.id), set()).add(j.id)
+            got = [{j.id for j in comp} for comp in _time_components(jobs)]
+            assert sorted(map(sorted, got)) == sorted(map(sorted, expected.values()))
+
+    def test_clustered_markets_match_oracle_and_resolves(self, rng):
+        priced = multi = 0
+        for n in range(80):
+            m = clustered_market(rng, clusters=rng.randint(2, 3), lone_first=n % 2 == 0)
+            eta = random_reserve(rng)
+            components = _time_components(list(m.jobs))
+            assert all(len({j.arrival // 8 for j in comp}) == 1 for comp in components)
+            sol = solve_optimal(m, eta)
+            res = enumerate_optimal(m, eta)
+            assert sol.welfare == res.best_welfare
+            # bids are positive, so the per-component tie-break is the market-wide one
+            assert tuple(sorted(sol.assignment)) == min(
+                tuple(sorted(s)) for s in res.best_winner_sets)
+            pay = vcg_payments(m, sol, eta)
+            for jid in sol.assignment:
+                j = m.job_by_id(jid)
+                others = LocalMarket(REGION, BAND, tuple(x for x in m.jobs if x.id != jid),
+                                     m.channels)
+                without = solve_optimal(others, eta).welfare
+                assert pay[jid] == max(without - (sol.welfare - j.bid_value), eta * j.duration)
+                priced += 1
+            winning = {comp_id for comp_id, comp in enumerate(components)
+                       for j in comp if j.id in sol.assignment}
+            multi += len(winning) > 1
+        assert priced > 80 and multi > 20
+
+    def test_zero_bid_job_alone_in_its_component_loses_the_tie(self):
+        ch = Channel(1, REGION, BAND, ((0, 8),))
+        lone = job(1, 0.0, 0, 2, 1)
+        sol = solve_optimal(market([lone, job(2, 5.0, 4, 6, 2)], [ch]), 0.0)
+        assert sol.assignment == {2: 1}
+        # beside a higher-id winner in its own component it wins the tie
+        sol = solve_optimal(market([lone, job(2, 5.0, 0, 4, 2)], [ch]), 0.0)
+        assert sol.assignment == {1: 1, 2: 1}
+
+
 class TestFractionalBound:
     def test_matches_best_rate_fill_at_every_depth(self, rng):
         for _ in range(60):
@@ -247,6 +328,27 @@ class TestVcgPayments:
                 assert pay[jid] == max(without - (sol.welfare - j.bid_value), eta * j.duration)
                 priced += 1
         assert priced > 100
+
+    def test_hand_built_solution_is_priced_like_the_solved_one(self, rng):
+        lone = market([job(1, 7.0, 0, 2 * H, H)], [Channel(1, REGION, BAND, ((0, 2 * H),))])
+        # [0, 4H) holds the t1 jobs, [5H, 7H) two jobs of which one fits
+        two_parts = market(
+            [job(i + 1, v, 0, 4 * H, 2 * H) for i, v in enumerate([10.0, 6.0, 4.0])]
+            + [job(4, 3.0, 5 * H, 7 * H, H), job(5, 2.0, 5 * H, 7 * H, 2 * H)],
+            [Channel(1, REGION, BAND, ((0, 4 * H), (5 * H, 7 * H)))])
+        cases = [(lone, 0.001, {1: 0.001 * H}),
+                 (two_parts, 0.0, {1: 4.0, 2: 4.0, 3: 0.0, 4: 2.0, 5: 0.0})]
+        cases += [(clustered_market(rng, 3, lone_first=True), random_reserve(rng), None)
+                  for _ in range(20)]
+        for m, eta, expected in cases:
+            sol = solve_optimal(m, eta)
+            hand = VcgSolution(sol.welfare, dict(sol.assignment), dict(sol.allocations),
+                               sol.timelines)
+            assert hand == sol
+            pay = vcg_payments(m, hand, eta)
+            assert pay == vcg_payments(m, sol, eta)
+            if expected is not None:
+                assert pay == expected
 
     def test_decides_each_channel_set_once(self, rng, monkeypatch):
         """The solve and every pivot share one memo: no (channel, job set) is decided twice."""
