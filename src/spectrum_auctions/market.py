@@ -191,10 +191,6 @@ class SegmentedTimeline:
     def empty_usage(self) -> list[int]:
         return [0] * len(self.slots)
 
-    @property
-    def free_seconds(self) -> int:
-        return sum(s.capacity for s in self.slots)
-
     def window_capacity(self, job: Job) -> int:
         return self.window_capacities[job.id]
 

@@ -4,9 +4,8 @@ Winner determination maximizes the sum of accepted bids subject to the
 reserve, single-channel-per-job, and slot-capacity constraints.  The
 search is a hand-rolled depth-first branch and bound: each job is either
 rejected or assigned to one channel, every partial assignment keeps each
-channel's job set jointly feasible, and two upper bounds prune the tree
-(plain remaining-value sum, and a fractional relaxation that fills the
-remaining free seconds with the best per-second rates first).
+channel's job set jointly feasible, and one upper bound prunes the tree:
+the value so far plus the sum of the bids not yet branched on.
 
 The market is first cut into time components: sorted by arrival, a
 new component starts wherever the next arrival is at or after every
@@ -34,7 +33,6 @@ until a leaf raises an entry.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -70,6 +68,7 @@ class VcgSolution:
     allocations: dict[int, list[int]]
     timelines: dict[int, SegmentedTimeline]
     _searches: list[_Search] | None = field(default=None, repr=False, compare=False)
+    _searches_eta_s: float | None = field(default=None, repr=False, compare=False)
 
 
 class _Search:
@@ -80,13 +79,14 @@ class _Search:
     keeps the feasibility memo keys cheap to hash.  One DFS body serves
     every run: a run has a list of targets, each the best welfare over
     the leaves that leave out one job (its excluded bit), and a node is
-    searched while some target it can still reach might rise.
-    ``solve()`` has one target that excludes nothing; ``price()`` one per
-    winner, each keeping the winner set of the leaf that set it.  All
-    runs share the feasibility memo.
+    searched while its value plus the bids still to branch on (the one
+    bound) reaches the smallest target it can still raise.  ``solve()``
+    has one target that excludes nothing; ``price()`` one per winner,
+    each keeping the winner set of the leaf that set it.  All runs share
+    the feasibility memo.
     """
 
-    # Bounds are compared with a hair of slack: an exactly-tight float
+    # The bound is compared with a hair of slack: an exactly-tight float
     # bound may land one ulp under the incumbent and must not prune the
     # branch that realizes it.  Admitting dust-level-worse branches is
     # harmless for exactness.
@@ -100,36 +100,16 @@ class _Search:
         self.masks = dict.fromkeys(timelines, 0)
         self.assignment: dict[int, int] = {}
         self.feas_memo: dict[tuple[int, int], bool] = {}
-        self.total_capacity = sum(tl.free_seconds for tl in timelines.values())
         self.value_by_id = {j.id: j.bid_value for j in order}
-        # Cumulative durations and values over ``order``, which is already
-        # best rate first: every depth's suffix is a run of these prefixes.
-        self.cum_dur = list(accumulate((j.duration for j in order), initial=0))
-        self.cum_val = list(accumulate((j.bid_value for j in order), initial=0.0))
-        self.suffix_value = [self.cum_val[-1] - v for v in self.cum_val]
-        self.suffix_dur = [self.cum_dur[-1] - d for d in self.cum_dur]
+        # the bids from each depth on: the value bound's remainder
+        cum_val = list(accumulate((j.bid_value for j in order), initial=0.0))
+        self.suffix_value = [cum_val[-1] - v for v in cum_val]
 
     def channel_feasible(self, cid: int, mask: int) -> bool:
         """Decide one channel's job set and memoize it; the DFS reads the memo first."""
         members = [self.order[i] for i in _bits(mask)]
         fits = self.feas_memo[cid, mask] = set_feasible(members, self.timelines[cid])
         return fits
-
-    def fractional_bound(self, depth: int, used_seconds: int) -> float:
-        """Best-rate fill of the free seconds by the jobs from ``depth`` on.
-
-        Whole jobs up to the break item ``k``, then a split of it
-        (Dantzig's fractional knapsack bound).
-        """
-        budget = self.total_capacity - used_seconds
-        if budget <= 0:
-            return 0.0
-        reach = self.cum_dur[depth] + budget
-        k = bisect.bisect_right(self.cum_dur, reach) - 1
-        bound = self.cum_val[k] - self.cum_val[depth]
-        if k < len(self.order):
-            bound += self.order[k].unit_value * (reach - self.cum_dur[k])
-        return bound
 
     def solve(self) -> dict[int, int]:
         """The best assignment, ties to the smallest (winner ids, channel ids)."""
@@ -164,7 +144,7 @@ class _Search:
         self.cutoffs: dict[int, float] = {}
         self.best_key: tuple | None = None
         self.best_assignment: dict[int, int] | None = None
-        self._dfs(0, 0.0, 0, 0)
+        self._dfs(0, 0.0, 0)
 
     def _cutoff(self, accepted: int) -> float:
         # min best over the live targets; with none left nothing can rise
@@ -173,17 +153,11 @@ class _Search:
         self.cutoffs[accepted] = cutoff
         return cutoff
 
-    def _dfs(self, depth: int, value: float, used_seconds: int, accepted: int) -> None:
+    def _dfs(self, depth: int, value: float, accepted: int) -> None:
         cutoff = self.cutoffs.get(accepted)
         if cutoff is None:
             cutoff = self._cutoff(accepted)
-        remaining = self.suffix_value[depth]
-        if value + remaining < cutoff:
-            return
-        # the fractional bound is below ``remaining`` only when the jobs left
-        # overflow the free seconds
-        if (used_seconds + self.suffix_dur[depth] > self.total_capacity
-                and value + self.fractional_bound(depth, used_seconds) < cutoff):
+        if value + self.suffix_value[depth] < cutoff:
             return
         if depth == len(self.order):
             self._offer_leaf(accepted)
@@ -200,10 +174,10 @@ class _Search:
                 continue
             self.masks[cid] = trial
             self.assignment[job.id] = cid
-            self._dfs(depth + 1, value + job.bid_value, used_seconds + job.duration, taken)
+            self._dfs(depth + 1, value + job.bid_value, taken)
             del self.assignment[job.id]
             self.masks[cid] &= ~bit
-        self._dfs(depth + 1, value, used_seconds, accepted)
+        self._dfs(depth + 1, value, accepted)
 
     def _offer_leaf(self, accepted: int) -> None:
         winners = tuple(sorted(self.assignment))
@@ -302,7 +276,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
         flows = window_flow_allocation(members, timelines[c.id])
         assert flows is not None, "search accepted an infeasible channel set"
         allocations.update(flows)
-    return VcgSolution(welfare, assignment, allocations, timelines, searches)
+    return VcgSolution(welfare, assignment, allocations, timelines, searches, eta_s)
 
 
 def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> dict[int, float]:
@@ -317,7 +291,7 @@ def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> di
     is not checked again: the passes search the solve's own tree.
     """
     searches = solution._searches
-    if searches is None:
+    if searches is None or solution._searches_eta_s != eta_s:
         searches = _component_searches(filter_reserve(market.jobs, eta_s), build_timelines(market))
     value_by_id = {j.id: j.bid_value for j in market.jobs}
     payments = {j.id: 0.0 for j in market.jobs}

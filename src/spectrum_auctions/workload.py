@@ -218,7 +218,7 @@ class WorkloadSpec:
             raise ValueError("set_kind must be 1 or 2")
         if not 0.0 < self.hot_fraction <= 1.0:
             raise ValueError("hot_fraction must lie in (0, 1]")
-        if HOT_WINDOW[1] > self.horizon:
+        if self.set_kind == 2 and HOT_WINDOW[1] > self.horizon:
             raise ValueError("the hot window must lie inside the horizon")
         if WINDOW_RANGE[1] > self.horizon:
             raise ValueError("windows cannot exceed the horizon")

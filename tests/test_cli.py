@@ -2,9 +2,16 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spectrum_auctions import load_occupancy, load_requests, save_occupancy, synthesize_occupancy
+from spectrum_auctions import (
+    OccupancyGrid,
+    load_occupancy,
+    load_requests,
+    save_occupancy,
+    synthesize_occupancy,
+)
 from spectrum_auctions.cli import main
 from spectrum_auctions.experiment import RESULT_COLUMNS
 
@@ -61,6 +68,17 @@ class TestRun:
         lines = out.read_text().splitlines()
         raw = [l for l in lines[1:] if ",mean," not in l]
         assert all(l.startswith("0,5,") for l in raw)  # set=0, lambda=5
+
+    def test_set_1_on_a_grid_shorter_than_the_hot_window(self, tmp_path, capsys):
+        grid = tmp_path / "short.csv"  # 40 x 500 s = 20,000 s, the hot window starts at 68,400 s
+        save_occupancy(OccupancyGrid(500, np.zeros((2, 40), dtype=np.uint8)), str(grid))
+        out = tmp_path / "res.csv"
+        assert main(["run", "--grid", str(grid), "--lambda", "5", "--set", "1",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 + 2
+        TestBadInput.assert_error(capsys, ["run", "--grid", str(grid), "--lambda", "5",
+                                           "--set", "2", "--out", str(out)],
+                                  "the hot window must lie inside the horizon")
 
     def test_requires_workload_or_requests(self, grid_csv, tmp_path, capsys):
         TestBadInput.assert_error(capsys, ["run", "--grid", grid_csv,

@@ -128,6 +128,14 @@ class TestGenerateRequests:
             inside_free = j.deadline <= hs or j.arrival >= he
             assert intersects or inside_free
 
+    def test_short_horizon_limits_only_set_2(self):
+        # the hot window ends at 79,200 s; set 1 never uses it
+        jobs = generate_requests(WorkloadSpec(n_requests=200, set_kind=1, horizon=20_000, seed=4))
+        assert len(jobs) == 200
+        assert all(0 <= j.arrival and j.deadline <= 20_000 for j in jobs)
+        with pytest.raises(ValueError, match="the hot window must lie inside the horizon"):
+            WorkloadSpec(n_requests=5, set_kind=2, horizon=20_000)
+
     def test_deterministic_per_seed(self):
         a = generate_requests(WorkloadSpec(n_requests=50, seed=7))
         b = generate_requests(WorkloadSpec(n_requests=50, seed=7))
