@@ -27,7 +27,7 @@ from .market import (
 )
 from .metrics import social_efficiency, utilization_ratio
 from .oracle import OracleCapError, OracleResult, contiguous_optimal, enumerate_optimal, scan_critical_value
-from .pvg import PvgStats, critical_value, pvg_allocate, rho_bound, run_pvg
+from .pvg import PvgStats, pvg_allocate, rho_bound, run_pvg
 from .vcg import SolverSizeError, VcgSolution, run_vcg, solve_optimal, vcg_payments
 from .workload import (
     OccupancyFormatError,
@@ -49,7 +49,7 @@ __all__ = [
     "social_efficiency", "utilization_ratio",
     "OracleCapError", "OracleResult", "contiguous_optimal",
     "enumerate_optimal", "scan_critical_value",
-    "PvgStats", "critical_value", "pvg_allocate", "rho_bound", "run_pvg",
+    "PvgStats", "pvg_allocate", "rho_bound", "run_pvg",
     "SolverSizeError", "VcgSolution", "run_vcg",
     "solve_optimal", "vcg_payments",
     "OccupancyFormatError", "OccupancyGrid", "WorkloadSpec",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from math import sqrt
+from math import inf, sqrt
 
 
 class SpectrumAuctionError(Exception):
@@ -49,8 +49,8 @@ class Job:
             raise ValueError(f"job {self.id}: arrival must precede deadline")
         if not 0 < self.duration <= self.deadline - self.arrival:
             raise ValueError(f"job {self.id}: duration must lie in (0, deadline - arrival]")
-        if self.bid_value < 0:
-            raise ValueError(f"job {self.id}: bid_value must be >= 0")
+        if not 0 <= self.bid_value < inf:
+            raise ValueError(f"job {self.id}: bid_value must be finite and >= 0, got {self.bid_value}")
 
     @property
     def unit_value(self) -> float:
@@ -136,12 +136,12 @@ class AuctionConfig:
     xi: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
-        if self.eta_s < 0.0:
-            raise ValueError("eta_s must be >= 0")
-        if self.xi <= 0.0:
-            raise ValueError("xi must be > 0")
+        if not 1.0 <= self.beta < inf:
+            raise ValueError(f"beta must be finite and >= 1, got {self.beta}")
+        if not 0.0 <= self.eta_s < inf:
+            raise ValueError(f"eta_s must be finite and >= 0, got {self.eta_s}")
+        if not 0.0 < self.xi < inf:
+            raise ValueError(f"xi must be finite and > 0, got {self.xi}")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ The allocation is meant to be bid monotone (case 3 retrying only the
 preempting channel breaks that on some multi-channel markets), so each
 winner is charged the smallest grid bid at which it still wins, found by
 binary search over the bid grid between its reserve floor and its
-reported value.  ``run_pvg`` allocates and prices a market;
-``critical_value`` prices one job at its own reported bid.
+reported value.  ``run_pvg`` allocates a market and prices each winner
+with ``critical_value`` over that same allocation run.
 
 Pricing replays only what a probe can change.  Segmentation does not
 depend on bids, so ``run_pvg`` cuts each channel's timeline once and keeps
@@ -221,7 +221,10 @@ def bid_grid_size(floor: float, top: float, xi: float) -> int:
     """Smallest n with floor + n*xi >= top; grid points are k*xi offsets."""
     if top <= floor:
         return 0
-    n = int(math.ceil((top - floor) / xi))
+    steps = (top - floor) / xi
+    if not math.isfinite(steps):
+        raise ValueError(f"xi {xi} gives no finite bid grid from {floor} to {top}")
+    n = int(math.ceil(steps))
     while n > 0 and floor + (n - 1) * xi >= top:
         n -= 1
     while floor + n * xi < top:
@@ -234,26 +237,25 @@ def bid_grid_point(floor: float, top: float, xi: float, k: int, n: int) -> float
     return floor + k * xi if k < n else top
 
 
-def _resumed_probe(market: LocalMarket, config: AuctionConfig, job: Job,
-                   truthful: list[PvgState], stats: PvgStats):
+def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
+                   stats: PvgStats):
     """Win predicate over ``job``'s bid that replays only the ranks after it.
 
-    Runs the market without ``job`` once, from the truthful run's state
-    at ``job``'s rank, keeping its state before each rank; each probe
+    ``job`` is a winner of the truthful run, so it is in its order.  Runs
+    the market without ``job`` once, from the truthful run's state at
+    ``job``'s rank, keeping its state before each rank; each probe
     inserts the deviated job at its rank under the processing key and
     resumes from the state kept there.
     """
     order = truthful[0].order
-    others = [j for j in order if j.id != job.id]
-    # a job below the reserve at its own bid is not in ``order`` at all
-    rank = next((r for r, j in enumerate(order) if j.id == job.id), len(order))
+    rank = order.index(job)
+    others = order[:rank] + order[rank + 1:]
     without = truthful[:rank]
     _greedy(truthful[rank].fork(others), config, rank, stats, without)
     keys = [processing_key(j) for j in others]
-    source = market.job_by_id(job.id)
 
     def wins(bid: float) -> bool:
-        probe = replace(source, bid_value=bid)
+        probe = replace(job, bid_value=bid)
         if not filter_reserve([probe], config.eta_s):
             return False
         rank = bisect_left(keys, processing_key(probe))
@@ -264,28 +266,22 @@ def _resumed_probe(market: LocalMarket, config: AuctionConfig, job: Job,
     return wins
 
 
-def critical_value(market: LocalMarket, config: AuctionConfig, job: Job,
-                   stats: PvgStats | None = None,
-                   truthful: list[PvgState] | None = None) -> float:
-    """Least grid bid at which ``job`` still wins, by binary search.
+def critical_value(config: AuctionConfig, job: Job, truthful: list[PvgState],
+                   stats: PvgStats) -> float:
+    """Least grid bid at which ``job``, a winner of ``truthful``, still wins.
 
+    ``truthful`` is the market's own run as ``_truthful_run`` keeps it.
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below the reported value ``job.bid_value``, plus that value.
-    Bid monotonicity makes the win predicate a threshold over them.
-    ``truthful`` is the market's own run as ``_truthful_run`` keeps it;
-    ``run_pvg`` passes it so that all winners share one; without it the
-    run is made here.
+    Bid monotonicity makes the win predicate a threshold over them, so a
+    binary search finds it.
     """
-    if stats is None:
-        stats = PvgStats()
     floor = config.eta_s * job.duration
     top = job.bid_value
     n = bid_grid_size(floor, top, config.xi)
     if n == 0:
         return top
-    if truthful is None:
-        truthful = _truthful_run(market, config, stats)
-    wins = _resumed_probe(market, config, job, truthful, stats)
+    wins = _resumed_probe(config, job, truthful, stats)
     lo, hi = 0, n  # candidate n == top wins by assumption
     while lo < hi:
         mid = (lo + hi) // 2
@@ -309,8 +305,7 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
     outcome = _outcome(truthful[-1])
     payments = {j.id: 0.0 for j in market.jobs}
     for jid in sorted(outcome.assignment):
-        payments[jid] = critical_value(market, config, market.job_by_id(jid),
-                                       stats=stats, truthful=truthful)
+        payments[jid] = critical_value(config, market.job_by_id(jid), truthful, stats)
     outcome.payments = payments
     return outcome
 

@@ -18,6 +18,9 @@ set of timelines and candidate channels.
 
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
+``solve_optimal`` returns its reserve and its searches with the optimum,
+and ``vcg_payments`` reruns exactly those, so a solution is always
+priced at the reserve it was solved at.
 The market without winner k is the solve's own tree with k rejected, so
 one pricing search per component over the solve's setup (timelines,
 branching order, ``market.candidate_channels`` and feasibility memo)
@@ -61,14 +64,18 @@ class SolverSizeError(SpectrumAuctionError):
 
 @dataclass(frozen=True)
 class VcgSolution:
-    """An exact optimum: total welfare plus the realizing assignment."""
+    """An exact optimum at reserve ``eta_s``: welfare plus the realizing assignment.
+
+    ``searches`` are the component searches that found it; ``vcg_payments``
+    reruns them to price its winners.
+    """
 
     welfare: float
     assignment: dict[int, int]
     allocations: dict[int, list[int]]
     timelines: dict[int, SegmentedTimeline]
-    _searches: list[_Search] | None = field(default=None, repr=False, compare=False)
-    _searches_eta_s: float | None = field(default=None, repr=False, compare=False)
+    eta_s: float
+    searches: list[_Search] = field(repr=False, compare=False)
 
 
 class _Search:
@@ -276,32 +283,28 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
         flows = window_flow_allocation(members, timelines[c.id])
         assert flows is not None, "search accepted an infeasible channel set"
         allocations.update(flows)
-    return VcgSolution(welfare, assignment, allocations, timelines, searches, eta_s)
+    return VcgSolution(welfare, assignment, allocations, timelines, eta_s, searches)
 
 
-def vcg_payments(market: LocalMarket, solution: VcgSolution, eta_s: float) -> dict[int, float]:
-    """Pivot payments for the given optimum; losers pay zero.
+def vcg_payments(market: LocalMarket, solution: VcgSolution) -> dict[int, float]:
+    """Pivot payments for ``solve_optimal``'s ``solution`` of ``market``; losers pay zero.
 
     Each winner's price is the optimum of the market without it minus
-    what the others get at the actual optimum, floored at the reserve.
-    One pricing pass per time component finds every winner's optimum
-    without it, over the solve's own searches when ``solution`` comes
-    from ``solve_optimal`` at this ``eta_s``, and over searches built
-    afresh from ``market`` at ``eta_s`` otherwise.  The exact-solver cap
-    is not checked again: the passes search the solve's own tree.
+    what the others get at the actual optimum, floored at the reserve
+    the solution was solved at.  One pricing pass per time component,
+    over the solve's own searches, finds every winner's optimum without
+    it.  The exact-solver cap is not checked again: the passes search
+    the solve's own tree.
     """
-    searches = solution._searches
-    if searches is None or solution._searches_eta_s != eta_s:
-        searches = _component_searches(filter_reserve(market.jobs, eta_s), build_timelines(market))
     value_by_id = {j.id: j.bid_value for j in market.jobs}
     payments = {j.id: 0.0 for j in market.jobs}
-    for search in searches:
+    for search in solution.searches:
         own = {w for w in solution.assignment if w in search.value_by_id}
         rest = [w for w in solution.assignment if w not in own]
         for job, best_set in search.price(own):
             welfare_without = _canonical_welfare(value_by_id, [*rest, *best_set])
             pivot = welfare_without - (solution.welfare - job.bid_value)
-            payments[job.id] = max(pivot, eta_s * job.duration)
+            payments[job.id] = max(pivot, solution.eta_s * job.duration)
     return payments
 
 
@@ -309,7 +312,7 @@ def run_vcg(market: LocalMarket, config: AuctionConfig,
             max_jobs: int | None = None) -> AuctionOutcome:
     """Solve, price, and package the exact mechanism's outcome."""
     solution = solve_optimal(market, config.eta_s, max_jobs=max_jobs)
-    payments = vcg_payments(market, solution, config.eta_s)
+    payments = vcg_payments(market, solution)
     return AuctionOutcome(
         assignment=dict(solution.assignment),
         allocations={k: list(v) for k, v in solution.allocations.items()},

@@ -26,7 +26,6 @@ from spectrum_auctions import (
     Job,
     LocalMarket,
     WorkloadSpec,
-    critical_value,
     generate_requests,
     pvg_allocate,
     rho_bound,
@@ -146,13 +145,11 @@ def _vcg_utility(market, job, reported_bid, reported_t, welfare_without):
 
 
 def _pvg_utility(market, job, config, reported_bid, reported_t):
-    dev_market, dev_job = _deviated(market, job, bid_value=reported_bid,
-                                    duration=reported_t)
-    out = pvg_allocate(dev_market, config)
+    dev_market, _ = _deviated(market, job, bid_value=reported_bid, duration=reported_t)
+    out = run_pvg(dev_market, config)
     if job.id not in out.assignment:
         return 0.0
-    payment = critical_value(dev_market, config, dev_job)
-    return job.bid_value - payment
+    return job.bid_value - out.payments[job.id]
 
 
 def test_criterion_4_value_strategyproofness(sp_pool):

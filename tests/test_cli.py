@@ -178,6 +178,30 @@ class TestBadInput:
                                    "--out", str(tmp_path / "x.csv")],
                           f"{request_csv}, line 3: bid_value 'abc' is not a valid float")
 
+    @pytest.mark.parametrize("bid, shown", [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")])
+    def test_non_finite_bid_names_file_and_line(self, grid_csv, request_csv, tmp_path, capsys,
+                                                bid, shown):
+        lines = request_csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = bid
+        lines[2] = ",".join(cells)
+        request_csv.write_text("\n".join(lines) + "\n")
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--out", str(tmp_path / "x.csv")],
+                          f"{request_csv}, line 3: job {cells[0]}: "
+                          f"bid_value must be finite and >= 0, got {shown}")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eta-s", "nan", "eta_s must be finite and >= 0, got nan"),
+        ("--beta", "nan", "beta must be finite and >= 1, got nan"),
+        ("--beta", "inf", "beta must be finite and >= 1, got inf"),
+        ("--xi", "nan", "xi must be finite and > 0, got nan"),
+        ("--xi", "1e-320", "xi 1e-320 gives no finite bid grid"),
+    ])
+    def test_non_finite_auction_flag(self, grid_csv, tmp_path, capsys, flag, value, message):
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", flag, value,
+                                   "--out", str(tmp_path / "x.csv")], message)
+
     def test_duplicate_request_id_names_both_lines(self, grid_csv, request_csv, tmp_path,
                                                    capsys):
         lines = request_csv.read_text().splitlines()

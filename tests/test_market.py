@@ -5,6 +5,7 @@ import random
 import pytest
 
 from spectrum_auctions import (
+    AuctionConfig,
     Channel,
     InfeasibleCommitError,
     Job,
@@ -40,6 +41,17 @@ class TestValidation:
             job(1, 1.0, 0, 4, 5)
         with pytest.raises(ValueError):
             job(1, 1.0, 0, 4, 0)
+
+    @pytest.mark.parametrize("bid", ["nan", "inf", "1e400"])
+    def test_job_rejects_non_finite_bid(self, bid):
+        with pytest.raises(ValueError, match="bid_value must be finite"):
+            job(1, float(bid), 0, 4, 1)
+
+    @pytest.mark.parametrize("field", ["beta", "eta_s", "xi"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_config_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AuctionConfig(**{field: float(value)})
 
     def test_channel_rejects_bad_intervals(self):
         with pytest.raises(ValueError):

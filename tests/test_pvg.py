@@ -12,7 +12,6 @@ from spectrum_auctions import (
     Job,
     LocalMarket,
     PvgStats,
-    critical_value,
     pvg_allocate,
     rho_bound,
     run_pvg,
@@ -245,6 +244,13 @@ class TestPayments:
                     assert out.payments[j.id] == 0.0
 
 
+class TestBidGrid:
+    def test_grid_too_fine_for_a_float_is_rejected(self):
+        assert bid_grid_size(0.0, 6.0, 1e-3) == 6000
+        with pytest.raises(ValueError, match="xi 1e-320 gives no finite bid grid"):
+            bid_grid_size(0.0, 6.0, 1e-320)
+
+
 class TestResumedPricing:
     """Resumed probes against from-scratch greedy runs of the deviated market.
 
@@ -280,7 +286,7 @@ class TestResumedPricing:
             truthful = _truthful_run(m, config, stats)
             for jid in sorted(out.assignment):
                 j = m.job_by_id(jid)
-                wins = _resumed_probe(m, config, j, truthful, stats)
+                wins = _resumed_probe(config, j, truthful, stats)
                 floor = config.eta_s * j.duration
                 n = bid_grid_size(floor, j.bid_value, config.xi)
                 bids = [bid_grid_point(floor, j.bid_value, config.xi, k, n) for k in range(n + 1)]
@@ -306,7 +312,7 @@ class TestResumedPricing:
         assert ties > 300
 
     def test_standalone_critical_value_on_deviated_markets(self):
-        """Called the way the strategyproofness criterion calls it."""
+        """Priced the way the strategyproofness criterion prices a deviation."""
         checked = 0
         for m, config in self.markets(6006, 40):
             for j in m.jobs:
@@ -314,15 +320,10 @@ class TestResumedPricing:
                     reported = self.XI * max(1, round(reported / self.XI))
                     dev_job = replace(j, bid_value=reported)
                     dev = market([dev_job if x.id == j.id else x for x in m.jobs], m.channels)
-                    if j.id not in pvg_allocate(dev, config).assignment:
+                    out = run_pvg(dev, config)
+                    if j.id not in out.assignment:
                         continue
-                    price = critical_value(dev, config, dev_job)
-                    assert price == scan_critical_value(dev, config, j.id)
-                    # priced from a market where the job bids below its reserve
-                    if config.eta_s > 0:
-                        cheap = market([replace(j, bid_value=0.0) if x.id == j.id else x
-                                        for x in m.jobs], m.channels)
-                        assert critical_value(cheap, config, dev_job) == price
+                    assert out.payments[j.id] == scan_critical_value(dev, config, j.id)
                     checked += 1
         assert checked > 100
 

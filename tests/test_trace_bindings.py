@@ -37,3 +37,26 @@ def test_names_the_tracer_reads_directly_exist():
         assert getattr(stats, counter) == 0
     assert issubclass(vcg.SolverSizeError, Exception)
     assert callable(vcg.filter_reserve)
+
+
+def test_traced_clearings_time_the_pricing_bindings():
+    """A clearing run through the wrapped names shows up in the pricing metrics.
+
+    The mechanisms must keep solving and pricing through the module-level
+    names the tracer wraps, or these metrics silently read 0.
+    """
+    tracer = load_tracer()
+    package = importlib.import_module(tracer.PACKAGE)
+    experiment = importlib.import_module(f"{tracer.PACKAGE}.experiment")
+    hours = 3600
+    channel = package.Channel(1, "r1", "tv", ((0, 4 * hours),))
+    jobs = tuple(package.Job(i + 1, "r1", "tv", v, 0, 4 * hours, 2 * hours)
+                 for i, v in enumerate([10.0, 6.0, 4.0]))
+    market = package.LocalMarket("r1", "tv", jobs, (channel,))
+    config = package.AuctionConfig(beta=2.0)
+    with tracer.Tracer().installed() as traced:
+        assert experiment.run_vcg(market, config).assignment
+        assert experiment.run_pvg(market, config).assignment
+    metrics = traced.layer_metrics()
+    for name in ("vcg.solve_optimal.calls", "vcg.vcg_payments.s", "pvg.critical_value.calls"):
+        assert metrics[name] > 0, name

@@ -10,7 +10,6 @@ from spectrum_auctions import (
     Job,
     LocalMarket,
     SolverSizeError,
-    VcgSolution,
     filter_reserve,
     run_vcg,
     solve_optimal,
@@ -220,7 +219,7 @@ class TestTimeComponents:
             # bids are positive, so the per-component tie-break is the market-wide one
             assert tuple(sorted(sol.assignment)) == min(
                 tuple(sorted(s)) for s in res.best_winner_sets)
-            pay = vcg_payments(m, sol, eta)
+            pay = vcg_payments(m, sol)
             for jid in sol.assignment:
                 j = m.job_by_id(jid)
                 others = LocalMarket(REGION, BAND, tuple(x for x in m.jobs if x.id != jid),
@@ -246,25 +245,25 @@ class TestTimeComponents:
 class TestVcgPayments:
     def test_t1_pivot_payments(self, t1_market):
         sol = solve_optimal(t1_market, 0.0)
-        pay = vcg_payments(t1_market, sol, 0.0)
+        pay = vcg_payments(t1_market, sol)
         assert pay == {1: 4.0, 2: 4.0, 3: 0.0}
 
     def test_lone_winner_pays_nothing_without_reserve(self):
         m = market([job(1, 7.0, 0, 2 * H, H)], [Channel(1, REGION, BAND, ((0, 2 * H),))])
         sol = solve_optimal(m, 0.0)
-        assert vcg_payments(m, sol, 0.0) == {1: 0.0}
+        assert vcg_payments(m, sol) == {1: 0.0}
 
     def test_lone_winner_pays_reserve_floor(self):
         m = market([job(1, 7.0, 0, 2 * H, H)], [Channel(1, REGION, BAND, ((0, 2 * H),))])
         sol = solve_optimal(m, 0.001)
-        assert vcg_payments(m, sol, 0.001) == {1: 0.001 * H}
+        assert vcg_payments(m, sol) == {1: 0.001 * H}
 
     def test_individual_rationality(self, rng):
         for _ in range(40):
             m = random_market(rng, max_jobs=6, max_channels=2)
             eta = random_reserve(rng)
             sol = solve_optimal(m, eta)
-            pay = vcg_payments(m, sol, eta)
+            pay = vcg_payments(m, sol)
             for jid in sol.assignment:
                 j = m.job_by_id(jid)
                 assert eta * j.duration <= pay[jid] <= j.bid_value + 1e-9
@@ -282,7 +281,7 @@ class TestVcgPayments:
         for m, eta in markets:
             sol = solve_optimal(m, eta)
             best = enumerate_optimal(m, eta).best_welfare
-            pay = vcg_payments(m, sol, eta)
+            pay = vcg_payments(m, sol)
             for jid in sol.assignment:
                 j = m.job_by_id(jid)
                 others = LocalMarket(REGION, BAND, tuple(x for x in m.jobs if x.id != jid),
@@ -299,7 +298,7 @@ class TestVcgPayments:
             m = cent_market(rng, max_jobs=12, max_channels=3)
             eta = rng.choice([0.0, rng.randint(1, 150) / 100])
             sol = solve_optimal(m, eta)
-            pay = vcg_payments(m, sol, eta)
+            pay = vcg_payments(m, sol)
             for jid in sol.assignment:
                 j = m.job_by_id(jid)
                 others = LocalMarket(REGION, BAND, tuple(x for x in m.jobs if x.id != jid),
@@ -309,7 +308,8 @@ class TestVcgPayments:
                 priced += 1
         assert priced > 100
 
-    def test_hand_built_solution_is_priced_like_the_solved_one(self, rng):
+    def test_pricing_a_solution_twice_gives_the_same_payments(self, rng):
+        """Each pricing run resets the searches' state and reuses only their memo."""
         lone = market([job(1, 7.0, 0, 2 * H, H)], [Channel(1, REGION, BAND, ((0, 2 * H),))])
         # [0, 4H) holds the t1 jobs, [5H, 7H) two jobs of which one fits
         two_parts = market(
@@ -322,23 +322,21 @@ class TestVcgPayments:
                   for _ in range(20)]
         for m, eta, expected in cases:
             sol = solve_optimal(m, eta)
-            hand = VcgSolution(sol.welfare, dict(sol.assignment), dict(sol.allocations),
-                               sol.timelines)
-            assert hand == sol
-            pay = vcg_payments(m, hand, eta)
-            assert pay == vcg_payments(m, sol, eta)
+            first = vcg_payments(m, sol)
+            assert vcg_payments(m, sol) == first
+            assert run_vcg(m, AuctionConfig(eta_s=eta)).payments == first
             if expected is not None:
-                assert pay == expected
+                assert first == expected
 
     def test_prices_at_the_given_reserve(self):
         # job 2 bids 3 for 2 h, under the 3.6 reserve at 0.0005/s: it competes only at 0.0
         m = market([job(1, 10.0, 0, 2 * H, H), job(2, 3.0, 0, 2 * H, 2 * H)],
                    [Channel(1, REGION, BAND, ((0, 2 * H),))])
         at_zero, at_reserve = solve_optimal(m, 0.0), solve_optimal(m, 0.0005)
-        assert at_zero == at_reserve
-        assert vcg_payments(m, at_reserve, 0.0005) == {1: 0.0005 * H, 2: 0.0}
-        assert vcg_payments(m, at_zero, 0.0005) == vcg_payments(m, at_reserve, 0.0005)
-        assert vcg_payments(m, at_reserve, 0.0) == vcg_payments(m, at_zero, 0.0) == {1: 3.0, 2: 0.0}
+        assert at_zero.assignment == at_reserve.assignment and at_zero != at_reserve
+        assert (at_zero.eta_s, at_reserve.eta_s) == (0.0, 0.0005)
+        assert vcg_payments(m, at_reserve) == {1: 0.0005 * H, 2: 0.0}
+        assert vcg_payments(m, at_zero) == {1: 3.0, 2: 0.0}
 
     def test_decides_each_channel_set_once(self, rng, monkeypatch):
         """The solve and every pivot share one memo: no (channel, job set) is decided twice."""
