@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from math import sqrt
 
-from .experiment import ExperimentPlan, run_experiment, write_results_csv
-from .market import SpectrumAuctionError
+from .experiment import MECHANISM_ORDER, ExperimentPlan, run_experiment, write_results_csv
+from .market import AuctionConfig, SpectrumAuctionError
 from .workload import (
+    DAY_SECONDS,
+    DEFAULT_SLOT_SECONDS,
     WorkloadSpec,
     generate_requests,
     load_occupancy,
@@ -44,12 +45,13 @@ def _mechanisms(text: str) -> tuple[str, ...]:
 
 
 def _add_auction_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=1.0 + sqrt(2.0),
+    p.add_argument("--beta", type=float, default=AuctionConfig.beta,
                    help="preemption threshold factor (default 1+sqrt(2))")
-    p.add_argument("--xi", type=float, default=0.01, help="bid granularity (default 0.01)")
-    p.add_argument("--mechanisms", type=_mechanisms, default=("vcg", "pvg"),
+    p.add_argument("--xi", type=float, default=AuctionConfig.xi,
+                   help="bid granularity (default %(default)s)")
+    p.add_argument("--mechanisms", type=_mechanisms, default=MECHANISM_ORDER,
                    help="comma list out of vcg,pvg (default both)")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=ExperimentPlan.trials)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--day", type=int, default=None,
                    help="slice this 24h day out of the grid before running")
@@ -57,8 +59,8 @@ def _add_auction_flags(p: argparse.ArgumentParser) -> None:
                    help="override the exact-solver job cap")
     p.add_argument("--timing", action="store_true",
                    help="fill runtime_ms (breaks byte-identical reruns)")
-    p.add_argument("--delta", type=float, default=0.8,
-                   help="hot-time request fraction for set 2 (default 0.8)")
+    p.add_argument("--delta", type=float, default=WorkloadSpec.hot_fraction,
+                   help="hot-time request fraction for set 2 (default %(default)s)")
     p.add_argument("--out", required=True, help="results CSV path")
 
 
@@ -74,16 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=5)
     p.add_argument("--duty-cycle", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--slot-seconds", type=int, default=75)
+    p.add_argument("--slot-seconds", type=int, default=DEFAULT_SLOT_SECONDS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("gen-requests", help="draw a request batch CSV")
     p.add_argument("--lambda", dest="lam", type=int, required=True,
                    help="number of requests")
-    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=1)
-    p.add_argument("--delta", type=float, default=0.8)
+    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=WorkloadSpec.set_kind)
+    p.add_argument("--delta", type=float, default=WorkloadSpec.hot_fraction)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=86_400)
+    p.add_argument("--horizon", type=int, default=DAY_SECONDS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="single-point run")
@@ -91,15 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", default=None, help="request CSV (skips generation)")
     p.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="number of requests per trial (generator mode)")
-    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=1)
-    p.add_argument("--eta-s", type=float, default=0.0, help="reserve price per second")
+    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=WorkloadSpec.set_kind)
+    p.add_argument("--eta-s", type=float, default=AuctionConfig.eta_s,
+                   help="reserve price per second")
     _add_auction_flags(p)
 
     p = sub.add_parser("sweep", help="cartesian sweep over lambda and eta_s")
     p.add_argument("--grid", required=True)
     p.add_argument("--lambda-list", type=_int_list, required=True,
                    help="comma list, e.g. 8,15,25")
-    p.add_argument("--eta-s-list", type=_float_list, default=[0.0])
+    p.add_argument("--eta-s-list", type=_float_list, default=[AuctionConfig.eta_s])
     p.add_argument("--sets", type=_int_list, default=[1, 2])
     _add_auction_flags(p)
 

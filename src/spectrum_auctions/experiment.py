@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from math import sqrt
 
 import numpy as np
 
@@ -38,16 +37,16 @@ class ExperimentPlan:
     """Everything the driver needs beyond the occupancy grid."""
 
     lambdas: list[int]
-    eta_s_values: list[float] = field(default_factory=lambda: [0.0])
-    set_kinds: list[int] = field(default_factory=lambda: [1])
+    eta_s_values: list[float] = field(default_factory=lambda: [AuctionConfig.eta_s])
+    set_kinds: list[int] = field(default_factory=lambda: [WorkloadSpec.set_kind])
     trials: int = 1
     master_seed: int = 0
-    beta: float = 1.0 + sqrt(2.0)
-    xi: float = 0.01
+    beta: float = AuctionConfig.beta
+    xi: float = AuctionConfig.xi
     mechanisms: tuple[str, ...] = MECHANISM_ORDER
     vcg_max_jobs: int | None = None
     timing: bool = False
-    hot_fraction: float = 0.8
+    hot_fraction: float = WorkloadSpec.hot_fraction
     day: int | None = None
 
     def __post_init__(self) -> None:

@@ -15,7 +15,7 @@ plain lists owned by the caller; nothing here keeps global state.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import inf, sqrt
 
@@ -205,6 +205,11 @@ def processing_key(job: Job) -> tuple[float, int]:
     return (-job.unit_value, job.id)
 
 
+def winner_welfare(value_by_id: Mapping[int, float], winner_ids: Iterable[int]) -> float:
+    """The winners' bids summed in id order, so equal winner sets give bitwise-equal welfare."""
+    return sum((value_by_id[w] for w in sorted(winner_ids)), 0.0)
+
+
 def partition_markets(jobs: list[Job], channels: list[Channel]) -> list[LocalMarket]:
     """Group jobs and channels into local markets by (region, band_type).
 
@@ -389,10 +394,6 @@ class AuctionOutcome:
     allocations: dict[int, list[int]]
     payments: dict[int, float]
     timelines: dict[int, SegmentedTimeline]
-
-    @property
-    def winner_ids(self) -> set[int]:
-        return set(self.assignment)
 
     def allocated_seconds(self) -> int:
         return sum(sum(a) for a in self.allocations.values())

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .market import AuctionOutcome, Job, LocalMarket
+from .market import AuctionOutcome, Job, LocalMarket, winner_welfare
 
 
 def social_efficiency(outcome: AuctionOutcome, jobs: Iterable[Job]) -> float:
     """Sum of the true valuations of the winning jobs."""
-    by_id = {j.id: j for j in jobs}
-    return sum((by_id[jid].bid_value for jid in sorted(outcome.assignment)), 0.0)
+    return winner_welfare({j.id: j.bid_value for j in jobs}, outcome.assignment)
 
 
 def utilization_ratio(outcomes: AuctionOutcome | Iterable[AuctionOutcome],

@@ -4,12 +4,20 @@ Everything here recomputes from first principles instead of reusing the
 solver machinery: time is re-segmented directly from interval arithmetic
 and feasibility uses a from-scratch breadth-first augmenting-path flow,
 so agreement with the production code is a genuine two-implementation
-cross-check.  Exhaustive enumeration is capped at 12 jobs / 3 channels.
+cross-check.
+
+One exhaustive walk over every winner subset and channel assignment
+serves both optima; only its per-channel predicate differs.
+``enumerate_optimal`` decides a channel's job set by augmenting paths
+(split allocation, the mechanisms' model), ``contiguous_optimal`` by
+trying every time ordering of whole blocks.  Enumeration is capped at
+12 jobs / 3 channels.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .market import AuctionConfig, Channel, Job, LocalMarket, SpectrumAuctionError
@@ -113,38 +121,25 @@ def _channel_set_feasible(channel: Channel, jobs: list[Job]) -> bool:
     return _bfs_max_flow(cap, source, sink) == demand
 
 
-def enumerate_optimal(market: LocalMarket, eta_s: float) -> OracleResult:
+def _exhaustive(jobs: list[Job], channels: list[Channel],
+                fits: Callable[[Channel, list[Job]], bool]) -> OracleResult:
     """All winner subsets x channel assignments, keeping the best welfare.
 
-    Feasibility of each channel's job set is decided with the local
-    augmenting-path flow; assignments sharing an infeasible channel set
-    are skipped (adding jobs never restores feasibility).
+    ``fits`` decides one channel's job set (in id order) and is memoized
+    per (channel, job set); assignments sharing a set it rejects are
+    skipped (adding jobs never restores feasibility).  Welfare is summed
+    in id order, so equal winner sets give bitwise-equal welfare.
     """
-    _check_cap(market)
-    jobs = [j for j in market.jobs if j.bid_value >= eta_s * j.duration]
-    channels = list(market.channels)
+    by_id = {j.id: j for j in jobs}
+    memo: dict[tuple[int, frozenset[int]], bool] = {}
+    sets: list[set[int]] = [set() for _ in channels]
     best_welfare = 0.0
     best_sets: set[frozenset[int]] = {frozenset()}
-    if not channels:
-        return OracleResult(0.0, [frozenset()])
-
-    feas_memo: dict[tuple[int, frozenset[int]], bool] = {}
-    by_id = {j.id: j for j in jobs}
-
-    def feasible(ci: int, ids: frozenset[int]) -> bool:
-        hit = feas_memo.get((ci, ids))
-        if hit is None:
-            hit = _channel_set_feasible(channels[ci], [by_id[i] for i in sorted(ids)])
-            feas_memo[(ci, ids)] = hit
-        return hit
-
-    sets: list[set[int]] = [set() for _ in channels]
 
     def walk(i: int) -> None:
         nonlocal best_welfare, best_sets
         if i == len(jobs):
-            winners = frozenset(jid for s in sets for jid in s)
-            # canonical id-ordered sum, so equal sets give bitwise-equal welfare
+            winners = frozenset().union(*sets)
             welfare = sum((by_id[jid].bid_value for jid in sorted(winners)), 0.0)
             if welfare > best_welfare:
                 best_welfare = welfare
@@ -153,9 +148,11 @@ def enumerate_optimal(market: LocalMarket, eta_s: float) -> OracleResult:
                 best_sets.add(winners)
             return
         job = jobs[i]
-        for ci in range(len(channels)):
+        for ci, channel in enumerate(channels):
             trial = frozenset(sets[ci] | {job.id})
-            if feasible(ci, trial):
+            if (ci, trial) not in memo:
+                memo[ci, trial] = fits(channel, [by_id[jid] for jid in sorted(trial)])
+            if memo[ci, trial]:
                 sets[ci].add(job.id)
                 walk(i + 1)
                 sets[ci].remove(job.id)
@@ -163,6 +160,16 @@ def enumerate_optimal(market: LocalMarket, eta_s: float) -> OracleResult:
 
     walk(0)
     return OracleResult(best_welfare, sorted(best_sets, key=sorted))
+
+
+def enumerate_optimal(market: LocalMarket, eta_s: float) -> OracleResult:
+    """Best welfare and every winner set attaining it, at reserve ``eta_s``.
+
+    Each channel's job set is decided with the local augmenting-path flow.
+    """
+    _check_cap(market)
+    jobs = [j for j in market.jobs if j.bid_value >= eta_s * j.duration]
+    return _exhaustive(jobs, list(market.channels), _channel_set_feasible)
 
 
 def _earliest_contiguous(job: Job, channel: Channel, not_before: int) -> int | None:
@@ -199,39 +206,7 @@ def _contiguous_feasible(channel: Channel, jobs: list[Job]) -> bool:
 def contiguous_optimal(market: LocalMarket) -> float:
     """Best welfare when every winner must get one unbroken block of time."""
     _check_cap(market)
-    jobs = list(market.jobs)
-    channels = list(market.channels)
-    if not channels:
-        return 0.0
-    best = 0.0
-    memo: dict[tuple[int, frozenset[int]], bool] = {}
-    by_id = {j.id: j for j in jobs}
-
-    def feasible(ci: int, ids: frozenset[int]) -> bool:
-        hit = memo.get((ci, ids))
-        if hit is None:
-            hit = _contiguous_feasible(channels[ci], [by_id[i] for i in sorted(ids)])
-            memo[(ci, ids)] = hit
-        return hit
-
-    sets: list[set[int]] = [set() for _ in channels]
-
-    def walk(i: int, welfare: float) -> None:
-        nonlocal best
-        if i == len(jobs):
-            best = max(best, welfare)
-            return
-        job = jobs[i]
-        for ci in range(len(channels)):
-            trial = frozenset(sets[ci] | {job.id})
-            if feasible(ci, trial):
-                sets[ci].add(job.id)
-                walk(i + 1, welfare + job.bid_value)
-                sets[ci].remove(job.id)
-        walk(i + 1, welfare)
-
-    walk(0, 0.0)
-    return best
+    return _exhaustive(list(market.jobs), list(market.channels), _contiguous_feasible).best_welfare
 
 
 def _wins_at_bid(market: LocalMarket, config: AuctionConfig, job: Job, bid: float) -> bool:

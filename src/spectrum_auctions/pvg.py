@@ -218,13 +218,17 @@ def _truthful_run(market: LocalMarket, config: AuctionConfig,
 
 
 def bid_grid_size(floor: float, top: float, xi: float) -> int:
-    """Smallest n with floor + n*xi >= top; grid points are k*xi offsets."""
+    """Smallest n with floor + n*xi >= top; grid points are k*xi offsets.
+
+    An ``xi`` finer than the float spacing at ``top`` is rejected; any
+    other leaves the estimate below at most a few steps off.
+    """
     if top <= floor:
         return 0
-    steps = (top - floor) / xi
-    if not math.isfinite(steps):
-        raise ValueError(f"xi {xi} gives no finite bid grid from {floor} to {top}")
-    n = int(math.ceil(steps))
+    if not xi >= math.ulp(top):
+        raise ValueError(f"xi {xi} gives no finite bid grid from {floor} to {top}: "
+                         f"it is finer than the float spacing {math.ulp(top)} there")
+    n = int(math.ceil((top - floor) / xi))
     while n > 0 and floor + (n - 1) * xi >= top:
         n -= 1
     while floor + n * xi < top:
@@ -256,8 +260,6 @@ def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
 
     def wins(bid: float) -> bool:
         probe = replace(job, bid_value=bid)
-        if not filter_reserve([probe], config.eta_s):
-            return False
         rank = bisect_left(keys, processing_key(probe))
         state = without[rank].fork(others[:rank] + [probe] + others[rank:])
         _greedy(state, config, rank, stats)
@@ -273,8 +275,9 @@ def critical_value(config: AuctionConfig, job: Job, truthful: list[PvgState],
     ``truthful`` is the market's own run as ``_truthful_run`` keeps it.
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below the reported value ``job.bid_value``, plus that value.
-    Bid monotonicity makes the win predicate a threshold over them, so a
-    binary search finds it.
+    Bid monotonicity makes the win predicate a threshold over them, so
+    ``bisect_left`` finds the first winning one among the n below the
+    value, which itself wins by assumption and is never probed.
     """
     floor = config.eta_s * job.duration
     top = job.bid_value
@@ -282,14 +285,9 @@ def critical_value(config: AuctionConfig, job: Job, truthful: list[PvgState],
     if n == 0:
         return top
     wins = _resumed_probe(config, job, truthful, stats)
-    lo, hi = 0, n  # candidate n == top wins by assumption
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if wins(bid_grid_point(floor, top, config.xi, mid, n)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return bid_grid_point(floor, top, config.xi, lo, n)
+    first = bisect_left(range(n), True,
+                        key=lambda k: wins(bid_grid_point(floor, top, config.xi, k, n)))
+    return bid_grid_point(floor, top, config.xi, first, n)
 
 
 def run_pvg(market: LocalMarket, config: AuctionConfig,

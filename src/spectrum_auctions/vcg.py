@@ -53,6 +53,7 @@ from .market import (
     processing_key,
     set_feasible,
     window_flow_allocation,
+    winner_welfare,
 )
 
 DEFAULT_MAX_JOBS = 18
@@ -134,7 +135,7 @@ class _Search:
         targets = [i for i, j in enumerate(self.order) if j.id in winners]
         others = [tuple(sorted(w for w in winners if w != self.order[i].id)) for i in targets]
         self._run([1 << i for i in targets],
-                  [_canonical_welfare(self.value_by_id, ids) for ids in others], others)
+                  [winner_welfare(self.value_by_id, ids) for ids in others], others)
         return [(self.order[i], ids) for i, ids in zip(targets, self.best_sets)]
 
     def _run(self, excluded: list[int], best: list[float],
@@ -188,7 +189,7 @@ class _Search:
 
     def _offer_leaf(self, accepted: int) -> None:
         winners = tuple(sorted(self.assignment))
-        canon = _canonical_welfare(self.value_by_id, winners)
+        canon = winner_welfare(self.value_by_id, winners)
         best = self.best
         for t, bit in enumerate(self.excluded):
             if bit & accepted or canon < best[t]:
@@ -203,12 +204,6 @@ class _Search:
             best[t] = canon
             self.best_sets[t] = winners
             self.cutoffs.clear()
-
-
-def _canonical_welfare(value_by_id: dict[int, float], winner_ids) -> float:
-    # id-ordered sum: equal winner sets always give bitwise-equal welfare,
-    # no matter the order the search accepted them in
-    return sum((value_by_id[w] for w in sorted(winner_ids)), 0.0)
 
 
 def _time_components(jobs: list[Job]) -> list[list[Job]]:
@@ -273,7 +268,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     for search in searches:
         assignment.update(search.solve())
     by_id = {j.id: j for j in jobs}
-    welfare = _canonical_welfare({j.id: j.bid_value for j in jobs}, assignment)
+    welfare = winner_welfare({j.id: j.bid_value for j in jobs}, assignment)
 
     allocations: dict[int, list[int]] = {}
     for c in market.channels:
@@ -302,7 +297,7 @@ def vcg_payments(market: LocalMarket, solution: VcgSolution) -> dict[int, float]
         own = {w for w in solution.assignment if w in search.value_by_id}
         rest = [w for w in solution.assignment if w not in own]
         for job, best_set in search.price(own):
-            welfare_without = _canonical_welfare(value_by_id, [*rest, *best_set])
+            welfare_without = winner_welfare(value_by_id, [*rest, *best_set])
             pivot = welfare_without - (solution.welfare - job.bid_value)
             payments[job.id] = max(pivot, solution.eta_s * job.duration)
     return payments

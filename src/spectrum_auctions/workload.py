@@ -31,7 +31,7 @@ BAND_TYPE = "tv"
 
 
 class OccupancyFormatError(SpectrumAuctionError):
-    """Malformed occupancy CSV; the message carries the offending line."""
+    """Malformed occupancy CSV; the message names the file and the offending line."""
 
 
 @dataclass(frozen=True)
@@ -92,41 +92,40 @@ class OccupancyGrid:
 
 
 def load_occupancy(path: str) -> OccupancyGrid:
-    """Parse an occupancy CSV, reporting the line number of any defect."""
+    """Parse an occupancy CSV, naming the file and line of any defect."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise OccupancyFormatError("line 1: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise OccupancyFormatError(f"{path}, line 1: empty file")
         if len(header) != 2 or header[0] != "slot_seconds":
-            raise OccupancyFormatError("line 1: expected header 'slot_seconds,<int>'")
+            raise OccupancyFormatError(f"{path}, line 1: expected header 'slot_seconds,<int>'")
         try:
             slot_seconds = int(header[1])
         except ValueError:
-            raise OccupancyFormatError(f"line 1: slot_seconds {header[1]!r} is not an integer") from None
+            raise OccupancyFormatError(
+                f"{path}, line 1: slot_seconds {header[1]!r} is not an integer") from None
         if slot_seconds <= 0:
-            raise OccupancyFormatError("line 1: slot_seconds must be positive")
+            raise OccupancyFormatError(f"{path}, line 1: slot_seconds must be positive")
 
         rows: list[list[int]] = []
         width = None
-        for lineno, cells in enumerate(reader, start=2):
+        for cells in reader:
             if not cells:
                 continue
+            where = f"{path}, line {reader.line_num}"
             if width is None:
                 width = len(cells)
             elif len(cells) != width:
-                raise OccupancyFormatError(
-                    f"line {lineno}: row has {len(cells)} cells, expected {width}"
-                )
+                raise OccupancyFormatError(f"{where}: row has {len(cells)} cells, expected {width}")
             parsed = []
             for cell in cells:
                 if cell not in ("0", "1"):
-                    raise OccupancyFormatError(f"line {lineno}: cell {cell!r} is not 0 or 1")
+                    raise OccupancyFormatError(f"{where}: cell {cell!r} is not 0 or 1")
                 parsed.append(int(cell))
             rows.append(parsed)
         if not rows:
-            raise OccupancyFormatError("line 2: no channel rows")
+            raise OccupancyFormatError(f"{path}, line 2: no channel rows")
     return OccupancyGrid(slot_seconds, np.array(rows, dtype=np.uint8))
 
 

@@ -197,6 +197,8 @@ class TestBadInput:
         ("--beta", "inf", "beta must be finite and >= 1, got inf"),
         ("--xi", "nan", "xi must be finite and > 0, got nan"),
         ("--xi", "1e-320", "xi 1e-320 gives no finite bid grid"),
+        # a finite grid size, but finer than the float spacing at any bid
+        ("--xi", "1e-100", "xi 1e-100 gives no finite bid grid"),
     ])
     def test_non_finite_auction_flag(self, grid_csv, tmp_path, capsys, flag, value, message):
         self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", flag, value,
@@ -265,3 +267,13 @@ class TestBadInput:
         missing = tmp_path / "absent.csv"
         self.assert_error(capsys, ["run", "--grid", str(missing), "--lambda", "3",
                                    "--out", str(tmp_path / "x.csv")], str(missing))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("slot_seconds,75\n0,1,0\n0,2,0\n", "line 3: cell '2' is not 0 or 1"),
+    ], ids=["empty", "bad-cell"])
+    def test_bad_grid_file_names_file_and_line(self, tmp_path, capsys, text, message):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        self.assert_error(capsys, ["run", "--grid", str(grid), "--lambda", "3",
+                                   "--out", str(tmp_path / "x.csv")], f"{grid}, {message}")

@@ -19,7 +19,7 @@ from spectrum_auctions.oracle import (
     scan_critical_value,
 )
 
-from conftest import BAND, REGION, random_market, random_reserve
+from conftest import BAND, REGION, random_channel, random_market, random_reserve
 
 H = 3600
 
@@ -102,6 +102,25 @@ class TestContiguousOptimal:
         for _ in range(60):
             m = random_market(rig, max_jobs=4, max_channels=2, grid_max=6)
             assert enumerate_optimal(m, 0.0).best_welfare >= contiguous_optimal(m)
+
+    def test_equals_split_optimum_when_jobs_fill_their_windows(self):
+        # A job as long as its window must take all of it, and with no two
+        # free intervals touching a fully free window lies inside one of
+        # them, so the split and contiguous models admit the same sets.
+        rig = random.Random(13)
+        positive = 0
+        for _ in range(400):
+            channels = [random_channel(rig, cid + 1) for cid in range(rig.randint(1, 2))]
+            jobs = []
+            for jid in range(1, rig.randint(1, 5) + 1):
+                a = rig.randint(0, 7)
+                d = rig.randint(a + 1, 8)
+                jobs.append(job(jid, rig.randint(1, 48) * 0.25, a, d, d - a))
+            m = market(jobs, channels)
+            best = contiguous_optimal(m)
+            assert enumerate_optimal(m, 0.0).best_welfare == best
+            positive += best > 0
+        assert positive > 100
 
 
 class TestScanCriticalValue:

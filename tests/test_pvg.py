@@ -1,5 +1,6 @@
 """Greedy mechanism: case rules, payments, monotonicity, bounds."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -249,6 +250,25 @@ class TestBidGrid:
         assert bid_grid_size(0.0, 6.0, 1e-3) == 6000
         with pytest.raises(ValueError, match="xi 1e-320 gives no finite bid grid"):
             bid_grid_size(0.0, 6.0, 1e-320)
+
+    @pytest.mark.parametrize("floor, top, xi", [(0.0, 5.0, 1e-100), (1e9, 1e9 + 1, 1e-15)])
+    def test_grid_finer_than_float_spacing_is_rejected(self, floor, top, xi):
+        # both step counts are finite, but neighbouring grid points round to one float
+        with pytest.raises(ValueError, match=f"xi {xi} gives no finite bid grid"):
+            bid_grid_size(floor, top, xi)
+
+    def test_finest_grids_keep_their_size(self):
+        assert bid_grid_size(0.0, 6.0, 1e-15) == 6 * 10**15
+        assert bid_grid_size(0.0, 6.0, math.ulp(6.0)) == 6 * 2**50
+
+    def test_size_matches_linear_scan(self):
+        rig = random.Random(3)
+        for _ in range(500):
+            floor = rig.choice([0.0, rig.uniform(0.0, 5.0)])
+            top = rig.uniform(0.0, 6.0)
+            xi = rig.choice([0.25, 0.01, rig.uniform(0.01, 1.0)])
+            expected = next(n for n in itertools.count() if floor + n * xi >= top)
+            assert bid_grid_size(floor, top, xi) == expected
 
 
 class TestResumedPricing:
