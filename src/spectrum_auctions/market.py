@@ -201,7 +201,7 @@ def filter_reserve(jobs: Iterable[Job], eta_s: float) -> list[Job]:
 
 
 def processing_key(job: Job) -> tuple[float, int]:
-    """Both mechanisms' job order: per-second bid descending, ties by ascending id."""
+    """The greedy's job order: per-second bid descending, ties by ascending id."""
     return (-job.unit_value, job.id)
 
 

@@ -5,7 +5,9 @@ reserve, single-channel-per-job, and slot-capacity constraints.  The
 search is a hand-rolled depth-first branch and bound: each job is either
 rejected or assigned to one channel, every partial assignment keeps each
 channel's job set jointly feasible, and one upper bound prunes the tree:
-the value so far plus the sum of the bids not yet branched on.
+the value so far plus the sum of the bids not yet branched on.  Jobs are
+branched on largest bid first (ties by id), so that bound shrinks as
+fast as it can.
 
 The market is first cut into time components: sorted by arrival, a
 new component starts wherever the next arrival is at or after every
@@ -50,7 +52,6 @@ from .market import (
     build_timelines,
     candidate_channels,
     filter_reserve,
-    processing_key,
     set_feasible,
     window_flow_allocation,
     winner_welfare,
@@ -82,16 +83,17 @@ class VcgSolution:
 class _Search:
     """DFS state for the branch and bound over one time component.
 
-    Jobs are indexed by their position in the branching order (best rate
-    first); each channel's tentative job set is an index bitmask, which
+    Jobs are indexed by their position in the branching order (largest
+    bid first); each channel's tentative job set is an index bitmask, which
     keeps the feasibility memo keys cheap to hash.  One DFS body serves
     every run: a run has a list of targets, each the best welfare over
     the leaves that leave out one job (its excluded bit), and a node is
     searched while its value plus the bids still to branch on (the one
     bound) reaches the smallest target it can still raise.  ``solve()``
-    has one target that excludes nothing; ``price()`` one per winner,
-    each keeping the winner set of the leaf that set it.  All runs share
-    the feasibility memo.
+    has one target that excludes nothing; ``price()`` one per winner.
+    Each target keeps the smallest key among the leaves that reach it
+    (winner ids, then for the solve channel ids), so no result depends on
+    the branching order.  All runs share the feasibility memo.
     """
 
     # The bound is compared with a hair of slack: an exactly-tight float
@@ -122,8 +124,7 @@ class _Search:
     def solve(self) -> dict[int, int]:
         """The best assignment, ties to the smallest (winner ids, channel ids)."""
         self._run([0], [-1.0], [()])
-        assert self.best_assignment is not None
-        return self.best_assignment
+        return dict(zip(*self.best_sets[0]))
 
     def price(self, winners: set[int]) -> list[tuple[Job, tuple[int, ...]]]:
         """The best winner set without each winner of ``winners``, all from one DFS.
@@ -139,7 +140,7 @@ class _Search:
         return [(self.order[i], ids) for i, ids in zip(targets, self.best_sets)]
 
     def _run(self, excluded: list[int], best: list[float],
-             best_sets: list[tuple[int, ...]]) -> None:
+             best_sets: list[tuple]) -> None:
         # A node carries ``accepted``, the excluded bits it has taken;
         # target t is alive there while ``excluded[t] & accepted`` is 0.
         # The cutoff of each ``accepted`` is cached until a leaf raises a
@@ -150,8 +151,6 @@ class _Search:
         self.best_sets = best_sets
         self.watched = sum(excluded)
         self.cutoffs: dict[int, float] = {}
-        self.best_key: tuple | None = None
-        self.best_assignment: dict[int, int] | None = None
         self._dfs(0, 0.0, 0)
 
     def _cutoff(self, accepted: int) -> float:
@@ -194,15 +193,12 @@ class _Search:
         for t, bit in enumerate(self.excluded):
             if bit & accepted or canon < best[t]:
                 continue
-            if bit == 0:  # the solve keeps its assignment; ties go to the smaller key
-                key = (winners, tuple(self.assignment[w] for w in winners))
-                if canon == best[t] and key >= self.best_key:
-                    continue
-                self.best_key, self.best_assignment = key, dict(self.assignment)
-            elif canon == best[t]:
+            # ties go to the smaller key; the solve's key adds its channels
+            key = winners if bit else (winners, tuple(self.assignment[w] for w in winners))
+            if canon == best[t] and key >= self.best_sets[t]:
                 continue
             best[t] = canon
-            self.best_sets[t] = winners
+            self.best_sets[t] = key
             self.cutoffs.clear()
 
 
@@ -228,7 +224,7 @@ def _component_searches(jobs: list[Job],
     candidates = candidate_channels(jobs, timelines)
     searches = []
     for component in _time_components(jobs):
-        order = sorted(component, key=processing_key)
+        order = sorted(component, key=lambda j: (-j.bid_value, j.id))
         searches.append(_Search(order, timelines, [candidates[j.id] for j in order]))
     return searches
 
@@ -251,6 +247,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     positive bids this is the market-wide smallest winner id set too.  A
     zero-bid job wins only when, in its own component, a winner with a
     higher id wins beside it; winners in other components do not count.
+    The assignment is keyed in id order, whatever the branching order.
     Worst case is exponential; the job cap (``max_jobs``, default
     ``DEFAULT_MAX_JOBS``) counts every eligible job of the market and
     guards it.
@@ -264,9 +261,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
         )
     timelines = build_timelines(market)
     searches = _component_searches(jobs, timelines)
-    assignment: dict[int, int] = {}
-    for search in searches:
-        assignment.update(search.solve())
+    assignment = dict(sorted(pair for search in searches for pair in search.solve().items()))
     by_id = {j.id: j for j in jobs}
     welfare = winner_welfare({j.id: j.bid_value for j in jobs}, assignment)
 
