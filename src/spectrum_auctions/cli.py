@@ -55,8 +55,8 @@ def _add_auction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--day", type=int, default=None,
                    help="slice this 24h day out of the grid before running")
-    p.add_argument("--vcg-max-jobs", type=int, default=None,
-                   help="override the exact-solver job cap")
+    p.add_argument("--vcg-max-jobs", type=int, default=ExperimentPlan.vcg_max_jobs,
+                   help="exact-solver job cap (default %(default)s)")
     p.add_argument("--timing", action="store_true",
                    help="fill runtime_ms (breaks byte-identical reruns)")
     p.add_argument("--delta", type=float, default=WorkloadSpec.hot_fraction,

@@ -20,7 +20,7 @@ import numpy as np
 from .market import AuctionConfig, Job, LocalMarket
 from .metrics import social_efficiency, utilization_ratio
 from .pvg import pvg_allocate, run_pvg
-from .vcg import SolverSizeError, run_vcg, solve_optimal
+from .vcg import DEFAULT_MAX_JOBS, SolverSizeError, run_vcg, solve_optimal
 from .workload import BAND_TYPE, REGION, OccupancyGrid, WorkloadSpec, generate_requests
 
 log = logging.getLogger(__name__)
@@ -44,7 +44,7 @@ class ExperimentPlan:
     beta: float = AuctionConfig.beta
     xi: float = AuctionConfig.xi
     mechanisms: tuple[str, ...] = MECHANISM_ORDER
-    vcg_max_jobs: int | None = None
+    vcg_max_jobs: int = DEFAULT_MAX_JOBS
     timing: bool = False
     hot_fraction: float = WorkloadSpec.hot_fraction
     day: int | None = None
@@ -62,7 +62,7 @@ class ExperimentPlan:
                 raise ValueError(f"duplicate values in {name}: {values}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.vcg_max_jobs is not None and self.vcg_max_jobs < 0:
+        if self.vcg_max_jobs < 0:
             raise ValueError(f"vcg_max_jobs must not be negative, got {self.vcg_max_jobs}")
         for lam in self.lambdas:
             if lam < 0:
@@ -75,7 +75,7 @@ def trial_seed(master_seed: int, set_kind: int, lam: int, trial: int) -> int:
 
 
 def _run_mechanism(mech: str, market: LocalMarket, config: AuctionConfig,
-                   vcg_max_jobs: int | None, timing: bool):
+                   vcg_max_jobs: int, timing: bool):
     """Returns (efficiency, utilization, revenue, runtime_ms) or None if capped."""
     start = time.perf_counter() if timing else 0.0
     if mech == "vcg":
@@ -196,11 +196,8 @@ def _mean_row(rows: list[dict]) -> dict:
 
 
 def format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Blank for None, else ``str``: for a float that is its shortest round-trip repr."""
+    return "" if value is None else str(value)
 
 
 def write_results_csv(rows: list[dict], path: str) -> None:

@@ -18,6 +18,7 @@ import heapq
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import inf, sqrt
+from numbers import Real
 
 
 class SpectrumAuctionError(Exception):
@@ -28,12 +29,19 @@ class InfeasibleCommitError(SpectrumAuctionError):
     """A commit was requested for a job that does not fit its window."""
 
 
+def _whole_seconds(value, what: str) -> int:
+    """``value`` as an int; a ValueError naming ``what`` unless it is a whole number."""
+    if type(value) is int or isinstance(value, Real) and value % 1 == 0:
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not a whole number of seconds")
+
+
 @dataclass(frozen=True)
 class Job:
     """One secondary-user request for channel time.
 
     ``bid_value`` is the reported willingness to pay for ``duration``
-    seconds delivered anywhere inside ``[arrival, deadline)``.
+    seconds delivered anywhere inside ``[arrival, deadline)``; times are whole seconds.
     """
 
     id: int
@@ -45,6 +53,8 @@ class Job:
     duration: int
 
     def __post_init__(self) -> None:
+        for name in ("arrival", "deadline", "duration"):
+            object.__setattr__(self, name, _whole_seconds(getattr(self, name), f"job {self.id}: {name}"))
         if self.arrival >= self.deadline:
             raise ValueError(f"job {self.id}: arrival must precede deadline")
         if not 0 < self.duration <= self.deadline - self.arrival:
@@ -54,7 +64,7 @@ class Job:
 
     @property
     def unit_value(self) -> float:
-        """Bid per requested second; both mechanisms process jobs by it."""
+        """Bid per requested second; the greedy's ``processing_key`` orders jobs by it."""
         return self.bid_value / self.duration
 
 
@@ -63,7 +73,7 @@ class Channel:
     """One sellable spectrum unit with its free time intervals.
 
     ``free_intervals`` are disjoint, sorted, half-open ``[start, end)``
-    second ranges during which the primary user is idle.
+    whole-second ranges during which the primary user is idle.
     """
 
     id: int
@@ -72,7 +82,8 @@ class Channel:
     free_intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        ivs = tuple((int(s), int(e)) for s, e in self.free_intervals)
+        ivs = tuple(tuple(_whole_seconds(t, f"channel {self.id}: interval edge") for t in iv)
+                    for iv in self.free_intervals)
         object.__setattr__(self, "free_intervals", ivs)
         prev_end = None
         for s, e in ivs:
@@ -99,20 +110,15 @@ class LocalMarket:
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(sorted(self.jobs, key=lambda j: j.id)))
         object.__setattr__(self, "channels", tuple(sorted(self.channels, key=lambda c: c.id)))
-        seen: set[int] = set()
-        for j in self.jobs:
-            if (j.region, j.band_type) != (self.region, self.band_type):
-                raise ValueError(f"job {j.id} does not belong to market ({self.region}, {self.band_type})")
-            if j.id in seen:
-                raise ValueError(f"duplicate job id {j.id} in market ({self.region}, {self.band_type})")
-            seen.add(j.id)
-        seen_ch: set[int] = set()
-        for c in self.channels:
-            if (c.region, c.band_type) != (self.region, self.band_type):
-                raise ValueError(f"channel {c.id} does not belong to market ({self.region}, {self.band_type})")
-            if c.id in seen_ch:
-                raise ValueError(f"duplicate channel id {c.id} in market ({self.region}, {self.band_type})")
-            seen_ch.add(c.id)
+        key = f"({self.region}, {self.band_type})"
+        for kind, members in (("job", self.jobs), ("channel", self.channels)):
+            seen: set[int] = set()
+            for x in members:
+                if (x.region, x.band_type) != (self.region, self.band_type):
+                    raise ValueError(f"{kind} {x.id} does not belong to market {key}")
+                if x.id in seen:
+                    raise ValueError(f"duplicate {kind} id {x.id} in market {key}")
+                seen.add(x.id)
 
     def job_by_id(self, job_id: int) -> Job:
         for j in self.jobs:

@@ -2,13 +2,13 @@
 
 Jobs are processed by descending per-second bid value.  A job is accepted
 outright into the first of its ``market.candidate_channels`` with enough
-residual window capacity (case 1).  Otherwise, per candidate channel, the
-cheapest allocated jobs overlapping its window are tentatively removed
-one by one until it would fit; if the newcomer's bid exceeds ``beta``
-times the total value of that minimal eviction prefix, the prefix is
-preempted and the newcomer commits (case 2), after which earlier-ranked
-unplaced jobs are re-admitted into the freed channel wherever they now
-fit without further eviction (case 3).  Jobs failing everywhere are rejected.
+residual window capacity (case 1).  Otherwise, per candidate channel, its
+cheapest winners overlapping the job's window are tentatively removed one
+by one until it fits; if the newcomer's bid exceeds ``beta`` times the
+total value of that minimal eviction prefix, the prefix is preempted and
+the newcomer commits (case 2), after which earlier-ranked unplaced jobs
+are re-admitted into the freed channel wherever they now fit without
+further eviction (case 3).  Jobs failing everywhere are rejected.
 
 The allocation is meant to be bid monotone (case 3 retrying only the
 preempting channel breaks that on some multi-channel markets), so each
@@ -26,16 +26,15 @@ i at its rank r for b under ``processing_key`` and resumes from the
 state before rank r; it still runs to the end, because later jobs may
 preempt i or readmit it.  This is exact: processing a job
 reads only the jobs ranked above it (case-3 readmission scans
-``order[:idx]``, and an unprocessed job holds no seconds the eviction
-prefix could take), so the jobs above r are processed in the probe
-exactly as in the run without i, and the runs with and without i agree
-above i's own rank.
+``order[:idx]``, and the eviction prefix walks only placed jobs), so
+the jobs above r are processed in the probe exactly as in the run
+without i, and the runs with and without i agree above i's own rank.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 
 from .market import (
@@ -70,16 +69,18 @@ class PvgState:
 
     ``order`` is the processing order (``processing_key``) over
     reserve-eligible jobs, ``candidates`` every market job's candidate
-    channels, ``committed`` each channel's per-slot used seconds.
+    channels, ``winners`` each channel's placed jobs in processing order,
+    and ``committed`` each channel's per-slot used seconds, the sum of
+    its winners' ``allocations``.
     ``_truthful_run`` keeps a fork before every rank for pricing to resume from.
     """
 
     order: list[Job]
     timelines: dict[int, SegmentedTimeline]
     candidates: dict[int, list[int]]
-    assignment: dict[int, int] = field(default_factory=dict)
+    winners: dict[int, list[Job]]
+    committed: dict[int, list[int]]
     allocations: dict[int, list[int]] = field(default_factory=dict)
-    committed: dict[int, list[int]] = field(default_factory=dict)
 
     def fork(self, order: list[Job] | None = None) -> PvgState:
         """An independent copy, over ``order`` when given.
@@ -91,30 +92,28 @@ class PvgState:
             order=self.order if order is None else order,
             timelines=self.timelines,
             candidates=self.candidates,
-            assignment=dict(self.assignment),
-            allocations=dict(self.allocations),
+            winners={cid: list(placed) for cid, placed in self.winners.items()},
             committed={cid: list(used) for cid, used in self.committed.items()},
+            allocations=dict(self.allocations),
         )
 
 
-def _eviction_prefix(job: Job, cid: int, state: PvgState,
-                     stats: PvgStats) -> list[Job] | None:
+def _eviction_prefix(job: Job, cid: int, state: PvgState, stats: PvgStats) -> list[Job]:
     """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``.
 
-    Candidates are the jobs allocated in this channel with any seconds
-    inside ``job``'s window, ordered by per-second value ascending (ties:
-    descending id), which is ``state.order`` reversed.  Removing one frees
-    exactly its in-window seconds, so a running total from the window's
-    residual finds the first point at which the job fits.  None when even
-    removing every candidate does not help, as on any non-candidate channel.
+    Candidates are the channel's winners with any seconds inside ``job``'s
+    window, ordered by per-second value ascending (ties: descending id),
+    which is ``state.winners[cid]`` reversed.  Removing one frees exactly
+    its in-window seconds, so a running total from the window's residual
+    finds the first point at which the job fits.  ``cid`` is one of the
+    job's candidate channels, so removing every overlapping winner frees
+    the whole window capacity, which covers the job's duration.
     """
     timeline = state.timelines[cid]
     first, last = timeline.window_range(job)
     free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
     prefix: list[Job] = []
-    for cand in reversed(state.order):
-        if state.assignment.get(cand.id) != cid:
-            continue
+    for cand in reversed(state.winners[cid]):
         freed = sum(state.allocations[cand.id][first:last + 1])
         if not freed:
             continue
@@ -122,8 +121,8 @@ def _eviction_prefix(job: Job, cid: int, state: PvgState,
         stats.fit_checks += 1
         free += freed
         if free >= job.duration:
-            return prefix
-    return None
+            break
+    return prefix
 
 
 def _initial_state(market: LocalMarket, config: AuctionConfig,
@@ -132,6 +131,7 @@ def _initial_state(market: LocalMarket, config: AuctionConfig,
         order=sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key),
         timelines=timelines,
         candidates=candidate_channels(market.jobs, timelines),
+        winners={cid: [] for cid in timelines},
         committed={cid: tl.empty_usage() for cid, tl in timelines.items()},
     )
 
@@ -152,7 +152,7 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
 
     def accept(job: Job, cid: int) -> None:
         state.allocations[job.id] = commit_allocation(job, timelines[cid], state.committed[cid])
-        state.assignment[job.id] = cid
+        insort(state.winners[cid], job, key=processing_key)
         stats.commits += 1
 
     for idx in range(start, len(order)):
@@ -166,18 +166,16 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
         else:
             for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
                 prefix = _eviction_prefix(job, cid, state, stats)
-                if prefix is None:
-                    continue
                 if job.bid_value > config.beta * sum(p.bid_value for p in prefix):
                     for victim in prefix:
                         release_allocation(timelines[cid], state.committed[cid],
                                            state.allocations.pop(victim.id))
-                        del state.assignment[victim.id]
+                        state.winners[cid].remove(victim)
                         stats.preemptions += 1
                     accept(job, cid)
                     # case 3: readmission into this channel only
                     for earlier in order[:idx]:
-                        if earlier.id in state.assignment or cid not in state.candidates[earlier.id]:
+                        if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
                             continue
                         if fits(earlier, cid):
                             accept(earlier, cid)
@@ -188,9 +186,10 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
 
 
 def _outcome(state: PvgState) -> AuctionOutcome:
+    assignment = dict(sorted((j.id, cid) for cid, placed in state.winners.items() for j in placed))
     return AuctionOutcome(
-        assignment=dict(state.assignment),
-        allocations={k: list(v) for k, v in state.allocations.items()},
+        assignment=assignment,
+        allocations={jid: list(state.allocations[jid]) for jid in assignment},
         payments={},
         timelines=state.timelines,
     )
@@ -263,7 +262,7 @@ def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
         rank = bisect_left(keys, processing_key(probe))
         state = without[rank].fork(others[:rank] + [probe] + others[rank:])
         _greedy(state, config, rank, stats)
-        return probe.id in state.assignment
+        return probe.id in state.allocations
 
     return wins
 
@@ -297,12 +296,11 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
     The timelines are cut once and every winner is priced by probes that
     resume from the kept states of the allocation run (module docstring).
     """
-    if stats is None:
-        stats = PvgStats()
+    stats = PvgStats() if stats is None else stats
     truthful = _truthful_run(market, config, stats)
     outcome = _outcome(truthful[-1])
     payments = {j.id: 0.0 for j in market.jobs}
-    for jid in sorted(outcome.assignment):
+    for jid in outcome.assignment:
         payments[jid] = critical_value(config, market.job_by_id(jid), truthful, stats)
     outcome.payments = payments
     return outcome

@@ -238,7 +238,7 @@ def _bits(mask: int):
         idx += 1
 
 
-def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None) -> VcgSolution:
+def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX_JOBS) -> VcgSolution:
     """Exact welfare-maximizing assignment for one local market.
 
     Each time component is solved on its own, and welfare ties are broken
@@ -248,15 +248,13 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int | None = None
     zero-bid job wins only when, in its own component, a winner with a
     higher id wins beside it; winners in other components do not count.
     The assignment is keyed in id order, whatever the branching order.
-    Worst case is exponential; the job cap (``max_jobs``, default
-    ``DEFAULT_MAX_JOBS``) counts every eligible job of the market and
-    guards it.
+    Worst case is exponential; the job cap ``max_jobs`` counts every
+    eligible job of the market and guards it.
     """
     jobs = filter_reserve(market.jobs, eta_s)
-    cap = DEFAULT_MAX_JOBS if max_jobs is None else max_jobs
-    if len(jobs) > cap:
+    if len(jobs) > max_jobs:
         raise SolverSizeError(
-            f"{len(jobs)} jobs exceed the exact-solver cap of {cap}; "
+            f"{len(jobs)} jobs exceed the exact-solver cap of {max_jobs}; "
             "pass max_jobs (--vcg-max-jobs) to override"
         )
     timelines = build_timelines(market)
@@ -299,7 +297,7 @@ def vcg_payments(market: LocalMarket, solution: VcgSolution) -> dict[int, float]
 
 
 def run_vcg(market: LocalMarket, config: AuctionConfig,
-            max_jobs: int | None = None) -> AuctionOutcome:
+            max_jobs: int = DEFAULT_MAX_JOBS) -> AuctionOutcome:
     """Solve, price, and package the exact mechanism's outcome."""
     solution = solve_optimal(market, config.eta_s, max_jobs=max_jobs)
     payments = vcg_payments(market, solution)

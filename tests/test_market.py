@@ -59,6 +59,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             channel(1, [(0, 4), (2, 6)])
 
+    @pytest.mark.parametrize("intervals, edge", [(((0, 7.9),), "7.9"), (((0.5, 0.9),), "0.5"),
+                                                 (((0, float("nan")),), "nan")])
+    def test_channel_rejects_fractional_edges(self, intervals, edge):
+        with pytest.raises(ValueError, match=f"channel 1: interval edge {edge} is not a whole number"):
+            channel(1, intervals)
+
+    def test_channel_keeps_whole_float_edges(self):
+        ivs = channel(1, [(0.0, 8.0)]).free_intervals
+        assert ivs == ((0, 8),) and all(type(t) is int for iv in ivs for t in iv)
+
+    @pytest.mark.parametrize("times, name", [((0.5, 4, 1), "arrival"), ((0, 3.5, 1), "deadline"),
+                                             ((0, 4, 1.25), "duration"), ((0, float("inf"), 1), "deadline")])
+    def test_job_rejects_fractional_times(self, times, name):
+        with pytest.raises(ValueError, match=f"job 7: {name} .* is not a whole number"):
+            job(7, 1.0, *times)
+
+    def test_job_keeps_whole_float_times(self):
+        j = job(1, 1.0, 0.0, 4.0, 2.0)
+        assert (j.arrival, j.deadline, j.duration) == (0, 4, 2)
+        assert all(type(t) is int for t in (j.arrival, j.deadline, j.duration))
+
     def test_market_rejects_foreign_members(self):
         with pytest.raises(ValueError):
             LocalMarket(REGION, BAND, (job(1, 1.0, 0, 2, 1, region="elsewhere"),), ())

@@ -19,7 +19,12 @@ from spectrum_auctions import (
     solve_optimal,
 )
 from spectrum_auctions import pvg
-from spectrum_auctions.market import build_timelines, candidate_channels, fits_in_residual
+from spectrum_auctions.market import (
+    build_timelines,
+    candidate_channels,
+    fits_in_residual,
+    processing_key,
+)
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
 from spectrum_auctions.pvg import (
     _eviction_prefix,
@@ -55,8 +60,9 @@ def simulated_eviction_prefix(job, cid, state):
     """
     timeline = state.timelines[cid]
     first, last = timeline.window_range(job)
+    on_channel = {w.id for w in state.winners[cid]}
     candidates = sorted(
-        (j for j in state.order if state.assignment.get(j.id) == cid
+        (j for j in state.order if j.id in on_channel
          and any(state.allocations[j.id][first:last + 1])),
         key=lambda j: (j.unit_value, -j.id))
     usage = list(state.committed[cid])
@@ -141,25 +147,77 @@ class TestAllocation:
         assert stats.preemptions == 2
 
     def test_eviction_prefix_matches_simulated_removals(self, rng):
-        compared = non_candidates = 0
+        """On a candidate channel the job does not fit, as case 2 calls it.
+
+        The prefix is a list, so equality with the reference means removing
+        it frees room for the job.
+        """
+        compared = 0
         for _ in range(80):
             m = random_market(rng, max_jobs=8, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
             for state in _truthful_run(m, config, PvgStats()):
                 for j in state.order:
-                    if j.id in state.assignment:
+                    if j.id in state.allocations:
                         continue
-                    for cid, timeline in state.timelines.items():
+                    for cid in state.candidates[j.id]:
+                        if fits_in_residual(j, state.timelines[cid], state.committed[cid]):
+                            continue
                         stats = PvgStats()
                         prefix = _eviction_prefix(j, cid, state, stats)
                         assert (prefix, stats.fit_checks) == simulated_eviction_prefix(j, cid, state)
-                        compared += prefix is not None
-                        if not fits_in_residual(j, timeline, state.committed[cid]):
-                            # only a candidate channel can be cleared for the job
-                            assert (prefix is None) == (cid not in state.candidates[j.id])
-                            non_candidates += cid not in state.candidates[j.id]
+                        compared += 1
         assert compared > 50
-        assert non_candidates > 0
+
+    def test_winners_partition_the_allocations(self, rng, monkeypatch):
+        """Every state a greedy run keeps, pricing runs included.
+
+        Each channel's winners are in processing order, the channels'
+        lists are disjoint and hold exactly the allocated jobs, and their
+        allocations sum slot-wise to the channel's ``committed``.
+        """
+        kept = []
+        greedy = pvg._greedy
+
+        def keeping(state, config, start, stats, snapshots=None):
+            greedy(state, config, start, stats, snapshots)
+            kept.append(state)
+            kept.extend(snapshots or ())
+
+        monkeypatch.setattr(pvg, "_greedy", keeping)
+        stats = PvgStats()
+        checked = multi_channel = 0
+        for _ in range(80):
+            m = random_market(rng, max_jobs=8, max_channels=3)
+            config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]),
+                                   eta_s=random_reserve(rng))
+            kept.clear()
+            run_pvg(m, config, stats=stats)
+            for state in kept:
+                placed = [j.id for winners in state.winners.values() for j in winners]
+                assert len(placed) == len(set(placed))
+                assert set(placed) == set(state.allocations)
+                for cid, winners in state.winners.items():
+                    assert winners == sorted(winners, key=processing_key)
+                    total = state.timelines[cid].empty_usage()
+                    for w in winners:
+                        total = [t + a for t, a in zip(total, state.allocations[w.id])]
+                    assert state.committed[cid] == total
+                multi_channel += sum(1 for w in state.winners.values() if w) > 1
+            checked += len(kept)
+        assert checked > 1000 and multi_channel > 100
+        assert stats.preemptions > 20 and stats.readmissions > 0
+
+    def test_assignment_is_keyed_in_id_order(self, rng):
+        checked = 0
+        for _ in range(40):
+            m = random_market(rng, max_jobs=8, max_channels=3)
+            config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
+            for out in (pvg_allocate(m, config), run_pvg(m, config)):
+                assert list(out.assignment) == sorted(out.assignment)
+                assert list(out.allocations) == list(out.assignment)
+                checked += len(out.assignment) > 1
+        assert checked > 20
 
     def test_fit_checks_only_on_candidate_channels(self, rng, monkeypatch):
         """No case, readmission included, tests a channel that can never hold the job."""
@@ -186,14 +244,13 @@ class TestAllocation:
             m = random_market(rng, max_jobs=7, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.0, 1.5, BETA_STAR, 3.0]),
                                    eta_s=random_reserve(rng))
-            states = _truthful_run(m, config, PvgStats())
-            for state in states:
+            for state in _truthful_run(m, config, PvgStats()):
                 for cid, usage in state.committed.items():
                     slots = state.timelines[cid].slots
                     assert all(0 <= u <= s.capacity for u, s in zip(usage, slots))
-            final = states[-1]
-            for jid, cid in final.assignment.items():
-                assert sum(final.allocations[jid]) == m.job_by_id(jid).duration
+            out = pvg_allocate(m, config)
+            for jid in out.assignment:
+                assert sum(out.allocations[jid]) == m.job_by_id(jid).duration
 
     def test_deterministic(self, rng):
         for _ in range(20):
