@@ -53,13 +53,13 @@ class ExperimentPlan:
         for m in self.mechanisms:
             if m not in MECHANISM_ORDER:
                 raise ValueError(f"unknown mechanism {m!r}")
-        self.mechanisms = tuple(m for m in MECHANISM_ORDER if m in self.mechanisms)
         for name in ("lambdas", "eta_s_values", "set_kinds", "mechanisms"):
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"duplicate values in {name}: {values}")
+        self.mechanisms = tuple(m for m in MECHANISM_ORDER if m in self.mechanisms)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.vcg_max_jobs < 0:

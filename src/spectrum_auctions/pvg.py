@@ -21,21 +21,33 @@ Pricing replays only what a probe can change.  Segmentation does not
 depend on bids, so ``run_pvg`` cuts each channel's timeline once and keeps
 the state of its allocation run before every rank.  For winner i it then
 runs the market without i once, starting from the kept state at i's rank,
-and keeps that run's state before every rank too.  A probe at bid b puts
-i at its rank r for b under ``processing_key`` and resumes from the
-state before rank r; it still runs to the end, because later jobs may
-preempt i or readmit it.  This is exact: processing a job
-reads only the jobs ranked above it (case-3 readmission scans
-``order[:idx]``, and the eviction prefix walks only placed jobs), so
-the jobs above r are processed in the probe exactly as in the run
-without i, and the runs with and without i agree above i's own rank.
+and keeps that run's state before every rank and the ranks at which it
+preempted.  A probe at bid b puts i at its rank r for b under
+``processing_key`` and resumes from the state before rank r.  This is
+exact: processing a job reads only the jobs ranked above it (case-3
+readmission scans ``order[:idx]``, and the eviction prefix walks only
+placed jobs), so the jobs above r are processed in the probe exactly as
+in the run without i, and the runs with and without i agree above i's
+own rank.  From rank r on, the probe replays only the ranks that can
+change whether i wins:
+
+* Losing side.  While i is unplaced it changes nothing, and a rank reads
+  unplaced jobs only in its case-3 scan, which runs only at a rank that
+  preempted.  So the probe is the run without i except at that run's
+  preempting ranks; each is replayed from the state kept before it, and
+  if i is still unplaced after the last one it loses.
+* Winning side.  A placed job leaves only inside an eviction prefix,
+  which is then worth at least b (bids are >= 0, and float sums and
+  products are monotone), so no later job bidding at most ``beta * b``
+  evicts i.  Once i is placed and no job still to come bids more, i wins.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .market import (
     AuctionConfig,
@@ -136,53 +148,62 @@ def _initial_state(market: LocalMarket, config: AuctionConfig,
     )
 
 
+def _fits(job: Job, cid: int, state: PvgState, stats: PvgStats) -> bool:
+    stats.fit_checks += 1
+    return fits_in_residual(job, state.timelines[cid], state.committed[cid])
+
+
+def _accept(job: Job, cid: int, state: PvgState, stats: PvgStats) -> None:
+    state.allocations[job.id] = commit_allocation(job, state.timelines[cid], state.committed[cid])
+    insort(state.winners[cid], job, key=processing_key)
+    stats.commits += 1
+
+
+def _step(state: PvgState, idx: int, config: AuctionConfig, stats: PvgStats) -> bool:
+    """Process ``state.order[idx]`` onto ``state``, in place; True iff it preempted."""
+    order, timelines = state.order, state.timelines
+    job = order[idx]
+    for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
+        if _fits(job, cid, state, stats):
+            _accept(job, cid, state, stats)
+            return False
+    for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
+        prefix = _eviction_prefix(job, cid, state, stats)
+        if job.bid_value > config.beta * sum(p.bid_value for p in prefix):
+            for victim in prefix:
+                release_allocation(timelines[cid], state.committed[cid],
+                                   state.allocations.pop(victim.id))
+                state.winners[cid].remove(victim)
+                stats.preemptions += 1
+            _accept(job, cid, state, stats)
+            # case 3: readmission into this channel only
+            for earlier in order[:idx]:
+                if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
+                    continue
+                if _fits(earlier, cid, state, stats):
+                    _accept(earlier, cid, state, stats)
+                    stats.readmissions += 1
+            return True
+    return False
+
+
 def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
-            snapshots: list[PvgState] | None = None) -> None:
-    """Process ``state.order[start:]`` onto ``state``, in place.
+            snapshots: list[PvgState] | None = None) -> list[int]:
+    """Process ``state.order[start:]`` onto ``state``, in place; the ranks that preempted.
 
     When ``snapshots`` is given, a fork of the state before each processed
     rank and one of the final state are appended to it, so a list already
     holding the states before ranks ``0 .. start-1`` ends up indexed by rank.
     """
-    order, timelines = state.order, state.timelines
-
-    def fits(job: Job, cid: int) -> bool:
-        stats.fit_checks += 1
-        return fits_in_residual(job, timelines[cid], state.committed[cid])
-
-    def accept(job: Job, cid: int) -> None:
-        state.allocations[job.id] = commit_allocation(job, timelines[cid], state.committed[cid])
-        insort(state.winners[cid], job, key=processing_key)
-        stats.commits += 1
-
-    for idx in range(start, len(order)):
+    preempting = []
+    for idx in range(start, len(state.order)):
         if snapshots is not None:
             snapshots.append(state.fork())
-        job = order[idx]
-        for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
-            if fits(job, cid):
-                accept(job, cid)
-                break
-        else:
-            for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
-                prefix = _eviction_prefix(job, cid, state, stats)
-                if job.bid_value > config.beta * sum(p.bid_value for p in prefix):
-                    for victim in prefix:
-                        release_allocation(timelines[cid], state.committed[cid],
-                                           state.allocations.pop(victim.id))
-                        state.winners[cid].remove(victim)
-                        stats.preemptions += 1
-                    accept(job, cid)
-                    # case 3: readmission into this channel only
-                    for earlier in order[:idx]:
-                        if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
-                            continue
-                        if fits(earlier, cid):
-                            accept(earlier, cid)
-                            stats.readmissions += 1
-                    break
+        if _step(state, idx, config, stats):
+            preempting.append(idx)
     if snapshots is not None:
         snapshots.append(state.fork())
+    return preempting
 
 
 def _outcome(state: PvgState) -> AuctionOutcome:
@@ -240,28 +261,63 @@ def bid_grid_point(floor: float, top: float, xi: float, k: int, n: int) -> float
     return floor + k * xi if k < n else top
 
 
+def _with_bid(job: Job, bid: float) -> Job:
+    """``job`` at another bid, built from its already-validated fields.
+
+    ``Job.__post_init__`` is not re-run: the times are whole seconds
+    already, and a probed bid lies between the reserve floor and the
+    reported value.
+    """
+    probe = object.__new__(Job)
+    probe.__dict__.update(job.__dict__, bid_value=bid)
+    return probe
+
+
 def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
                    stats: PvgStats):
-    """Win predicate over ``job``'s bid that replays only the ranks after it.
+    """Win predicate over ``job``'s bid that replays only the ranks that can change it.
 
     ``job`` is a winner of the truthful run, so it is in its order.  Runs
     the market without ``job`` once, from the truthful run's state at
-    ``job``'s rank, keeping its state before each rank; each probe
-    inserts the deviated job at its rank under the processing key and
-    resumes from the state kept there.
+    ``job``'s rank, keeping its state before each rank and the ranks at
+    which it preempted.  Each probe inserts the deviated job at its rank
+    under the processing key, resumes from the state kept there, and
+    stops by the two rules of the module docstring.
     """
     order = truthful[0].order
     rank = order.index(job)
     others = order[:rank] + order[rank + 1:]
     without = truthful[:rank]
-    _greedy(truthful[rank].fork(others), config, rank, stats, without)
+    preempting = _greedy(truthful[rank].fork(others), config, rank, stats, without)
     keys = [processing_key(j) for j in others]
+    # highest[k]: the largest bid among others[k:]
+    highest = list(accumulate(reversed([j.bid_value for j in others]), max))[::-1]
 
     def wins(bid: float) -> bool:
-        probe = replace(job, bid_value=bid)
+        probe = _with_bid(job, bid)
         rank = bisect_left(keys, processing_key(probe))
-        state = without[rank].fork(others[:rank] + [probe] + others[rank:])
-        _greedy(state, config, rank, stats)
+        probe_order = others[:rank] + [probe] + others[rank:]
+        state = without[rank].fork(probe_order)
+        _step(state, rank, config, stats)
+        idx = rank
+        if probe.id not in state.allocations:
+            # An unplaced probe changes nothing: this run is the run without
+            # it except at a preempting rank, whose case-3 scan may readmit it.
+            for k in preempting[bisect_left(preempting, rank):]:
+                state = without[k].fork(probe_order)
+                _step(state, k + 1, config, stats)
+                if probe.id in state.allocations:
+                    idx = k + 1
+                    break
+            else:
+                return False
+        # others[idx:] are still to come; no bid up to beta * bid evicts the probe
+        safe = config.beta * bid
+        while idx < len(others):
+            if probe.id in state.allocations and highest[idx] <= safe:
+                return True
+            idx += 1
+            _step(state, idx, config, stats)
         return probe.id in state.allocations
 
     return wins

@@ -217,6 +217,7 @@ class TestBadInput:
         ("--lambda-list", "3,2,3", "lambdas"),
         ("--eta-s-list", "0.0,0.001,0.0", "eta_s_values"),
         ("--sets", "2,2", "set_kinds"),
+        ("--mechanisms", "pvg,pvg", "mechanisms"),
     ])
     def test_duplicate_sweep_value(self, grid_csv, tmp_path, capsys, flag, values, name):
         # a repeated flag overrides the earlier one

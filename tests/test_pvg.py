@@ -19,6 +19,7 @@ from spectrum_auctions import (
     solve_optimal,
 )
 from spectrum_auctions import pvg
+from spectrum_auctions.experiment import trial_seed
 from spectrum_auctions.market import (
     build_timelines,
     candidate_channels,
@@ -33,6 +34,7 @@ from spectrum_auctions.pvg import (
     bid_grid_point,
     bid_grid_size,
 )
+from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
 from conftest import BAND, REGION, random_market, random_reserve
 
@@ -170,21 +172,21 @@ class TestAllocation:
         assert compared > 50
 
     def test_winners_partition_the_allocations(self, rng, monkeypatch):
-        """Every state a greedy run keeps, pricing runs included.
+        """Every state a greedy run reaches, price probes included.
 
         Each channel's winners are in processing order, the channels'
         lists are disjoint and hold exactly the allocated jobs, and their
         allocations sum slot-wise to the channel's ``committed``.
         """
         kept = []
-        greedy = pvg._greedy
+        step = pvg._step
 
-        def keeping(state, config, start, stats, snapshots=None):
-            greedy(state, config, start, stats, snapshots)
-            kept.append(state)
-            kept.extend(snapshots or ())
+        def keeping(state, idx, config, stats):
+            preempted = step(state, idx, config, stats)
+            kept.append(state.fork())
+            return preempted
 
-        monkeypatch.setattr(pvg, "_greedy", keeping)
+        monkeypatch.setattr(pvg, "_step", keeping)
         stats = PvgStats()
         checked = multi_channel = 0
         for _ in range(80):
@@ -388,6 +390,27 @@ class TestResumedPricing:
         assert winners > 200 and reserve_winners > 100 and scanned >= winners - 3
         assert ties > 300
 
+    def test_probe_readmitted_at_a_later_preempting_rank(self):
+        """A probe rejected at its own rank still wins if a later preemption readmits it.
+
+        At bid 2.25 job 4 ranks between jobs 6 and 1.  Job 6 holds the one
+        free second of job 4's window, [14, 15), and is too dear to evict,
+        so the probe is rejected; then job 1 preempts job 6 and the case-3
+        scan readmits job 4 into that second.
+        """
+        ch = Channel(2, REGION, BAND, ((3, 9), (10, 13), (14, 15)))
+        jobs = [job(1, 10.5, 6, 15, 6), job(4, 4.5, 13, 16, 1), job(6, 4.75, 12, 16, 2)]
+        m = market(jobs, [ch])
+        config = AuctionConfig(beta=1.1, xi=self.XI)
+        stats = PvgStats()
+        deviated = market([replace(j, bid_value=2.25) if j.id == 4 else j for j in jobs], [ch])
+        assert pvg_allocate(deviated, config, stats=stats).assignment == {1: 2, 4: 2}
+        assert (stats.preemptions, stats.readmissions) == (1, 1)
+        wins = _resumed_probe(config, jobs[1], _truthful_run(m, config, PvgStats()), PvgStats())
+        bids = [k * self.XI for k in range(19)]
+        assert [wins(bid) for bid in bids] == [_wins_at_bid(m, config, jobs[1], bid) for bid in bids]
+        assert run_pvg(m, config).payments[4] == scan_critical_value(m, config, 4)
+
     def test_standalone_critical_value_on_deviated_markets(self):
         """Priced the way the strategyproofness criterion prices a deviation."""
         checked = 0
@@ -467,6 +490,28 @@ class TestRhoBound:
             rho_bound(1.0)
         with pytest.raises(ValueError):
             rho_bound(0.5)
+
+
+class TestPricingCost:
+    def test_greedy_contested_panel_fit_checks(self):
+        """Probes that replay only the ranks able to change their answer keep pricing cheap.
+
+        ``run_pvg`` over the first six greedy-contested panel markets (set 2,
+        lambda 40, beta 2, no reserve) made 64,957 fit checks when every
+        probe ran to the last rank and 14,032 when it replays only the
+        preempting ranks while it loses and stops once no later bid can
+        evict it.
+        """
+        grid = synthesize_occupancy(3, 1, 0.5, seed=7)
+        channels = tuple(grid.to_channels(REGION, BAND))
+        stats = PvgStats()
+        for trial in range(6):
+            jobs = generate_requests(WorkloadSpec(
+                n_requests=40, set_kind=2, horizon=grid.horizon_seconds,
+                seed=trial_seed(0, 2, 40, trial)))
+            run_pvg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(beta=2.0),
+                    stats=stats)
+        assert stats.fit_checks <= 20_000
 
 
 class TestComplexityTrend:
