@@ -8,6 +8,13 @@ independent local markets by (region, band_type), and each channel's time
 axis is cut at every job arrival/deadline and free-interval edge so that
 feasibility questions reduce to slot-capacity arithmetic.
 
+Counting only the free seconds before each slot boundary maps every job
+window to a span of free-second coordinates.  Occupied slots vanish
+there, and a channel becomes one unit-rate machine, so whether a job
+set fits one channel is Horn's (1974) preemptive EDF condition, decided
+event by event in O(k log k) for k jobs, whatever the channel's slot
+count.
+
 All times are integer seconds.  Capacity maps ("committed" usage) are
 plain lists owned by the caller; nothing here keeps global state.
 """
@@ -15,6 +22,7 @@ plain lists owned by the caller; nothing here keeps global state.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from math import inf, sqrt
@@ -171,24 +179,30 @@ class SegmentedTimeline:
     ``(first, last)`` covered by its ``[arrival, deadline)`` window;
     ``first > last`` means no whole slot lies inside the window, which
     ``segment_timeline`` never produces since it cuts at every endpoint.
-    ``window_capacities`` maps a job id to the summed slot capacity of its
-    window; it is derived from the two fields above when the timeline is
-    built, and bids never change it.
+    The rest is derived from those two fields when the timeline is built,
+    and bids never change it: ``free_before[l]`` is the capacity of
+    ``slots[:l]``; ``free_spans`` maps a job id to its window in those
+    free-second coordinates, ``[free_before[first], free_before[last + 1])``
+    (empty when ``first > last``); ``window_capacities`` is each span's
+    length.
     """
 
     channel_id: int
     slots: tuple[Slot, ...]
     job_windows: dict[int, tuple[int, int]]
+    free_before: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    free_spans: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
     window_capacities: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        before = [0]  # capacity of slots[:l], at index l
+        before = [0]
         for slot in self.slots:
             before.append(before[-1] + slot.capacity)
-        object.__setattr__(self, "window_capacities", {
-            jid: before[last + 1] - before[first] if first <= last else 0
-            for jid, (first, last) in self.job_windows.items()
-        })
+        spans = {jid: (before[first], before[last + 1]) if first <= last else (0, 0)
+                 for jid, (first, last) in self.job_windows.items()}
+        object.__setattr__(self, "free_before", tuple(before))
+        object.__setattr__(self, "free_spans", spans)
+        object.__setattr__(self, "window_capacities", {jid: e - s for jid, (s, e) in spans.items()})
 
     def window_range(self, job: Job) -> tuple[int, int]:
         """Inclusive (first, last) slot indices inside the job's window."""
@@ -281,25 +295,26 @@ def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int
     Walks the window slots in time order, taking ``min(residual,
     remaining need)`` from each until the full duration is covered.
     Updates ``committed`` in place and returns the per-slot amounts
-    (aligned with ``timeline.slots``; zero outside the window).
+    (aligned with ``timeline.slots``; zero outside the window).  When the
+    window's residual falls short, ``committed`` is left as it was and
+    InfeasibleCommitError is raised.
     """
-    if not fits_in_residual(job, timeline, committed):
-        raise InfeasibleCommitError(
-            f"job {job.id} does not fit channel {timeline.channel_id} residual capacity"
-        )
     amounts = [0] * len(timeline.slots)
     need = job.duration
     first, last = timeline.window_range(job)
     for l in range(first, last + 1):
-        if need == 0:
-            break
         take = min(timeline.slots[l].capacity - committed[l], need)
         if take > 0:
             amounts[l] = take
             committed[l] += take
             need -= take
-    assert need == 0
-    return amounts
+            if not need:
+                return amounts
+    for l in range(first, last + 1):
+        committed[l] -= amounts[l]
+    raise InfeasibleCommitError(
+        f"job {job.id} does not fit channel {timeline.channel_id} residual capacity"
+    )
 
 
 def release_allocation(timeline: SegmentedTimeline, committed: list[int], amounts: list[int]) -> None:
@@ -313,45 +328,51 @@ def release_allocation(timeline: SegmentedTimeline, committed: list[int], amount
 
 def _edf(jobs: list[Job], timeline: SegmentedTimeline,
          per_job: dict[int, list[int]] | None) -> bool:
-    """Preemptive earliest-deadline-first over the slot axis.
+    """Preemptive earliest-deadline-first in free-second coordinates.
 
-    Walks the slots in time order, pouring each slot's free seconds into
-    the released job with the earliest last slot (ties by id).  Because
-    every window is an interval of slots, this meets every demand iff any
-    schedule does (Horn 1974), so one pass decides joint feasibility.
-    When ``per_job`` maps each job id to a zeroed per-slot list, the
-    seconds poured are recorded there.
+    Each job is released at the start of its ``free_spans`` span and due
+    at its end; the channel runs one job at a time at unit rate.  Event by
+    event over the releases and finishes, the released job with the
+    earliest last slot (ties by id) runs until it finishes or the next
+    release.  This meets every demand iff any schedule does (Horn 1974),
+    so it fails as soon as the running job could not finish by its end
+    even uninterrupted.  That is O(k log k) work for k jobs, whatever the
+    slot count.  When ``per_job`` maps each job id to a zeroed per-slot
+    list, each run is mapped back to slots through ``free_before``.
     """
-    pending = []
-    for j in jobs:
-        first, last = timeline.window_range(j)
-        if first > last:
-            return False
-        pending.append((first, last, j.id, j.duration))
+    spans, windows = timeline.free_spans, timeline.job_windows
+    pending = [(*spans[j.id], windows[j.id][1], j.id, j.duration) for j in jobs]
     pending.sort(reverse=True)  # earliest release at the end
-    slots = timeline.slots
-    ready: list[list[int]] = []  # heap of [last, id, seconds still needed]
-    l = 0
+    ready: list[list[int]] = []  # heap of [last, id, end, seconds still needed]
+    t = 0
     while pending or ready:
         if not ready:
-            l = pending[-1][0]
-        while pending and pending[-1][0] <= l:
-            _, last, jid, need = pending.pop()
-            heapq.heappush(ready, [last, jid, need])
-        free = slots[l].capacity
-        while free and ready:
-            top = ready[0]
-            take = min(free, top[2])
-            top[2] -= take
-            free -= take
-            if per_job is not None:
-                per_job[top[1]][l] += take
-            if not top[2]:
-                heapq.heappop(ready)
-        if ready and ready[0][0] == l:
+            t = pending[-1][0]
+        while pending and pending[-1][0] <= t:
+            _, end, last, jid, need = pending.pop()
+            heapq.heappush(ready, [last, jid, end, need])
+        top = ready[0]
+        finish = t + top[3]
+        if finish > top[2]:
             return False
-        l += 1
+        stop = pending[-1][0] if pending and pending[-1][0] < finish else finish
+        if per_job is not None:
+            _pour(per_job[top[1]], timeline.free_before, t, stop)
+        top[3] = finish - stop
+        t = stop
+        if not top[3]:
+            heapq.heappop(ready)
     return True
+
+
+def _pour(amounts: list[int], before: tuple[int, ...], t: int, stop: int) -> None:
+    """Add the free seconds ``[t, stop)`` to ``amounts``, slot by slot."""
+    l = bisect_right(before, t) - 1
+    while t < stop:
+        nxt = min(before[l + 1], stop)
+        amounts[l] += nxt - t
+        t = nxt
+        l += 1
 
 
 def set_feasible(jobs: list[Job], timeline: SegmentedTimeline) -> bool:

@@ -93,7 +93,8 @@ class _Search:
     has one target that excludes nothing; ``price()`` one per winner.
     Each target keeps the smallest key among the leaves that reach it
     (winner ids, then for the solve channel ids), so no result depends on
-    the branching order.  All runs share the feasibility memo.
+    the branching order.  All runs share the feasibility memo, one dict
+    per channel keyed by mask, so a lookup builds no key tuple.
     """
 
     # The bound is compared with a hair of slack: an exactly-tight float
@@ -109,7 +110,7 @@ class _Search:
         self.candidates = candidates
         self.masks = dict.fromkeys(timelines, 0)
         self.assignment: dict[int, int] = {}
-        self.feas_memo: dict[tuple[int, int], bool] = {}
+        self.feas_memo: dict[int, dict[int, bool]] = {cid: {} for cid in timelines}
         self.value_by_id = {j.id: j.bid_value for j in order}
         # the bids from each depth on: the value bound's remainder
         cum_val = list(accumulate((j.bid_value for j in order), initial=0.0))
@@ -117,8 +118,8 @@ class _Search:
 
     def channel_feasible(self, cid: int, mask: int) -> bool:
         """Decide one channel's job set and memoize it; the DFS reads the memo first."""
-        members = [self.order[i] for i in _bits(mask)]
-        fits = self.feas_memo[cid, mask] = set_feasible(members, self.timelines[cid])
+        members = [self.order[i] for i in range(mask.bit_length()) if mask >> i & 1]
+        fits = self.feas_memo[cid][mask] = set_feasible(members, self.timelines[cid])
         return fits
 
     def solve(self) -> dict[int, int]:
@@ -174,7 +175,7 @@ class _Search:
         taken = accepted | (bit & self.watched)
         for cid in self.candidates[depth]:
             trial = self.masks[cid] | bit
-            fits = self.feas_memo.get((cid, trial))
+            fits = self.feas_memo[cid].get(trial)
             if fits is None:
                 fits = self.channel_feasible(cid, trial)
             if not fits:
@@ -227,15 +228,6 @@ def _component_searches(jobs: list[Job],
         order = sorted(component, key=lambda j: (-j.bid_value, j.id))
         searches.append(_Search(order, timelines, [candidates[j.id] for j in order]))
     return searches
-
-
-def _bits(mask: int):
-    idx = 0
-    while mask:
-        if mask & 1:
-            yield idx
-        mask >>= 1
-        idx += 1
 
 
 def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX_JOBS) -> VcgSolution:

@@ -1,5 +1,6 @@
 """Core domain types, segmentation, and feasibility primitives."""
 
+import heapq
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from spectrum_auctions import (
 from spectrum_auctions.market import SegmentedTimeline, Slot, window_flow_allocation
 from spectrum_auctions.oracle import _channel_set_feasible
 
-from conftest import BAND, REGION, random_market
+from conftest import BAND, REGION, random_channel, random_market
 
 H = 3600
 
@@ -176,6 +177,25 @@ class TestSegmentTimeline:
                                job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
         assert tl.window_capacities == {1: 0, 2: 4, 3: 2}
 
+    def test_free_spans_recorded_at_segmentation(self):
+        rig = random.Random(10)
+        for _ in range(100):
+            market = random_market(rig, max_jobs=6, max_channels=1)
+            ch = market.channels[0]
+            tl = segment_timeline(ch, list(market.jobs))
+            assert set(tl.free_spans) == {j.id for j in market.jobs}
+            for j in market.jobs:
+                start, end = tl.free_spans[j.id]
+                assert start == sum(max(0, min(e, j.arrival) - s) for s, e in ch.free_intervals)
+                assert end - start == tl.window_capacities[j.id]
+        # a hand-built timeline derives them too; an empty window gets an empty span
+        tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 2, 2), Slot(2, 4, 0), Slot(4, 6, 2)),
+                               job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
+        start, end = tl.free_spans[1]
+        assert start == end
+        assert tl.free_spans[2] == (0, 4)
+        assert tl.free_spans[3] == (2, 4)
+
     def test_slots_tile_without_overlap(self):
         rig = random.Random(8)
         for _ in range(100):
@@ -242,6 +262,17 @@ class TestCommitAllocation:
         tl = segment_timeline(ch, [j])
         with pytest.raises(InfeasibleCommitError):
             commit_allocation(j, tl, tl.empty_usage())
+
+    def test_failed_commit_leaves_committed_unchanged(self):
+        # the forward fill takes the first two slots' residue before it runs short
+        ch = channel(1, [(0, 3 * H)])
+        cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
+        j = job(1, 5.0, 0, 3 * H, 2 * H)
+        tl = segment_timeline(ch, [j] + cuts)
+        committed = [H - 1800, H - 2520, H - 2520]
+        with pytest.raises(InfeasibleCommitError):
+            commit_allocation(j, tl, committed)
+        assert committed == [H - 1800, H - 2520, H - 2520]
 
     def test_never_exceeds_capacity_and_allocates_exactly(self):
         rig = random.Random(21)
@@ -376,3 +407,84 @@ class TestEdf:
         tl = segment_timeline(ch, [low, high, cut])
         assert window_flow_allocation([high, low], tl) == {1: [1, 0], 2: [1, 2]}
         assert not set_feasible([low, high, cut], tl)
+
+
+def slot_walk_edf(jobs, timeline, per_job):
+    """The slot-by-slot EDF that ``market._edf`` replaced, kept as its reference.
+
+    Walks the slots in time order, pouring each slot's free seconds into
+    the released job with the earliest last slot (ties by id).
+    """
+    pending = []
+    for j in jobs:
+        first, last = timeline.window_range(j)
+        if first > last:
+            return False
+        pending.append((first, last, j.id, j.duration))
+    pending.sort(reverse=True)
+    slots = timeline.slots
+    ready = []
+    l = 0
+    while pending or ready:
+        if not ready:
+            l = pending[-1][0]
+        while pending and pending[-1][0] <= l:
+            _, last, jid, need = pending.pop()
+            heapq.heappush(ready, [last, jid, need])
+        free = slots[l].capacity
+        while free and ready:
+            top = ready[0]
+            take = min(free, top[2])
+            top[2] -= take
+            free -= take
+            if per_job is not None:
+                per_job[top[1]][l] += take
+            if not top[2]:
+                heapq.heappop(ready)
+        if ready and ready[0][0] == l:
+            return False
+        l += 1
+    return True
+
+
+class TestEdfMatchesSlotWalk:
+    def test_feasibility_and_allocations_equal(self):
+        """Free-second EDF equals the slot walk on every job subset of random channels.
+
+        Short demands on a 12-second grid with 1-3 free intervals make
+        most subsets feasible, so the allocations are compared too.  The
+        draws must include occupied slots inside windows, windows that
+        touch, and two windows of one feasible set that end at the same
+        free second in different slots, where only the (last slot, id)
+        heap key gives the slot walk's allocation.
+        """
+        rig = random.Random(16)
+        seen = {"zero slot": 0, "touching": 0, "same end, other slot": 0, "feasible": 0}
+        for _ in range(300):
+            ch = random_channel(rig, 1, grid_max=12)
+            ids = rig.sample(range(1, 10), rig.randint(2, 5))
+            jobs = []
+            for jid in ids:
+                a = rig.randint(0, 11)
+                d = rig.randint(a + 1, 12)
+                jobs.append(job(jid, 1.0, a, d, rig.randint(1, min(3, d - a))))
+            tl = segment_timeline(ch, jobs)
+            for mask in range(1, 1 << len(jobs)):
+                members = [j for i, j in enumerate(jobs) if mask >> i & 1]
+                fits = slot_walk_edf(members, tl, None)
+                assert set_feasible(members, tl) == fits
+                expected = {j.id: [0] * len(tl.slots) for j in members}
+                slot_walk_edf(members, tl, expected)
+                assert window_flow_allocation(members, tl) == (expected if fits else None)
+                if not fits:
+                    continue
+                seen["feasible"] += 1
+                windows = [tl.window_range(j) for j in members]
+                seen["zero slot"] += any(tl.slots[l].capacity == 0
+                                         for first, last in windows for l in range(first, last + 1))
+                seen["touching"] += any(a.deadline == b.arrival for a in members for b in members)
+                seen["same end, other slot"] += any(
+                    tl.free_spans[a.id][1] == tl.free_spans[b.id][1]
+                    and tl.window_range(a)[1] != tl.window_range(b)[1]
+                    for a in members for b in members)
+        assert all(seen.values()), seen

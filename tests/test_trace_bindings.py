@@ -42,8 +42,9 @@ def test_names_the_tracer_reads_directly_exist():
 def test_traced_clearings_time_the_pricing_bindings():
     """A clearing run through the wrapped names shows up in the pricing metrics.
 
-    The mechanisms must keep solving and pricing through the module-level
-    names the tracer wraps, or these metrics silently read 0.
+    The mechanisms must keep solving, pricing and deciding channel sets
+    through the module-level names the tracer wraps, or these metrics
+    silently read 0.
     """
     tracer = load_tracer()
     package = importlib.import_module(tracer.PACKAGE)
@@ -58,5 +59,6 @@ def test_traced_clearings_time_the_pricing_bindings():
         assert experiment.run_vcg(market, config).assignment
         assert experiment.run_pvg(market, config).assignment
     metrics = traced.layer_metrics()
-    for name in ("vcg.solve_optimal.calls", "vcg.vcg_payments.s", "pvg.critical_value.calls"):
+    for name in ("vcg.solve_optimal.calls", "vcg.vcg_payments.s", "pvg.critical_value.calls",
+                 "market.set_feasible.calls", "market.window_flow_allocation.calls"):
         assert metrics[name] > 0, name

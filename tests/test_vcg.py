@@ -401,13 +401,14 @@ class TestVcgPayments:
             return set_feasible(jobs, timeline)
 
         monkeypatch.setattr(vcg, "set_feasible", counting)
-        winners = 0
+        winners = sets = 0
         for _ in range(40):
             m = random_market(rng, max_jobs=7, max_channels=3)
             decided.clear()
             winners += len(run_vcg(m, AuctionConfig(eta_s=random_reserve(rng))).assignment)
             assert all(n == 1 for n in decided.values())
-        assert winners > 40
+            sets += len(decided)
+        assert winners > 40 and sets > 40
 
     def test_segments_each_market_once(self, rng, monkeypatch):
         calls = []
@@ -444,6 +445,17 @@ class TestBidMonotonicity:
         assert checked > 20
 
 
+def clear_exact_hot_panel(trials):
+    """``run_vcg`` on the first exact-hot panel markets (set 2, lambda 18, no reserve)."""
+    grid = synthesize_occupancy(3, 1, 0.5, seed=7)
+    channels = tuple(grid.to_channels(REGION, BAND))
+    for trial in range(trials):
+        jobs = generate_requests(WorkloadSpec(
+            n_requests=18, set_kind=2, horizon=grid.horizon_seconds,
+            seed=trial_seed(0, 2, 18, trial)))
+        run_vcg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(eta_s=0.0))
+
+
 class TestSearchCost:
     def test_exact_hot_panel_node_count(self, monkeypatch):
         """Branching on the largest bids first keeps the exact-hot panel's DFS small.
@@ -460,11 +472,21 @@ class TestSearchCost:
             return dfs(self, *args)
 
         monkeypatch.setattr(_Search, "_dfs", counting)
-        grid = synthesize_occupancy(3, 1, 0.5, seed=7)
-        channels = tuple(grid.to_channels(REGION, BAND))
-        for trial in range(6):
-            jobs = generate_requests(WorkloadSpec(
-                n_requests=18, set_kind=2, horizon=grid.horizon_seconds,
-                seed=trial_seed(0, 2, 18, trial)))
-            run_vcg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(eta_s=0.0))
+        clear_exact_hot_panel(6)
         assert calls[0] <= 160_000
+
+    def test_exact_hot_panel_feasibility_checks(self, monkeypatch):
+        """Each channel set is decided once per search, through the module-level name.
+
+        The same six markets asked 4,603 channel-set questions; a lost
+        memo would ask again, and a private feasibility path would ask 0.
+        """
+        calls = [0]
+
+        def counting(jobs, timeline):
+            calls[0] += 1
+            return set_feasible(jobs, timeline)
+
+        monkeypatch.setattr(vcg, "set_feasible", counting)
+        clear_exact_hot_panel(6)
+        assert 0 < calls[0] <= 4_603
