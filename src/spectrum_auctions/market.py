@@ -279,21 +279,27 @@ def segment_timeline(channel: Channel, jobs: list[Job]) -> SegmentedTimeline:
     return SegmentedTimeline(channel_id=channel.id, slots=tuple(slots), job_windows=job_windows)
 
 
+def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
+    """Free seconds left inside the job's window under ``committed`` usage."""
+    first, last = timeline.window_range(job)
+    return timeline.window_capacity(job) - sum(committed[first:last + 1])
+
+
 def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> bool:
     """True iff the job's demand fits the residual capacity of its window.
 
     Because allocations need not be contiguous, summed residual capacity
     inside the window is both necessary and sufficient.
     """
-    first, last = timeline.window_range(job)
-    return timeline.window_capacity(job) - sum(committed[first:last + 1]) >= job.duration
+    return window_residual(job, timeline, committed) >= job.duration
 
 
 def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> list[int]:
     """Forward-fill the job from its arrival toward its deadline.
 
-    Walks the window slots in time order, taking ``min(residual,
-    remaining need)`` from each until the full duration is covered.
+    Walks the window slots in time order, taking the smaller of the
+    slot's residual and the remaining need from each until the full
+    duration is covered.
     Updates ``committed`` in place and returns the per-slot amounts
     (aligned with ``timeline.slots``; zero outside the window).  When the
     window's residual falls short, ``committed`` is left as it was and
@@ -302,8 +308,10 @@ def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int
     amounts = [0] * len(timeline.slots)
     need = job.duration
     first, last = timeline.window_range(job)
+    slots = timeline.slots
     for l in range(first, last + 1):
-        take = min(timeline.slots[l].capacity - committed[l], need)
+        room = slots[l].capacity - committed[l]
+        take = room if room < need else need
         if take > 0:
             amounts[l] = take
             committed[l] += take

@@ -10,6 +10,19 @@ the newcomer commits (case 2), after which earlier-ranked unplaced jobs
 are re-admitted into the freed channel wherever they now fit without
 further eviction (case 3).  Jobs failing everywhere are rejected.
 
+Case 2 walks an eviction prefix only where one can pay.  At rank idx every
+placed job comes from ``order[:idx]``, so its per-second value is at least
+the newcomer's, and removing it frees at most its own seconds.  A prefix
+that frees the ``duration - free`` seconds missing from the window's
+residual ``free`` is therefore worth at least ``unit_value * (duration -
+free)``, and a preemption needs ``beta * (duration - free) < duration``.
+A channel is passed over when ``beta * (duration - free) > duration * (1 +
+1e-9)``: the slack covers the rounding of ``bid_value / duration`` and of
+the prefix sum, each a few units in the last place.  At ``beta = 1`` the
+test never fires.  The walk itself gives up once ``beta`` times the value
+so far reaches the bid: a sum of non-negative floats never falls as terms
+are added, so the whole prefix would fail the same float test.
+
 The allocation is meant to be bid monotone (case 3 retrying only the
 preempting channel breaks that on some multi-channel markets), so each
 winner is charged the smallest grid bid at which it still wins, found by
@@ -22,7 +35,10 @@ depend on bids, so ``run_pvg`` cuts each channel's timeline once and keeps
 the state of its allocation run before every rank.  For winner i it then
 runs the market without i once, starting from the kept state at i's rank,
 and keeps that run's state before every rank and the ranks at which it
-preempted.  A probe at bid b puts i at its rank r for b under
+preempted.  A rank that leaves its job unplaced changes nothing, so both
+runs keep one state object for every rank since their last placement;
+kept states are shared and read-only, and every probe forks the one it
+resumes from.  A probe at bid b puts i at its rank r for b under
 ``processing_key`` and resumes from the state before rank r.  This is
 exact: processing a job reads only the jobs ranked above it (case-3
 readmission scans ``order[:idx]``, and the eviction prefix walks only
@@ -62,6 +78,7 @@ from .market import (
     fits_in_residual,
     processing_key,
     release_allocation,
+    window_residual,
 )
 
 
@@ -84,7 +101,10 @@ class PvgState:
     channels, ``winners`` each channel's placed jobs in processing order,
     and ``committed`` each channel's per-slot used seconds, the sum of
     its winners' ``allocations``.
-    ``_truthful_run`` keeps a fork before every rank for pricing to resume from.
+    ``_greedy`` keeps the state before every rank for pricing to resume
+    from.  A rank that leaves its job unplaced changes nothing, so one kept
+    object stands for every rank since the last placement.  Kept states are
+    read-only: every user forks one before stepping it.
     """
 
     order: list[Job]
@@ -110,31 +130,42 @@ class PvgState:
         )
 
 
-def _eviction_prefix(job: Job, cid: int, state: PvgState, stats: PvgStats) -> list[Job]:
-    """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``.
+def _eviction_prefix(job: Job, cid: int, free: int, beta: float, state: PvgState,
+                     stats: PvgStats) -> list[Job] | None:
+    """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``, if it pays.
 
     Candidates are the channel's winners with any seconds inside ``job``'s
     window, ordered by per-second value ascending (ties: descending id),
-    which is ``state.winners[cid]`` reversed.  Removing one frees exactly
-    its in-window seconds, so a running total from the window's residual
-    finds the first point at which the job fits.  ``cid`` is one of the
-    job's candidate channels, so removing every overlapping winner frees
-    the whole window capacity, which covers the job's duration.
+    which is ``state.winners[cid]`` reversed; a winner whose window misses
+    the job's slot range is passed over unsummed.  Removing one frees
+    exactly its in-window seconds, so a running total from the window's
+    residual ``free`` finds the first point at which the job fits.  The
+    prefix is returned only if the job's bid exceeds ``beta`` times its
+    value; the walk gives up with None as soon as the value so far reaches
+    that, since adding non-negative bids never lowers a float sum.  ``cid``
+    is one of the job's candidate channels, so removing every overlapping
+    winner frees the whole window capacity, which covers the job's duration.
     """
-    timeline = state.timelines[cid]
-    first, last = timeline.window_range(job)
-    free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
+    windows = state.timelines[cid].job_windows
+    first, last = windows[job.id]
+    value = 0.0
     prefix: list[Job] = []
     for cand in reversed(state.winners[cid]):
-        freed = sum(state.allocations[cand.id][first:last + 1])
+        lo, hi = windows[cand.id]
+        if hi < first or lo > last:
+            continue
+        freed = sum(state.allocations[cand.id][max(lo, first):min(hi, last) + 1])
         if not freed:
             continue
-        prefix.append(cand)
         stats.fit_checks += 1
+        value += cand.bid_value
+        if job.bid_value <= beta * value:
+            return None
+        prefix.append(cand)
         free += freed
         if free >= job.duration:
-            break
-    return prefix
+            return prefix
+    return None
 
 
 def _initial_state(market: LocalMarket, config: AuctionConfig,
@@ -163,27 +194,35 @@ def _step(state: PvgState, idx: int, config: AuctionConfig, stats: PvgStats) -> 
     """Process ``state.order[idx]`` onto ``state``, in place; True iff it preempted."""
     order, timelines = state.order, state.timelines
     job = order[idx]
+    residuals = []
     for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
-        if _fits(job, cid, state, stats):
+        free = window_residual(job, timelines[cid], state.committed[cid])
+        stats.fit_checks += 1
+        if free >= job.duration:
             _accept(job, cid, state, stats)
             return False
-    for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
-        prefix = _eviction_prefix(job, cid, state, stats)
-        if job.bid_value > config.beta * sum(p.bid_value for p in prefix):
-            for victim in prefix:
-                release_allocation(timelines[cid], state.committed[cid],
-                                   state.allocations.pop(victim.id))
-                state.winners[cid].remove(victim)
-                stats.preemptions += 1
-            _accept(job, cid, state, stats)
-            # case 3: readmission into this channel only
-            for earlier in order[:idx]:
-                if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
-                    continue
-                if _fits(earlier, cid, state, stats):
-                    _accept(earlier, cid, state, stats)
-                    stats.readmissions += 1
-            return True
+        residuals.append(free)
+    # case 2: try to preempt cheaper overlap where an eviction prefix can pay
+    for cid, free in zip(state.candidates[job.id], residuals):
+        if config.beta * (job.duration - free) > job.duration * (1.0 + 1e-9):
+            continue
+        prefix = _eviction_prefix(job, cid, free, config.beta, state, stats)
+        if prefix is None:
+            continue
+        for victim in prefix:
+            release_allocation(timelines[cid], state.committed[cid],
+                               state.allocations.pop(victim.id))
+            state.winners[cid].remove(victim)
+            stats.preemptions += 1
+        _accept(job, cid, state, stats)
+        # case 3: readmission into this channel only
+        for earlier in order[:idx]:
+            if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
+                continue
+            if _fits(earlier, cid, state, stats):
+                _accept(earlier, cid, state, stats)
+                stats.readmissions += 1
+        return True
     return False
 
 
@@ -191,18 +230,26 @@ def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
             snapshots: list[PvgState] | None = None) -> list[int]:
     """Process ``state.order[start:]`` onto ``state``, in place; the ranks that preempted.
 
-    When ``snapshots`` is given, a fork of the state before each processed
-    rank and one of the final state are appended to it, so a list already
-    holding the states before ranks ``0 .. start-1`` ends up indexed by rank.
+    When ``snapshots`` is given, the state before each processed rank and
+    the final state are appended to it, so a list already holding the
+    states before ranks ``0 .. start-1`` ends up indexed by rank.  A state
+    is forked only after a rank that placed its job: a rank that leaves its
+    job unplaced changed nothing, so the previous kept object is appended
+    again.
     """
     preempting = []
+    kept = None
     for idx in range(start, len(state.order)):
         if snapshots is not None:
-            snapshots.append(state.fork())
+            if kept is None:
+                kept = state.fork()
+            snapshots.append(kept)
         if _step(state, idx, config, stats):
             preempting.append(idx)
+        if state.order[idx].id in state.allocations:
+            kept = None
     if snapshots is not None:
-        snapshots.append(state.fork())
+        snapshots.append(state.fork() if kept is None else kept)
     return preempting
 
 
@@ -273,37 +320,44 @@ def _with_bid(job: Job, bid: float) -> Job:
     return probe
 
 
+def _rank_tables(order: list[Job]) -> tuple[list[tuple[float, int]], list[float]]:
+    """``order``'s processing keys, and ``highest[k]``: the largest bid among ``order[k:]``."""
+    keys = [processing_key(j) for j in order]
+    highest = list(accumulate(reversed([j.bid_value for j in order]), max))[::-1]
+    return keys, highest
+
+
 def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
-                   stats: PvgStats):
+                   keys: list[tuple[float, int]], highest: list[float], stats: PvgStats):
     """Win predicate over ``job``'s bid that replays only the ranks that can change it.
 
-    ``job`` is a winner of the truthful run, so it is in its order.  Runs
-    the market without ``job`` once, from the truthful run's state at
+    ``job`` is a winner of the truthful run, so it is in its order, and
+    ``keys``/``highest`` are ``_rank_tables`` of that order.  Runs the
+    market without ``job`` once, from the truthful run's state at
     ``job``'s rank, keeping its state before each rank and the ranks at
     which it preempted.  Each probe inserts the deviated job at its rank
     under the processing key, resumes from the state kept there, and
     stops by the two rules of the module docstring.
     """
     order = truthful[0].order
-    rank = order.index(job)
+    rank = bisect_left(keys, processing_key(job))
     others = order[:rank] + order[rank + 1:]
     without = truthful[:rank]
     preempting = _greedy(truthful[rank].fork(others), config, rank, stats, without)
-    keys = [processing_key(j) for j in others]
-    # highest[k]: the largest bid among others[k:]
-    highest = list(accumulate(reversed([j.bid_value for j in others]), max))[::-1]
 
     def wins(bid: float) -> bool:
         probe = _with_bid(job, bid)
-        rank = bisect_left(keys, processing_key(probe))
-        probe_order = others[:rank] + [probe] + others[rank:]
-        state = without[rank].fork(probe_order)
-        _step(state, rank, config, stats)
-        idx = rank
+        # at most job's own bid, the probe ranks below order[:rank + 1];
+        # from there on, others[k] is order[k + 1]
+        at = bisect_left(keys, processing_key(probe), rank + 1) - 1
+        probe_order = others[:at] + [probe] + others[at:]
+        state = without[at].fork(probe_order)
+        _step(state, at, config, stats)
+        idx = at
         if probe.id not in state.allocations:
             # An unplaced probe changes nothing: this run is the run without
             # it except at a preempting rank, whose case-3 scan may readmit it.
-            for k in preempting[bisect_left(preempting, rank):]:
+            for k in preempting[bisect_left(preempting, at):]:
                 state = without[k].fork(probe_order)
                 _step(state, k + 1, config, stats)
                 if probe.id in state.allocations:
@@ -311,10 +365,11 @@ def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
                     break
             else:
                 return False
-        # others[idx:] are still to come; no bid up to beta * bid evicts the probe
+        # others[idx:], that is order[idx + 1:], are still to come; no bid
+        # up to beta * bid evicts the probe
         safe = config.beta * bid
         while idx < len(others):
-            if probe.id in state.allocations and highest[idx] <= safe:
+            if probe.id in state.allocations and highest[idx + 1] <= safe:
                 return True
             idx += 1
             _step(state, idx, config, stats)
@@ -324,10 +379,12 @@ def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
 
 
 def critical_value(config: AuctionConfig, job: Job, truthful: list[PvgState],
+                   keys: list[tuple[float, int]], highest: list[float],
                    stats: PvgStats) -> float:
     """Least grid bid at which ``job``, a winner of ``truthful``, still wins.
 
-    ``truthful`` is the market's own run as ``_truthful_run`` keeps it.
+    ``truthful`` is the market's own run as ``_truthful_run`` keeps it, and
+    ``keys``/``highest`` are ``_rank_tables`` of its order.
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below the reported value ``job.bid_value``, plus that value.
     Bid monotonicity makes the win predicate a threshold over them, so
@@ -339,7 +396,7 @@ def critical_value(config: AuctionConfig, job: Job, truthful: list[PvgState],
     n = bid_grid_size(floor, top, config.xi)
     if n == 0:
         return top
-    wins = _resumed_probe(config, job, truthful, stats)
+    wins = _resumed_probe(config, job, truthful, keys, highest, stats)
     first = bisect_left(range(n), True,
                         key=lambda k: wins(bid_grid_point(floor, top, config.xi, k, n)))
     return bid_grid_point(floor, top, config.xi, first, n)
@@ -350,14 +407,17 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
     """Allocate, price, and package the greedy mechanism's outcome.
 
     The timelines are cut once and every winner is priced by probes that
-    resume from the kept states of the allocation run (module docstring).
+    resume from the kept states of the allocation run (module docstring);
+    the run's rank tables are built once for all of them.
     """
     stats = PvgStats() if stats is None else stats
     truthful = _truthful_run(market, config, stats)
+    keys, highest = _rank_tables(truthful[0].order)
     outcome = _outcome(truthful[-1])
     payments = {j.id: 0.0 for j in market.jobs}
-    for jid in outcome.assignment:
-        payments[jid] = critical_value(config, market.job_by_id(jid), truthful, stats)
+    for placed in truthful[-1].winners.values():
+        for winner in placed:
+            payments[winner.id] = critical_value(config, winner, truthful, keys, highest, stats)
     outcome.payments = payments
     return outcome
 

@@ -1,5 +1,6 @@
 """Greedy mechanism: case rules, payments, monotonicity, bounds."""
 
+import copy
 import itertools
 import math
 import random
@@ -25,10 +26,13 @@ from spectrum_auctions.market import (
     candidate_channels,
     fits_in_residual,
     processing_key,
+    release_allocation,
+    window_residual,
 )
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
 from spectrum_auctions.pvg import (
     _eviction_prefix,
+    _rank_tables,
     _resumed_probe,
     _truthful_run,
     bid_grid_point,
@@ -55,10 +59,12 @@ def one_channel(*intervals):
     return Channel(1, REGION, BAND, tuple(intervals))
 
 
-def simulated_eviction_prefix(job, cid, state):
+def simulated_eviction_prefix(job, cid, state, beta):
     """Reference: remove cheapest overlapping winners one by one, re-checking the fit.
 
-    Returns the prefix (None if no removal helps) and the fit checks made.
+    Gives up as soon as ``beta`` times the removed winners' value reaches
+    the job's bid.  Returns the prefix (None if it cannot pay or no removal
+    helps) and the fit checks made, one per removed winner.
     """
     timeline = state.timelines[cid]
     first, last = timeline.window_range(job)
@@ -69,6 +75,8 @@ def simulated_eviction_prefix(job, cid, state):
         key=lambda j: (j.unit_value, -j.id))
     usage = list(state.committed[cid])
     for n, cand in enumerate(candidates, start=1):
+        if job.bid_value <= beta * sum(c.bid_value for c in candidates[:n]):
+            return None, n
         usage = [u - a for u, a in zip(usage, state.allocations[cand.id])]
         if fits_in_residual(job, timeline, usage):
             return candidates[:n], n
@@ -152,9 +160,9 @@ class TestAllocation:
         """On a candidate channel the job does not fit, as case 2 calls it.
 
         The prefix is a list, so equality with the reference means removing
-        it frees room for the job.
+        it frees room for the job and the job's bid pays for it.
         """
-        compared = 0
+        compared = paying = 0
         for _ in range(80):
             m = random_market(rng, max_jobs=8, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
@@ -166,10 +174,13 @@ class TestAllocation:
                         if fits_in_residual(j, state.timelines[cid], state.committed[cid]):
                             continue
                         stats = PvgStats()
-                        prefix = _eviction_prefix(j, cid, state, stats)
-                        assert (prefix, stats.fit_checks) == simulated_eviction_prefix(j, cid, state)
+                        free = window_residual(j, state.timelines[cid], state.committed[cid])
+                        prefix = _eviction_prefix(j, cid, free, config.beta, state, stats)
+                        assert (prefix, stats.fit_checks) == simulated_eviction_prefix(
+                            j, cid, state, config.beta)
                         compared += 1
-        assert compared > 50
+                        paying += prefix is not None
+        assert compared > 50 and 0 < paying < compared
 
     def test_winners_partition_the_allocations(self, rng, monkeypatch):
         """Every state a greedy run reaches, price probes included.
@@ -225,11 +236,14 @@ class TestAllocation:
         """No case, readmission included, tests a channel that can never hold the job."""
         checked = []
 
-        def recording(job, timeline, usage):
-            checked.append((job.id, timeline.channel_id))
-            return fits_in_residual(job, timeline, usage)
+        def recording(check):
+            def recorded(job, timeline, usage):
+                checked.append((job.id, timeline.channel_id))
+                return check(job, timeline, usage)
+            return recorded
 
-        monkeypatch.setattr(pvg, "fits_in_residual", recording)
+        monkeypatch.setattr(pvg, "fits_in_residual", recording(fits_in_residual))
+        monkeypatch.setattr(pvg, "window_residual", recording(window_residual))
         readmissions = 0
         for _ in range(150):
             m = random_market(rng, max_jobs=8, max_channels=3)
@@ -365,7 +379,7 @@ class TestResumedPricing:
             truthful = _truthful_run(m, config, stats)
             for jid in sorted(out.assignment):
                 j = m.job_by_id(jid)
-                wins = _resumed_probe(config, j, truthful, stats)
+                wins = _resumed_probe(config, j, truthful, *_rank_tables(truthful[0].order), stats)
                 floor = config.eta_s * j.duration
                 n = bid_grid_size(floor, j.bid_value, config.xi)
                 bids = [bid_grid_point(floor, j.bid_value, config.xi, k, n) for k in range(n + 1)]
@@ -406,7 +420,9 @@ class TestResumedPricing:
         deviated = market([replace(j, bid_value=2.25) if j.id == 4 else j for j in jobs], [ch])
         assert pvg_allocate(deviated, config, stats=stats).assignment == {1: 2, 4: 2}
         assert (stats.preemptions, stats.readmissions) == (1, 1)
-        wins = _resumed_probe(config, jobs[1], _truthful_run(m, config, PvgStats()), PvgStats())
+        truthful = _truthful_run(m, config, PvgStats())
+        wins = _resumed_probe(config, jobs[1], truthful, *_rank_tables(truthful[0].order),
+                              PvgStats())
         bids = [k * self.XI for k in range(19)]
         assert [wins(bid) for bid in bids] == [_wins_at_bid(m, config, jobs[1], bid) for bid in bids]
         assert run_pvg(m, config).payments[4] == scan_critical_value(m, config, 4)
@@ -426,6 +442,125 @@ class TestResumedPricing:
                     assert out.payments[j.id] == scan_critical_value(dev, config, j.id)
                     checked += 1
         assert checked > 100
+
+
+def unpruned_eviction_prefix(job, cid, state, stats):
+    """Reference: the eviction walk with neither the value stop nor the window skip."""
+    timeline = state.timelines[cid]
+    first, last = timeline.window_range(job)
+    free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
+    prefix = []
+    for cand in reversed(state.winners[cid]):
+        freed = sum(state.allocations[cand.id][first:last + 1])
+        if not freed:
+            continue
+        prefix.append(cand)
+        stats.fit_checks += 1
+        free += freed
+        if free >= job.duration:
+            break
+    return prefix
+
+
+def unpruned_step(state, idx, config, stats):
+    """Reference: one greedy rank that walks an eviction prefix on every candidate channel."""
+    order, timelines = state.order, state.timelines
+    job = order[idx]
+    for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
+        if pvg._fits(job, cid, state, stats):
+            pvg._accept(job, cid, state, stats)
+            return False
+    for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
+        prefix = unpruned_eviction_prefix(job, cid, state, stats)
+        if job.bid_value > config.beta * sum(p.bid_value for p in prefix):
+            for victim in prefix:
+                release_allocation(timelines[cid], state.committed[cid],
+                                   state.allocations.pop(victim.id))
+                state.winners[cid].remove(victim)
+                stats.preemptions += 1
+            pvg._accept(job, cid, state, stats)
+            # case 3: readmission into this channel only
+            for earlier in order[:idx]:
+                if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
+                    continue
+                if pvg._fits(earlier, cid, state, stats):
+                    pvg._accept(earlier, cid, state, stats)
+                    stats.readmissions += 1
+            return True
+    return False
+
+
+class TestPrunedGreedy:
+    """The case-2 skip, the eviction walk's value stop and shared kept states change no output.
+
+    Bids, reserves and the bid grid are dyadic (xi = 0.25), so per-second
+    values tie often and a preemption's value test often sits exactly on
+    its threshold.
+    """
+
+    BETAS = (1.0, 1.0 + 1e-12, 1.0 + 1e-6, 1.1, 2.0, BETA_STAR, 4.0)
+
+    @staticmethod
+    def priced(m, config):
+        stats = PvgStats()
+        out = run_pvg(m, config, stats=stats)
+        return (out.assignment, out.allocations, out.payments,
+                (stats.commits, stats.preemptions, stats.readmissions))
+
+    def test_matches_unpruned_greedy(self, monkeypatch):
+        rig = random.Random(1717)
+        cases = [(random_market(rig, max_jobs=8, max_channels=3),
+                  AuctionConfig(beta=rig.choice(self.BETAS), eta_s=rig.choice([0.0, 0.25]),
+                                xi=0.25))
+                 for _ in range(2000)]
+        pruned = [self.priced(m, config) for m, config in cases]
+        monkeypatch.setattr(pvg, "_step", unpruned_step)
+        preempting_betas = set()
+        for (m, config), got in zip(cases, pruned):
+            expected = self.priced(m, config)
+            assert got == expected, (m, config)
+            if expected[3][1]:
+                preempting_betas.add(config.beta)
+        assert preempting_betas == set(self.BETAS)
+        assert {len(m.channels) for m, _ in cases} == {1, 2, 3}
+
+    def test_preemption_just_inside_the_skip_bound(self):
+        """beta * (duration - free) = 20 < 21 = duration: the newcomer must still preempt."""
+        ch = one_channel((0, 31))
+        jobs = [job(1, 10.0, 0, 10, 10), job(2, 21.0, 0, 21, 21)]
+        m, config = market(jobs, [ch]), AuctionConfig(beta=2.0, xi=0.25)
+        stats = PvgStats()
+        assert pvg_allocate(m, config, stats=stats).assignment == {2: 1}
+        assert stats.preemptions == 1
+        # the least grid bid above beta * 10
+        assert run_pvg(m, config).payments == {1: 0.0, 2: 20.25}
+
+    def test_kept_states_are_never_changed(self, monkeypatch):
+        """Every state a greedy run keeps, truthful or without a winner, survives all pricing."""
+        kept = []
+        greedy = pvg._greedy
+
+        def keeping(state, config, start, stats, snapshots=None):
+            preempting = greedy(state, config, start, stats, snapshots)
+            if snapshots is not None:
+                kept.extend((s, copy.deepcopy(s)) for s in snapshots)
+            return preempting
+
+        monkeypatch.setattr(pvg, "_greedy", keeping)
+        rig = random.Random(1718)
+        stats = PvgStats()
+        checked = shared = 0
+        for _ in range(150):
+            m = random_market(rig, max_jobs=8, max_channels=3)
+            config = AuctionConfig(beta=rig.choice([1.1, 2.0, BETA_STAR]), xi=0.25)
+            kept.clear()
+            run_pvg(m, config, stats=stats)
+            for state, before in kept:
+                assert state == before
+            checked += len(kept)
+            shared += len(kept) - len({id(s) for s, _ in kept})
+        assert checked > 1000 and shared > 100
+        assert stats.preemptions > 20 and stats.readmissions > 0
 
 
 class TestBidMonotonicity:
@@ -493,15 +628,26 @@ class TestRhoBound:
 
 
 class TestPricingCost:
-    def test_greedy_contested_panel_fit_checks(self):
-        """Probes that replay only the ranks able to change their answer keep pricing cheap.
+    def test_greedy_contested_panel_fit_checks(self, monkeypatch):
+        """Pricing replays, walks and keeps only what can change an answer.
 
         ``run_pvg`` over the first six greedy-contested panel markets (set 2,
         lambda 40, beta 2, no reserve) made 64,957 fit checks when every
         probe ran to the last rank and 14,032 when it replays only the
         preempting ranks while it loses and stops once no later bid can
-        evict it.
+        evict it.  Skipping eviction walks that cannot pay and stopping a
+        walk once its value reaches the bid brought that to 7,818.  Keeping
+        a state only after a rank that placed its job cut ``PvgState.fork``
+        calls from 3,820 to 1,960.
         """
+        forks = []
+        fork = pvg.PvgState.fork
+
+        def counting(state, order=None):
+            forks.append(1)
+            return fork(state, order)
+
+        monkeypatch.setattr(pvg.PvgState, "fork", counting)
         grid = synthesize_occupancy(3, 1, 0.5, seed=7)
         channels = tuple(grid.to_channels(REGION, BAND))
         stats = PvgStats()
@@ -511,7 +657,8 @@ class TestPricingCost:
                 seed=trial_seed(0, 2, 40, trial)))
             run_pvg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(beta=2.0),
                     stats=stats)
-        assert stats.fit_checks <= 20_000
+        assert stats.fit_checks <= 8_600
+        assert len(forks) <= 2_150
 
 
 class TestComplexityTrend:
