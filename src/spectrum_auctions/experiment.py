@@ -64,6 +64,8 @@ class ExperimentPlan:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.vcg_max_jobs < 0:
             raise ValueError(f"vcg_max_jobs must not be negative, got {self.vcg_max_jobs}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must not be negative, got {self.master_seed}")
         for lam in self.lambdas:
             if lam < 0:
                 raise ValueError(f"lambda must not be negative, got {lam}")

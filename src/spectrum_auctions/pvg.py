@@ -30,22 +30,24 @@ binary search over the bid grid between its reserve floor and its
 reported value.  ``run_pvg`` allocates a market and prices each winner
 with ``critical_value`` over that same allocation run.
 
-Pricing replays only what a probe can change.  Segmentation does not
-depend on bids, so ``run_pvg`` cuts each channel's timeline once and keeps
-the state of its allocation run before every rank.  For winner i it then
-runs the market without i once, starting from the kept state at i's rank,
-and keeps that run's state before every rank and the ranks at which it
-preempted.  A rank that leaves its job unplaced changes nothing, so both
-runs keep one state object for every rank since their last placement;
-kept states are shared and read-only, and every probe forks the one it
-resumes from.  A probe at bid b puts i at its rank r for b under
-``processing_key`` and resumes from the state before rank r.  This is
-exact: processing a job reads only the jobs ranked above it (case-3
-readmission scans ``order[:idx]``, and the eviction prefix walks only
-placed jobs), so the jobs above r are processed in the probe exactly as
-in the run without i, and the runs with and without i agree above i's
-own rank.  From rank r on, the probe replays only the ranks that can
-change whether i wins:
+Pricing replays only what a probe can change.  Segmentation, candidate
+channels and the truthful order do not depend on the probed bid, so one
+``_Greedy`` per market holds them, and a ``PvgState`` holds only what a
+rank changes.  ``run_pvg`` keeps the state of its allocation run before
+every rank.  For winner i it then runs the market without i once, from a
+fork of the kept state at i's rank, and keeps that run's state before
+every rank and the ranks at which it preempted; the ranks above i's are
+the truthful run's own kept states.  A rank that leaves its job unplaced
+changes nothing, so both runs keep one state object for every rank since
+their last placement; kept states are shared and read-only, and every
+probe forks the one it resumes from.  A probe at bid b puts i at its
+rank r for b under ``processing_key`` and resumes from the state before
+rank r.  This is exact: processing a job reads only the jobs ranked
+above it (case-3 readmission scans ``order[:idx]``, and the eviction
+prefix walks only placed jobs), so the jobs above r are processed in the
+probe exactly as in the run without i, and the runs with and without i
+agree above i's own rank.  From rank r on, the probe replays only the
+ranks that can change whether i wins:
 
 * Losing side.  While i is unplaced it changes nothing, and a rank reads
   unplaced jobs only in its case-3 scan, which runs only at a rank that
@@ -70,7 +72,6 @@ from .market import (
     AuctionOutcome,
     Job,
     LocalMarket,
-    SegmentedTimeline,
     build_timelines,
     candidate_channels,
     commit_allocation,
@@ -96,171 +97,217 @@ class PvgStats:
 class PvgState:
     """The allocator's state between two processed ranks.
 
-    ``order`` is the processing order (``processing_key``) over
-    reserve-eligible jobs, ``candidates`` every market job's candidate
-    channels, ``winners`` each channel's placed jobs in processing order,
-    and ``committed`` each channel's per-slot used seconds, the sum of
-    its winners' ``allocations``.
-    ``_greedy`` keeps the state before every rank for pricing to resume
-    from.  A rank that leaves its job unplaced changes nothing, so one kept
-    object stands for every rank since the last placement.  Kept states are
-    read-only: every user forks one before stepping it.
+    ``winners`` is each channel's placed jobs in processing order, and
+    ``committed`` each channel's per-slot used seconds, the sum of its
+    winners' ``allocations``.  What no rank changes (timelines, candidate
+    channels, the processing order) lives in ``_Greedy``; a run's order is
+    passed to each step.  Kept states (``_Greedy.run``) are read-only:
+    every user forks one before stepping it.
     """
 
-    order: list[Job]
-    timelines: dict[int, SegmentedTimeline]
-    candidates: dict[int, list[int]]
     winners: dict[int, list[Job]]
     committed: dict[int, list[int]]
     allocations: dict[int, list[int]] = field(default_factory=dict)
 
-    def fork(self, order: list[Job] | None = None) -> PvgState:
-        """An independent copy, over ``order`` when given.
+    def fork(self) -> PvgState:
+        """An independent copy.
 
         Per-job allocation lists are shared: once committed they are only
         ever dropped, never changed.
         """
         return PvgState(
-            order=self.order if order is None else order,
-            timelines=self.timelines,
-            candidates=self.candidates,
             winners={cid: list(placed) for cid, placed in self.winners.items()},
             committed={cid: list(used) for cid, used in self.committed.items()},
             allocations=dict(self.allocations),
         )
 
 
-def _eviction_prefix(job: Job, cid: int, free: int, beta: float, state: PvgState,
-                     stats: PvgStats) -> list[Job] | None:
-    """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``, if it pays.
+class _Greedy:
+    """One market's greedy: what no rank changes, and the steps over a ``PvgState``.
 
-    Candidates are the channel's winners with any seconds inside ``job``'s
-    window, ordered by per-second value ascending (ties: descending id),
-    which is ``state.winners[cid]`` reversed; a winner whose window misses
-    the job's slot range is passed over unsummed.  Removing one frees
-    exactly its in-window seconds, so a running total from the window's
-    residual ``free`` finds the first point at which the job fits.  The
-    prefix is returned only if the job's bid exceeds ``beta`` times its
-    value; the walk gives up with None as soon as the value so far reaches
-    that, since adding non-negative bids never lowers a float sum.  ``cid``
-    is one of the job's candidate channels, so removing every overlapping
-    winner frees the whole window capacity, which covers the job's duration.
+    Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` are
+    the market's channels cut once, ``candidates`` every job's candidate
+    channels, ``order`` the truthful processing order (``processing_key``)
+    over reserve-eligible jobs, ``keys`` its processing keys and
+    ``highest[k]`` the largest bid among ``order[k:]``.  Work is counted
+    into ``stats``.
     """
-    windows = state.timelines[cid].job_windows
-    first, last = windows[job.id]
-    value = 0.0
-    prefix: list[Job] = []
-    for cand in reversed(state.winners[cid]):
-        lo, hi = windows[cand.id]
-        if hi < first or lo > last:
-            continue
-        freed = sum(state.allocations[cand.id][max(lo, first):min(hi, last) + 1])
-        if not freed:
-            continue
-        stats.fit_checks += 1
-        value += cand.bid_value
-        if job.bid_value <= beta * value:
-            return None
-        prefix.append(cand)
-        free += freed
-        if free >= job.duration:
-            return prefix
-    return None
 
+    def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
+        self.config = config
+        self.stats = stats
+        self.timelines = build_timelines(market)
+        self.candidates = candidate_channels(market.jobs, self.timelines)
+        self.order = sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key)
+        self.keys = [processing_key(j) for j in self.order]
+        self.highest = list(accumulate(reversed([j.bid_value for j in self.order]), max))[::-1]
 
-def _initial_state(market: LocalMarket, config: AuctionConfig,
-                   timelines: dict[int, SegmentedTimeline]) -> PvgState:
-    return PvgState(
-        order=sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key),
-        timelines=timelines,
-        candidates=candidate_channels(market.jobs, timelines),
-        winners={cid: [] for cid in timelines},
-        committed={cid: tl.empty_usage() for cid, tl in timelines.items()},
-    )
+    def initial_state(self) -> PvgState:
+        return PvgState(winners={cid: [] for cid in self.timelines},
+                        committed={cid: tl.empty_usage() for cid, tl in self.timelines.items()})
 
+    def eviction_prefix(self, job: Job, cid: int, free: int, state: PvgState) -> list[Job] | None:
+        """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``, if it pays.
 
-def _fits(job: Job, cid: int, state: PvgState, stats: PvgStats) -> bool:
-    stats.fit_checks += 1
-    return fits_in_residual(job, state.timelines[cid], state.committed[cid])
-
-
-def _accept(job: Job, cid: int, state: PvgState, stats: PvgStats) -> None:
-    state.allocations[job.id] = commit_allocation(job, state.timelines[cid], state.committed[cid])
-    insort(state.winners[cid], job, key=processing_key)
-    stats.commits += 1
-
-
-def _step(state: PvgState, idx: int, config: AuctionConfig, stats: PvgStats) -> bool:
-    """Process ``state.order[idx]`` onto ``state``, in place; True iff it preempted."""
-    order, timelines = state.order, state.timelines
-    job = order[idx]
-    residuals = []
-    for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
-        free = window_residual(job, timelines[cid], state.committed[cid])
-        stats.fit_checks += 1
-        if free >= job.duration:
-            _accept(job, cid, state, stats)
-            return False
-        residuals.append(free)
-    # case 2: try to preempt cheaper overlap where an eviction prefix can pay
-    for cid, free in zip(state.candidates[job.id], residuals):
-        if config.beta * (job.duration - free) > job.duration * (1.0 + 1e-9):
-            continue
-        prefix = _eviction_prefix(job, cid, free, config.beta, state, stats)
-        if prefix is None:
-            continue
-        for victim in prefix:
-            release_allocation(timelines[cid], state.committed[cid],
-                               state.allocations.pop(victim.id))
-            state.winners[cid].remove(victim)
-            stats.preemptions += 1
-        _accept(job, cid, state, stats)
-        # case 3: readmission into this channel only
-        for earlier in order[:idx]:
-            if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
+        Candidates are the channel's winners with any seconds inside ``job``'s
+        window, ordered by per-second value ascending (ties: descending id),
+        which is ``state.winners[cid]`` reversed; a winner whose window misses
+        the job's slot range is passed over unsummed.  Removing one frees
+        exactly its in-window seconds, so a running total from the window's
+        residual ``free`` finds the first point at which the job fits.  The
+        prefix is returned only if the job's bid exceeds ``beta`` times its
+        value; the walk gives up with None as soon as the value so far reaches
+        that, since adding non-negative bids never lowers a float sum.  ``cid``
+        is one of the job's candidate channels, so removing every overlapping
+        winner frees the whole window capacity, which covers the job's duration.
+        """
+        windows = self.timelines[cid].job_windows
+        first, last = windows[job.id]
+        beta = self.config.beta
+        value = 0.0
+        prefix: list[Job] = []
+        for cand in reversed(state.winners[cid]):
+            lo, hi = windows[cand.id]
+            if hi < first or lo > last:
                 continue
-            if _fits(earlier, cid, state, stats):
-                _accept(earlier, cid, state, stats)
-                stats.readmissions += 1
-        return True
-    return False
+            freed = sum(state.allocations[cand.id][max(lo, first):min(hi, last) + 1])
+            if not freed:
+                continue
+            self.stats.fit_checks += 1
+            value += cand.bid_value
+            if job.bid_value <= beta * value:
+                return None
+            prefix.append(cand)
+            free += freed
+            if free >= job.duration:
+                return prefix
+        return None
 
+    def accept(self, job: Job, cid: int, state: PvgState) -> None:
+        state.allocations[job.id] = commit_allocation(job, self.timelines[cid],
+                                                      state.committed[cid])
+        insort(state.winners[cid], job, key=processing_key)
+        self.stats.commits += 1
 
-def _greedy(state: PvgState, config: AuctionConfig, start: int, stats: PvgStats,
-            snapshots: list[PvgState] | None = None) -> list[int]:
-    """Process ``state.order[start:]`` onto ``state``, in place; the ranks that preempted.
+    def step(self, state: PvgState, order: list[Job], idx: int) -> bool:
+        """Process ``order[idx]`` onto ``state``, in place; True iff it preempted."""
+        timelines, candidates, stats = self.timelines, self.candidates, self.stats
+        job = order[idx]
+        residuals = []
+        for cid in candidates[job.id]:  # case 1: conflict-free acceptance
+            free = window_residual(job, timelines[cid], state.committed[cid])
+            stats.fit_checks += 1
+            if free >= job.duration:
+                self.accept(job, cid, state)
+                return False
+            residuals.append(free)
+        # case 2: try to preempt cheaper overlap where an eviction prefix can pay
+        for cid, free in zip(candidates[job.id], residuals):
+            if self.config.beta * (job.duration - free) > job.duration * (1.0 + 1e-9):
+                continue
+            prefix = self.eviction_prefix(job, cid, free, state)
+            if prefix is None:
+                continue
+            for victim in prefix:
+                release_allocation(timelines[cid], state.committed[cid],
+                                   state.allocations.pop(victim.id))
+                state.winners[cid].remove(victim)
+                stats.preemptions += 1
+            self.accept(job, cid, state)
+            # case 3: readmission into this channel only
+            for earlier in order[:idx]:
+                if earlier.id in state.allocations or cid not in candidates[earlier.id]:
+                    continue
+                stats.fit_checks += 1
+                if fits_in_residual(earlier, timelines[cid], state.committed[cid]):
+                    self.accept(earlier, cid, state)
+                    stats.readmissions += 1
+            return True
+        return False
 
-    When ``snapshots`` is given, the state before each processed rank and
-    the final state are appended to it, so a list already holding the
-    states before ranks ``0 .. start-1`` ends up indexed by rank.  A state
-    is forked only after a rank that placed its job: a rank that leaves its
-    job unplaced changed nothing, so the previous kept object is appended
-    again.
-    """
-    preempting = []
-    kept = None
-    for idx in range(start, len(state.order)):
-        if snapshots is not None:
-            if kept is None:
-                kept = state.fork()
-            snapshots.append(kept)
-        if _step(state, idx, config, stats):
-            preempting.append(idx)
-        if state.order[idx].id in state.allocations:
-            kept = None
-    if snapshots is not None:
-        snapshots.append(state.fork() if kept is None else kept)
-    return preempting
+    def run(self, state: PvgState, order: list[Job], start: int,
+            kept: list[PvgState] | None = None) -> list[int]:
+        """Process ``order[start:]`` onto ``state``, in place; the ranks that preempted.
 
+        When ``kept`` is given it holds the states before ranks ``0 ..
+        start``, the last equal to ``state``, and the state after each
+        processed rank is appended to it, so it ends indexed by rank with
+        the end state last.  Only a rank that placed its job appends a
+        fresh fork; one that left its job unplaced changed nothing, so the
+        previous kept object is appended again.
+        """
+        preempting = []
+        for idx in range(start, len(order)):
+            if self.step(state, order, idx):
+                preempting.append(idx)
+            if kept is not None:
+                kept.append(state.fork() if order[idx].id in state.allocations else kept[-1])
+        return preempting
 
-def _outcome(state: PvgState) -> AuctionOutcome:
-    assignment = dict(sorted((j.id, cid) for cid, placed in state.winners.items() for j in placed))
-    return AuctionOutcome(
-        assignment=assignment,
-        allocations={jid: list(state.allocations[jid]) for jid in assignment},
-        payments={},
-        timelines=state.timelines,
-    )
+    def truthful_run(self) -> list[PvgState]:
+        """The market's own run as its states before each rank, then its end state."""
+        kept = [self.initial_state()]
+        self.run(kept[0].fork(), self.order, 0, kept)
+        return kept
+
+    def outcome(self, state: PvgState) -> AuctionOutcome:
+        assignment = dict(sorted((j.id, cid) for cid, placed in state.winners.items()
+                                 for j in placed))
+        return AuctionOutcome(
+            assignment=assignment,
+            allocations={jid: list(state.allocations[jid]) for jid in assignment},
+            payments={},
+            timelines=self.timelines,
+        )
+
+    def resumed_probe(self, job: Job, truthful: list[PvgState]):
+        """Win predicate over ``job``'s bid that replays only the ranks that can change it.
+
+        ``job`` is a winner of ``truthful``, the market's own run as
+        ``truthful_run`` keeps it, so it is in ``order``.  Runs the market
+        without ``job`` once, from the truthful run's state at ``job``'s
+        rank, keeping its state before each rank and the ranks at which it
+        preempted.  Each probe inserts the deviated job at its rank under
+        the processing key, resumes from the state kept there, and stops by
+        the two rules of the module docstring.
+        """
+        keys, highest, beta = self.keys, self.highest, self.config.beta
+        rank = bisect_left(keys, processing_key(job))
+        others = self.order[:rank] + self.order[rank + 1:]
+        without = truthful[:rank + 1]
+        preempting = self.run(without[rank].fork(), others, rank, without)
+
+        def wins(bid: float) -> bool:
+            probe = _with_bid(job, bid)
+            # at most job's own bid, the probe ranks below order[:rank + 1];
+            # from there on, others[k] is order[k + 1]
+            at = bisect_left(keys, processing_key(probe), rank + 1) - 1
+            probe_order = others[:at] + [probe] + others[at:]
+            state = without[at].fork()
+            self.step(state, probe_order, at)
+            idx = at
+            if probe.id not in state.allocations:
+                # An unplaced probe changes nothing: this run is the run without
+                # it except at a preempting rank, whose case-3 scan may readmit it.
+                for k in preempting[bisect_left(preempting, at):]:
+                    state = without[k].fork()
+                    self.step(state, probe_order, k + 1)
+                    if probe.id in state.allocations:
+                        idx = k + 1
+                        break
+                else:
+                    return False
+            # others[idx:], that is order[idx + 1:], are still to come; no bid
+            # up to beta * bid evicts the probe
+            safe = beta * bid
+            while idx < len(others):
+                if probe.id in state.allocations and highest[idx + 1] <= safe:
+                    return True
+                idx += 1
+                self.step(state, probe_order, idx)
+            return probe.id in state.allocations
+
+        return wins
 
 
 def pvg_allocate(market: LocalMarket, config: AuctionConfig,
@@ -271,17 +318,10 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
     tie-breaks.  Work is counted into ``stats``, a fresh ``PvgStats``
     when not given.
     """
-    state = _initial_state(market, config, build_timelines(market))
-    _greedy(state, config, 0, PvgStats() if stats is None else stats)
-    return _outcome(state)
-
-
-def _truthful_run(market: LocalMarket, config: AuctionConfig,
-                  stats: PvgStats) -> list[PvgState]:
-    """The market's own greedy run as its states before each rank, then its end state."""
-    snapshots: list[PvgState] = []
-    _greedy(_initial_state(market, config, build_timelines(market)), config, 0, stats, snapshots)
-    return snapshots
+    greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
+    state = greedy.initial_state()
+    greedy.run(state, greedy.order, 0)
+    return greedy.outcome(state)
 
 
 def bid_grid_size(floor: float, top: float, xi: float) -> int:
@@ -320,83 +360,23 @@ def _with_bid(job: Job, bid: float) -> Job:
     return probe
 
 
-def _rank_tables(order: list[Job]) -> tuple[list[tuple[float, int]], list[float]]:
-    """``order``'s processing keys, and ``highest[k]``: the largest bid among ``order[k:]``."""
-    keys = [processing_key(j) for j in order]
-    highest = list(accumulate(reversed([j.bid_value for j in order]), max))[::-1]
-    return keys, highest
-
-
-def _resumed_probe(config: AuctionConfig, job: Job, truthful: list[PvgState],
-                   keys: list[tuple[float, int]], highest: list[float], stats: PvgStats):
-    """Win predicate over ``job``'s bid that replays only the ranks that can change it.
-
-    ``job`` is a winner of the truthful run, so it is in its order, and
-    ``keys``/``highest`` are ``_rank_tables`` of that order.  Runs the
-    market without ``job`` once, from the truthful run's state at
-    ``job``'s rank, keeping its state before each rank and the ranks at
-    which it preempted.  Each probe inserts the deviated job at its rank
-    under the processing key, resumes from the state kept there, and
-    stops by the two rules of the module docstring.
-    """
-    order = truthful[0].order
-    rank = bisect_left(keys, processing_key(job))
-    others = order[:rank] + order[rank + 1:]
-    without = truthful[:rank]
-    preempting = _greedy(truthful[rank].fork(others), config, rank, stats, without)
-
-    def wins(bid: float) -> bool:
-        probe = _with_bid(job, bid)
-        # at most job's own bid, the probe ranks below order[:rank + 1];
-        # from there on, others[k] is order[k + 1]
-        at = bisect_left(keys, processing_key(probe), rank + 1) - 1
-        probe_order = others[:at] + [probe] + others[at:]
-        state = without[at].fork(probe_order)
-        _step(state, at, config, stats)
-        idx = at
-        if probe.id not in state.allocations:
-            # An unplaced probe changes nothing: this run is the run without
-            # it except at a preempting rank, whose case-3 scan may readmit it.
-            for k in preempting[bisect_left(preempting, at):]:
-                state = without[k].fork(probe_order)
-                _step(state, k + 1, config, stats)
-                if probe.id in state.allocations:
-                    idx = k + 1
-                    break
-            else:
-                return False
-        # others[idx:], that is order[idx + 1:], are still to come; no bid
-        # up to beta * bid evicts the probe
-        safe = config.beta * bid
-        while idx < len(others):
-            if probe.id in state.allocations and highest[idx + 1] <= safe:
-                return True
-            idx += 1
-            _step(state, idx, config, stats)
-        return probe.id in state.allocations
-
-    return wins
-
-
-def critical_value(config: AuctionConfig, job: Job, truthful: list[PvgState],
-                   keys: list[tuple[float, int]], highest: list[float],
-                   stats: PvgStats) -> float:
+def critical_value(greedy: _Greedy, job: Job, truthful: list[PvgState]) -> float:
     """Least grid bid at which ``job``, a winner of ``truthful``, still wins.
 
-    ``truthful`` is the market's own run as ``_truthful_run`` keeps it, and
-    ``keys``/``highest`` are ``_rank_tables`` of its order.
+    ``truthful`` is the market's own run as ``greedy.truthful_run`` keeps it.
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below the reported value ``job.bid_value``, plus that value.
     Bid monotonicity makes the win predicate a threshold over them, so
     ``bisect_left`` finds the first winning one among the n below the
     value, which itself wins by assumption and is never probed.
     """
+    config = greedy.config
     floor = config.eta_s * job.duration
     top = job.bid_value
     n = bid_grid_size(floor, top, config.xi)
     if n == 0:
         return top
-    wins = _resumed_probe(config, job, truthful, keys, highest, stats)
+    wins = greedy.resumed_probe(job, truthful)
     first = bisect_left(range(n), True,
                         key=lambda k: wins(bid_grid_point(floor, top, config.xi, k, n)))
     return bid_grid_point(floor, top, config.xi, first, n)
@@ -406,18 +386,18 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
             stats: PvgStats | None = None) -> AuctionOutcome:
     """Allocate, price, and package the greedy mechanism's outcome.
 
-    The timelines are cut once and every winner is priced by probes that
-    resume from the kept states of the allocation run (module docstring);
-    the run's rank tables are built once for all of them.
+    One ``_Greedy`` cuts the timelines and builds the rank tables once,
+    and every winner is priced by probes that resume from the kept states
+    of the allocation run (module docstring).
     """
-    stats = PvgStats() if stats is None else stats
-    truthful = _truthful_run(market, config, stats)
-    keys, highest = _rank_tables(truthful[0].order)
-    outcome = _outcome(truthful[-1])
+    greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
+    truthful = greedy.truthful_run()
+    final = truthful[-1]
+    outcome = greedy.outcome(final)
     payments = {j.id: 0.0 for j in market.jobs}
-    for placed in truthful[-1].winners.values():
+    for placed in final.winners.values():
         for winner in placed:
-            payments[winner.id] = critical_value(config, winner, truthful, keys, highest, stats)
+            payments[winner.id] = critical_value(greedy, winner, truthful)
     outcome.payments = payments
     return outcome
 

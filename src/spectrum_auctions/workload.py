@@ -155,6 +155,8 @@ def synthesize_occupancy(channels: int, days: int, duty_cycle: float, seed: int,
     for name, count in (("channels", channels), ("days", days)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must not be negative, got {seed}")
     per_day = DAY_SECONDS // slot_seconds
     rng = np.random.default_rng(seed)
     day_rows = []
@@ -221,6 +223,8 @@ class WorkloadSpec:
             raise ValueError("the hot window must lie inside the horizon")
         if WINDOW_RANGE[1] > self.horizon:
             raise ValueError("windows cannot exceed the horizon")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 def generate_requests(spec: WorkloadSpec) -> list[Job]:
@@ -232,9 +236,9 @@ def generate_requests(spec: WorkloadSpec) -> list[Job]:
     jobs = []
     for i in range(spec.n_requests):
         window = int(rng.integers(w_lo, w_hi + 1))
+        # no redraw: DURATION_RANGE ends where WINDOW_RANGE starts, and
+        # ``Job`` rejects a duration longer than its window
         duration = int(rng.integers(t_lo, t_hi + 1))
-        while duration > window:
-            duration = int(rng.integers(t_lo, t_hi + 1))
         if spec.set_kind == 2 and rng.random() < spec.hot_fraction:
             arrival = _arrival_hitting(rng, window, hs, he, spec.horizon)
         elif spec.set_kind == 2:
@@ -267,7 +271,7 @@ def _arrival_hitting(rng: np.random.Generator, window: int, hs: int, he: int,
 def _arrival_missing(rng: np.random.Generator, window: int, hs: int, he: int,
                      horizon: int) -> int:
     """Uniform arrival whose window stays fully clear of the hot range."""
-    left = hs - window - 0 + 1  # arrivals in [0, hs - window]
+    left = hs - window + 1  # arrivals in [0, hs - window]
     right = horizon - window - he + 1  # arrivals in [he, horizon - window]
     left = max(0, left)
     right = max(0, right)

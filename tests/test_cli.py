@@ -199,6 +199,8 @@ class TestBadInput:
         ("--xi", "1e-320", "xi 1e-320 gives no finite bid grid"),
         # a finite grid size, but finer than the float spacing at any bid
         ("--xi", "1e-100", "xi 1e-100 gives no finite bid grid"),
+        ("--seed", "-1", "master_seed must not be negative, got -1"),
+        ("--mechanisms", "foo", "unknown mechanism 'foo'"),
     ])
     def test_non_finite_auction_flag(self, grid_csv, tmp_path, capsys, flag, value, message):
         self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", flag, value,
@@ -257,12 +259,36 @@ class TestBadInput:
         ("--slot-seconds", "86401", "slot_seconds must not exceed a day (86400), got 86401"),
         ("--days", "0", "days must be at least 1, got 0"),
         ("--channels", "0", "channels must be at least 1, got 0"),
+        ("--seed", "-1", "seed must not be negative, got -1"),
     ])
     def test_bad_occupancy_flag(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "grid.csv"
         self.assert_error(capsys, ["gen-occupancy", "--channels", "2", "--days", "1", flag, value,
                                    "--out", str(out)], message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must not be negative, got -1"),
+        ("--lambda", "-1", "n_requests must be >= 0"),
+    ])
+    def test_bad_request_generator_flag(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "req.csv"
+        self.assert_error(capsys, ["gen-requests", "--lambda", "3", flag, value,
+                                   "--out", str(out)], message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, text, message", [
+        (0, "id,region,band,bid_value,arrival,deadline,duration",
+         "line 1: expected header 'id,region,band_type,bid_value,arrival,deadline,duration'"),
+        (2, "2,r1,tv,1.0,0,7200", "line 3: row has 6 cells, expected 7"),
+    ], ids=["wrong-header", "short-row"])
+    def test_bad_request_file_names_file_and_line(self, grid_csv, request_csv, tmp_path, capsys,
+                                                  line, text, message):
+        lines = request_csv.read_text().splitlines()
+        lines[line] = text
+        request_csv.write_text("\n".join(lines) + "\n")
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--out", str(tmp_path / "x.csv")], f"{request_csv}, {message}")
 
     def test_missing_grid_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
@@ -272,7 +298,10 @@ class TestBadInput:
     @pytest.mark.parametrize("text, message", [
         ("", "line 1: empty file"),
         ("slot_seconds,75\n0,1,0\n0,2,0\n", "line 3: cell '2' is not 0 or 1"),
-    ], ids=["empty", "bad-cell"])
+        ("slot_seconds,x\n0,1,0\n", "line 1: slot_seconds 'x' is not an integer"),
+        ("slot_seconds,0\n0,1,0\n", "line 1: slot_seconds must be positive"),
+        ("slot_seconds,75\n", "line 2: no channel rows"),
+    ], ids=["empty", "bad-cell", "non-integer-slot", "zero-slot", "no-rows"])
     def test_bad_grid_file_names_file_and_line(self, tmp_path, capsys, text, message):
         grid = tmp_path / "grid.csv"
         grid.write_text(text)

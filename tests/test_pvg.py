@@ -30,14 +30,7 @@ from spectrum_auctions.market import (
     window_residual,
 )
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
-from spectrum_auctions.pvg import (
-    _eviction_prefix,
-    _rank_tables,
-    _resumed_probe,
-    _truthful_run,
-    bid_grid_point,
-    bid_grid_size,
-)
+from spectrum_auctions.pvg import _Greedy, bid_grid_point, bid_grid_size
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
 from conftest import BAND, REGION, random_market, random_reserve
@@ -59,18 +52,19 @@ def one_channel(*intervals):
     return Channel(1, REGION, BAND, tuple(intervals))
 
 
-def simulated_eviction_prefix(job, cid, state, beta):
+def simulated_eviction_prefix(greedy, job, cid, state):
     """Reference: remove cheapest overlapping winners one by one, re-checking the fit.
 
     Gives up as soon as ``beta`` times the removed winners' value reaches
     the job's bid.  Returns the prefix (None if it cannot pay or no removal
     helps) and the fit checks made, one per removed winner.
     """
-    timeline = state.timelines[cid]
+    beta = greedy.config.beta
+    timeline = greedy.timelines[cid]
     first, last = timeline.window_range(job)
     on_channel = {w.id for w in state.winners[cid]}
     candidates = sorted(
-        (j for j in state.order if j.id in on_channel
+        (j for j in greedy.order if j.id in on_channel
          and any(state.allocations[j.id][first:last + 1])),
         key=lambda j: (j.unit_value, -j.id))
     usage = list(state.committed[cid])
@@ -166,18 +160,20 @@ class TestAllocation:
         for _ in range(80):
             m = random_market(rng, max_jobs=8, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
-            for state in _truthful_run(m, config, PvgStats()):
-                for j in state.order:
+            greedy = _Greedy(m, config, PvgStats())
+            for state in greedy.truthful_run():
+                for j in greedy.order:
                     if j.id in state.allocations:
                         continue
-                    for cid in state.candidates[j.id]:
-                        if fits_in_residual(j, state.timelines[cid], state.committed[cid]):
+                    for cid in greedy.candidates[j.id]:
+                        timeline = greedy.timelines[cid]
+                        if fits_in_residual(j, timeline, state.committed[cid]):
                             continue
-                        stats = PvgStats()
-                        free = window_residual(j, state.timelines[cid], state.committed[cid])
-                        prefix = _eviction_prefix(j, cid, free, config.beta, state, stats)
-                        assert (prefix, stats.fit_checks) == simulated_eviction_prefix(
-                            j, cid, state, config.beta)
+                        greedy.stats = PvgStats()
+                        free = window_residual(j, timeline, state.committed[cid])
+                        prefix = greedy.eviction_prefix(j, cid, free, state)
+                        assert (prefix, greedy.stats.fit_checks) == simulated_eviction_prefix(
+                            greedy, j, cid, state)
                         compared += 1
                         paying += prefix is not None
         assert compared > 50 and 0 < paying < compared
@@ -190,14 +186,14 @@ class TestAllocation:
         allocations sum slot-wise to the channel's ``committed``.
         """
         kept = []
-        step = pvg._step
+        step = pvg._Greedy.step
 
-        def keeping(state, idx, config, stats):
-            preempted = step(state, idx, config, stats)
-            kept.append(state.fork())
+        def keeping(greedy, state, order, idx):
+            preempted = step(greedy, state, order, idx)
+            kept.append((greedy, state.fork()))
             return preempted
 
-        monkeypatch.setattr(pvg, "_step", keeping)
+        monkeypatch.setattr(pvg._Greedy, "step", keeping)
         stats = PvgStats()
         checked = multi_channel = 0
         for _ in range(80):
@@ -206,13 +202,13 @@ class TestAllocation:
                                    eta_s=random_reserve(rng))
             kept.clear()
             run_pvg(m, config, stats=stats)
-            for state in kept:
+            for greedy, state in kept:
                 placed = [j.id for winners in state.winners.values() for j in winners]
                 assert len(placed) == len(set(placed))
                 assert set(placed) == set(state.allocations)
                 for cid, winners in state.winners.items():
                     assert winners == sorted(winners, key=processing_key)
-                    total = state.timelines[cid].empty_usage()
+                    total = greedy.timelines[cid].empty_usage()
                     for w in winners:
                         total = [t + a for t, a in zip(total, state.allocations[w.id])]
                     assert state.committed[cid] == total
@@ -260,9 +256,10 @@ class TestAllocation:
             m = random_market(rng, max_jobs=7, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.0, 1.5, BETA_STAR, 3.0]),
                                    eta_s=random_reserve(rng))
-            for state in _truthful_run(m, config, PvgStats()):
+            greedy = _Greedy(m, config, PvgStats())
+            for state in greedy.truthful_run():
                 for cid, usage in state.committed.items():
-                    slots = state.timelines[cid].slots
+                    slots = greedy.timelines[cid].slots
                     assert all(0 <= u <= s.capacity for u, s in zip(usage, slots))
             out = pvg_allocate(m, config)
             for jid in out.assignment:
@@ -336,10 +333,11 @@ class TestBidGrid:
 
     def test_size_matches_linear_scan(self):
         rig = random.Random(3)
-        for _ in range(500):
-            floor = rig.choice([0.0, rig.uniform(0.0, 5.0)])
-            top = rig.uniform(0.0, 6.0)
-            xi = rig.choice([0.25, 0.01, rig.uniform(0.01, 1.0)])
+        cases = [(rig.choice([0.0, rig.uniform(0.0, 5.0)]), rig.uniform(0.0, 6.0),
+                  rig.choice([0.25, 0.01, rig.uniform(0.01, 1.0)])) for _ in range(500)]
+        # the ceil estimate, 596, is one step short: only the upward correction reaches 597
+        cases.append((0.005810763060401594, 59.60581076306041, 0.1))
+        for floor, top, xi in cases:
             expected = next(n for n in itertools.count() if floor + n * xi >= top)
             assert bid_grid_size(floor, top, xi) == expected
 
@@ -376,10 +374,11 @@ class TestResumedPricing:
         for m, config in self.markets(4004, 120):
             stats = PvgStats()
             out = run_pvg(m, config, stats=stats)
-            truthful = _truthful_run(m, config, stats)
+            greedy = _Greedy(m, config, stats)
+            truthful = greedy.truthful_run()
             for jid in sorted(out.assignment):
                 j = m.job_by_id(jid)
-                wins = _resumed_probe(config, j, truthful, *_rank_tables(truthful[0].order), stats)
+                wins = greedy.resumed_probe(j, truthful)
                 floor = config.eta_s * j.duration
                 n = bid_grid_size(floor, j.bid_value, config.xi)
                 bids = [bid_grid_point(floor, j.bid_value, config.xi, k, n) for k in range(n + 1)]
@@ -394,7 +393,7 @@ class TestResumedPricing:
                         mid = (lo + hi) // 2
                         lo, hi = (lo, mid) if full[mid] else (mid + 1, hi)
                     assert out.payments[jid] == bids[lo]
-                rates = {o.unit_value for o in truthful[0].order if o.id != jid}
+                rates = {o.unit_value for o in greedy.order if o.id != jid}
                 ties += sum(bid / j.duration in rates for bid in bids)
                 winners += 1
                 reserve_winners += config.eta_s > 0
@@ -420,9 +419,8 @@ class TestResumedPricing:
         deviated = market([replace(j, bid_value=2.25) if j.id == 4 else j for j in jobs], [ch])
         assert pvg_allocate(deviated, config, stats=stats).assignment == {1: 2, 4: 2}
         assert (stats.preemptions, stats.readmissions) == (1, 1)
-        truthful = _truthful_run(m, config, PvgStats())
-        wins = _resumed_probe(config, jobs[1], truthful, *_rank_tables(truthful[0].order),
-                              PvgStats())
+        greedy = _Greedy(m, config, PvgStats())
+        wins = greedy.resumed_probe(jobs[1], greedy.truthful_run())
         bids = [k * self.XI for k in range(19)]
         assert [wins(bid) for bid in bids] == [_wins_at_bid(m, config, jobs[1], bid) for bid in bids]
         assert run_pvg(m, config).payments[4] == scan_critical_value(m, config, 4)
@@ -444,9 +442,9 @@ class TestResumedPricing:
         assert checked > 100
 
 
-def unpruned_eviction_prefix(job, cid, state, stats):
+def unpruned_eviction_prefix(greedy, job, cid, state):
     """Reference: the eviction walk with neither the value stop nor the window skip."""
-    timeline = state.timelines[cid]
+    timeline = greedy.timelines[cid]
     first, last = timeline.window_range(job)
     free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
     prefix = []
@@ -455,36 +453,41 @@ def unpruned_eviction_prefix(job, cid, state, stats):
         if not freed:
             continue
         prefix.append(cand)
-        stats.fit_checks += 1
+        greedy.stats.fit_checks += 1
         free += freed
         if free >= job.duration:
             break
     return prefix
 
 
-def unpruned_step(state, idx, config, stats):
+def unpruned_step(greedy, state, order, idx):
     """Reference: one greedy rank that walks an eviction prefix on every candidate channel."""
-    order, timelines = state.order, state.timelines
+    timelines, candidates, stats = greedy.timelines, greedy.candidates, greedy.stats
     job = order[idx]
-    for cid in state.candidates[job.id]:  # case 1: conflict-free acceptance
-        if pvg._fits(job, cid, state, stats):
-            pvg._accept(job, cid, state, stats)
+
+    def fits(j, cid):
+        stats.fit_checks += 1
+        return fits_in_residual(j, timelines[cid], state.committed[cid])
+
+    for cid in candidates[job.id]:  # case 1: conflict-free acceptance
+        if fits(job, cid):
+            greedy.accept(job, cid, state)
             return False
-    for cid in state.candidates[job.id]:  # case 2: try to preempt cheaper overlap
-        prefix = unpruned_eviction_prefix(job, cid, state, stats)
-        if job.bid_value > config.beta * sum(p.bid_value for p in prefix):
+    for cid in candidates[job.id]:  # case 2: try to preempt cheaper overlap
+        prefix = unpruned_eviction_prefix(greedy, job, cid, state)
+        if job.bid_value > greedy.config.beta * sum(p.bid_value for p in prefix):
             for victim in prefix:
                 release_allocation(timelines[cid], state.committed[cid],
                                    state.allocations.pop(victim.id))
                 state.winners[cid].remove(victim)
                 stats.preemptions += 1
-            pvg._accept(job, cid, state, stats)
+            greedy.accept(job, cid, state)
             # case 3: readmission into this channel only
             for earlier in order[:idx]:
-                if earlier.id in state.allocations or cid not in state.candidates[earlier.id]:
+                if earlier.id in state.allocations or cid not in candidates[earlier.id]:
                     continue
-                if pvg._fits(earlier, cid, state, stats):
-                    pvg._accept(earlier, cid, state, stats)
+                if fits(earlier, cid):
+                    greedy.accept(earlier, cid, state)
                     stats.readmissions += 1
             return True
     return False
@@ -514,7 +517,7 @@ class TestPrunedGreedy:
                                 xi=0.25))
                  for _ in range(2000)]
         pruned = [self.priced(m, config) for m, config in cases]
-        monkeypatch.setattr(pvg, "_step", unpruned_step)
+        monkeypatch.setattr(pvg._Greedy, "step", unpruned_step)
         preempting_betas = set()
         for (m, config), got in zip(cases, pruned):
             expected = self.priced(m, config)
@@ -538,15 +541,15 @@ class TestPrunedGreedy:
     def test_kept_states_are_never_changed(self, monkeypatch):
         """Every state a greedy run keeps, truthful or without a winner, survives all pricing."""
         kept = []
-        greedy = pvg._greedy
+        run = pvg._Greedy.run
 
-        def keeping(state, config, start, stats, snapshots=None):
-            preempting = greedy(state, config, start, stats, snapshots)
+        def keeping(greedy, state, order, start, snapshots=None):
+            preempting = run(greedy, state, order, start, snapshots)
             if snapshots is not None:
                 kept.extend((s, copy.deepcopy(s)) for s in snapshots)
             return preempting
 
-        monkeypatch.setattr(pvg, "_greedy", keeping)
+        monkeypatch.setattr(pvg._Greedy, "run", keeping)
         rig = random.Random(1718)
         stats = PvgStats()
         checked = shared = 0
@@ -638,14 +641,16 @@ class TestPricingCost:
         evict it.  Skipping eviction walks that cannot pay and stopping a
         walk once its value reaches the bid brought that to 7,818.  Keeping
         a state only after a rank that placed its job cut ``PvgState.fork``
-        calls from 3,820 to 1,960.
+        calls from 3,820 to 1,960, and forking each without-run's working
+        state once instead of twice (it keeps the truthful state at the
+        winner's rank) to 1,866.
         """
         forks = []
         fork = pvg.PvgState.fork
 
-        def counting(state, order=None):
+        def counting(state):
             forks.append(1)
-            return fork(state, order)
+            return fork(state)
 
         monkeypatch.setattr(pvg.PvgState, "fork", counting)
         grid = synthesize_occupancy(3, 1, 0.5, seed=7)
@@ -658,7 +663,7 @@ class TestPricingCost:
             run_pvg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(beta=2.0),
                     stats=stats)
         assert stats.fit_checks <= 8_600
-        assert len(forks) <= 2_150
+        assert len(forks) <= 1_900
 
 
 class TestComplexityTrend:

@@ -60,5 +60,6 @@ def test_traced_clearings_time_the_pricing_bindings():
         assert experiment.run_pvg(market, config).assignment
     metrics = traced.layer_metrics()
     for name in ("vcg.solve_optimal.calls", "vcg.vcg_payments.s", "pvg.critical_value.calls",
-                 "market.set_feasible.calls", "market.window_flow_allocation.calls"):
+                 "market.set_feasible.calls", "market.window_flow_allocation.calls",
+                 "market.build_timelines.pvg.calls"):
         assert metrics[name] > 0, name

@@ -14,6 +14,7 @@ from spectrum_auctions import (
     save_requests,
     synthesize_occupancy,
 )
+from spectrum_auctions import workload
 from spectrum_auctions.workload import HOT_WINDOW
 
 DAY = 86_400
@@ -111,6 +112,13 @@ class TestGenerateRequests:
             assert 7_200 <= j.deadline - j.arrival <= 14_400
             assert 0 <= j.arrival and j.deadline <= DAY
             assert j.bid_value > 0
+
+    def test_overlapping_duration_and_window_ranges_raise(self, monkeypatch):
+        # durations are never redrawn: they fit their windows only because
+        # DURATION_RANGE ends where WINDOW_RANGE starts
+        monkeypatch.setattr(workload, "DURATION_RANGE", (7_200, 14_400))
+        with pytest.raises(ValueError, match=r"duration must lie in \(0, deadline - arrival\]"):
+            generate_requests(WorkloadSpec(n_requests=50, seed=2))
 
     def test_hot_fraction_within_binomial_band(self):
         spec = WorkloadSpec(n_requests=1000, set_kind=2, hot_fraction=0.8, seed=5)
