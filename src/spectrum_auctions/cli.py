@@ -137,6 +137,8 @@ def _run(args: argparse.Namespace) -> int:
     grid = load_occupancy(args.grid)
     requests = None
     if args.command == "run":
+        if args.requests is not None and args.lam is not None:
+            raise ValueError("run takes --requests or --lambda, not both")
         if args.requests is not None:
             requests = load_requests(args.requests)
             lambdas = [len(requests)]

@@ -1,10 +1,14 @@
 """Experiment driver: sweeps, per-trial metrics, and results CSV emission.
 
-One raw row is produced per (set, lambda, eta_s, trial, mechanism) and
-one aggregate row (trial column ``mean``) per (set, lambda, eta_s,
-mechanism).  Workload seeds derive from (master seed, set, lambda,
-trial) only, so the same requests are priced across every reserve level
-and reruns with one master seed reproduce the CSV byte for byte.
+The unit of work is one (set, lambda, trial) market: ``_clear_market``
+clears it at every reserve with every mechanism and returns its rows,
+and ``run_experiment`` draws the markets and puts their rows in plan
+order.  One raw row is produced per (set, lambda, eta_s, trial,
+mechanism) and one aggregate row (trial column ``mean``) per (set,
+lambda, eta_s, mechanism).  Workload seeds derive from (master seed,
+set, lambda, trial) only, so the same requests are priced across every
+reserve level and reruns with one master seed reproduce the CSV byte
+for byte.
 Wall-clock timing breaks that reproducibility and is therefore off
 unless explicitly enabled.
 """
@@ -77,22 +81,21 @@ def trial_seed(master_seed: int, set_kind: int, lam: int, trial: int) -> int:
 
 
 def _run_mechanism(mech: str, market: LocalMarket, config: AuctionConfig,
-                   vcg_max_jobs: int, timing: bool):
-    """Returns (efficiency, utilization, revenue, runtime_ms) or None if capped."""
-    start = time.perf_counter() if timing else 0.0
+                   plan: ExperimentPlan) -> dict | None:
+    """The measured columns of one clearing, or None when the cap refuses the market."""
+    start = time.perf_counter() if plan.timing else 0.0
     if mech == "vcg":
         try:
-            outcome = run_vcg(market, config, max_jobs=vcg_max_jobs)
+            outcome = run_vcg(market, config, max_jobs=plan.vcg_max_jobs)
         except SolverSizeError as err:
             log.warning("vcg skipped: %s", err)
             return None
     else:
         outcome = run_pvg(market, config)
-    runtime_ms = (time.perf_counter() - start) * 1000.0 if timing else None
-    eff = social_efficiency(outcome, market.jobs)
-    util = utilization_ratio(outcome, market)
-    revenue = outcome.total_revenue()
-    return eff, util, revenue, runtime_ms
+    runtime_ms = (time.perf_counter() - start) * 1000.0 if plan.timing else None
+    return {"efficiency": social_efficiency(outcome, market.jobs),
+            "utilization": utilization_ratio(outcome, market),
+            "revenue": outcome.total_revenue(), "runtime_ms": runtime_ms}
 
 
 def _zero_reserve_efficiency(mech: str, market: LocalMarket, plan: ExperimentPlan) -> float | None:
@@ -106,86 +109,77 @@ def _zero_reserve_efficiency(mech: str, market: LocalMarket, plan: ExperimentPla
     return social_efficiency(pvg_allocate(market, config), market.jobs)
 
 
+def _clear_market(market: LocalMarket, plan: ExperimentPlan) -> list[dict]:
+    """Clear one trial's market at every reserve with every mechanism.
+
+    Returns one row per (eta_s, mechanism) in plan order, without the
+    set, lambda and trial columns.  Revenue is normalized by the
+    market's own zero-reserve efficiency: that of its eta_s = 0 clearing
+    when the plan lists 0, else an allocation-only run; none (a blank
+    ``revenue_ratio``) when the cap refuses the market at zero reserve.
+    """
+    measured = {}
+    for eta_s in plan.eta_s_values:
+        config = AuctionConfig(beta=plan.beta, eta_s=eta_s, xi=plan.xi)
+        for mech in plan.mechanisms:
+            measured[eta_s, mech] = _run_mechanism(mech, market, config, plan)
+    eff_zero = {}
+    for mech in plan.mechanisms:
+        if 0.0 in plan.eta_s_values:
+            at_zero = measured[0.0, mech]
+            eff_zero[mech] = at_zero["efficiency"] if at_zero else None
+        elif any(measured[eta_s, mech] for eta_s in plan.eta_s_values):
+            eff_zero[mech] = _zero_reserve_efficiency(mech, market, plan)
+    rows = []
+    for (eta_s, mech), values in measured.items():
+        row = {"eta_s": eta_s, "beta": plan.beta, "mech": mech, **dict.fromkeys(NUMERIC_COLUMNS)}
+        if values is not None:
+            vcg = measured.get((eta_s, "vcg"))
+            if mech == "vcg":
+                row["eff_ratio"] = 1.0
+            elif vcg is not None:
+                row["eff_ratio"] = (1.0 if vcg["efficiency"] == 0.0
+                                    else values["efficiency"] / vcg["efficiency"])
+            row.update(values, revenue_ratio=(values["revenue"] / eff_zero[mech]
+                                              if eff_zero[mech] else None))
+        rows.append(row)
+    return rows
+
+
 def run_experiment(grid: OccupancyGrid, plan: ExperimentPlan,
                    requests: list[Job] | None = None) -> list[dict]:
     """Run the full sweep and return raw rows followed by aggregate rows.
 
-    Raw rows come in the order set, lambda, eta_s, trial, mechanism, each
-    in plan order; the mean rows follow in the same order without the
-    trial.  When ``requests`` is given the workload generator is
-    bypassed: a single trial runs per reserve level and the set column
-    reads 0.
+    Each trial's market is cleared by ``_clear_market``.  Raw rows come
+    in the order set, lambda, eta_s, trial, mechanism, each in plan
+    order; the mean rows follow in the same order without the trial.
+    When ``requests`` is given the workload generator is bypassed: a
+    single trial runs per reserve level and the set column reads 0.
     """
     sliced = grid.day_slice(plan.day) if plan.day is not None else grid
     channels = tuple(sliced.to_channels(REGION, BAND_TYPE))
-    horizon = sliced.horizon_seconds
-
     if requests is not None:
-        blocks = [(0, len(requests), [tuple(requests)])]
+        blocks = [(0, len(requests), [requests])]
     else:
-        blocks = (
-            (set_kind, lam, [tuple(generate_requests(WorkloadSpec(
-                n_requests=lam, set_kind=set_kind,
-                hot_fraction=plan.hot_fraction, horizon=horizon,
-                seed=trial_seed(plan.master_seed, set_kind, lam, trial),
-            ))) for trial in range(plan.trials)])
-            for set_kind in plan.set_kinds for lam in plan.lambdas
-        )
+        blocks = ((set_kind, lam, (generate_requests(WorkloadSpec(
+                      n_requests=lam, set_kind=set_kind,
+                      hot_fraction=plan.hot_fraction, horizon=sliced.horizon_seconds,
+                      seed=trial_seed(plan.master_seed, set_kind, lam, trial),
+                  )) for trial in range(plan.trials)))
+                  for set_kind in plan.set_kinds for lam in plan.lambdas)
 
     raw_rows: list[dict] = []
-    mean_rows: list[dict] = []
     for set_kind, lam, trial_jobs in blocks:
-        markets = [LocalMarket(region=REGION, band_type=BAND_TYPE, jobs=jobs, channels=channels)
-                   for jobs in trial_jobs]
-        eff_zero_caches: list[dict[str, float | None]] = [{} for _ in markets]
-        for eta_s in plan.eta_s_values:
-            config = AuctionConfig(beta=plan.beta, eta_s=eta_s, xi=plan.xi)
-            by_mech: dict[str, list[dict]] = {}
-            for trial, market in enumerate(markets):
-                point = {"set": set_kind, "lambda": lam, "eta_s": eta_s, "beta": plan.beta,
-                         "trial": trial}
-                for row in _trial_rows(market, config, plan, eff_zero_caches[trial], point):
-                    raw_rows.append(row)
-                    by_mech.setdefault(row["mech"], []).append(row)
-            mean_rows += [_mean_row(rows) for rows in by_mech.values()]
-    return raw_rows + mean_rows
-
-
-def _trial_rows(market: LocalMarket, config: AuctionConfig, plan: ExperimentPlan,
-                eff_zero_cache: dict[str, float | None], point: dict) -> list[dict]:
-    """One raw row per mechanism for one trial's market at one reserve level.
-
-    ``eff_zero_cache`` holds the market's zero-reserve efficiency per
-    mechanism across reserve levels.
-    """
-    results = {mech: _run_mechanism(mech, market, config, plan.vcg_max_jobs, plan.timing)
-               for mech in plan.mechanisms}
-    vcg_eff = results["vcg"][0] if results.get("vcg") else None
-    rows = []
-    for mech, measured in results.items():
-        row = dict(point, mech=mech, **dict.fromkeys(NUMERIC_COLUMNS))
-        if measured is not None:
-            eff, util, revenue, runtime_ms = measured
-            if mech not in eff_zero_cache:
-                if config.eta_s == 0.0:
-                    eff_zero_cache[mech] = eff
-                else:
-                    eff_zero_cache[mech] = _zero_reserve_efficiency(mech, market, plan)
-            eff_zero = eff_zero_cache[mech]
-            if mech == "vcg":
-                eff_ratio = 1.0
-            elif vcg_eff is None:
-                eff_ratio = None
-            else:
-                eff_ratio = 1.0 if vcg_eff == 0.0 else eff / vcg_eff
-            row["efficiency"] = eff
-            row["eff_ratio"] = eff_ratio
-            row["utilization"] = util
-            row["revenue"] = revenue
-            row["revenue_ratio"] = revenue / eff_zero if eff_zero else None
-            row["runtime_ms"] = runtime_ms
-        rows.append(row)
-    return rows
+        rows = [{"set": set_kind, "lambda": lam, "trial": trial, **row}
+                for trial, jobs in enumerate(trial_jobs)
+                for row in _clear_market(LocalMarket(region=REGION, band_type=BAND_TYPE,
+                                                     jobs=tuple(jobs), channels=channels), plan)]
+        # stable: each reserve keeps its trials, and each trial its mechanisms, in order
+        raw_rows += sorted(rows, key=lambda r: plan.eta_s_values.index(r["eta_s"]))
+    groups: dict[tuple, list[dict]] = {}
+    for row in raw_rows:
+        groups.setdefault((row["set"], row["lambda"], row["eta_s"], row["mech"]), []).append(row)
+    return raw_rows + [_mean_row(rows) for rows in groups.values()]
 
 
 def _mean_row(rows: list[dict]) -> dict:

@@ -64,6 +64,9 @@ class OccupancyGrid:
     def day_slice(self, day: int) -> "OccupancyGrid":
         """Extract one 24 h window as its own grid."""
         per_day = DAY_SECONDS // self.slot_seconds
+        if per_day == 0:
+            raise ValueError(f"slot_seconds {self.slot_seconds} exceeds a day ({DAY_SECONDS} s), "
+                             "so a day holds no whole slot")
         start = day * per_day
         if day < 0 or start + per_day > self.horizon_slots:
             raise ValueError(f"day {day} out of range for a {self.horizon_slots}-slot grid")

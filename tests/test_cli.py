@@ -85,6 +85,15 @@ class TestRun:
                                            "--out", str(tmp_path / "x.csv")],
                                   "run needs --requests or --lambda")
 
+    def test_requests_and_lambda_together(self, grid_csv, tmp_path, capsys):
+        req = tmp_path / "req.csv"
+        assert main(["gen-requests", "--lambda", "4", "--out", str(req)]) == 0
+        out = tmp_path / "x.csv"
+        TestBadInput.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(req),
+                                           "--lambda", "5", "--out", str(out)],
+                                  "run takes --requests or --lambda, not both")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_cartesian_rows(self, grid_csv, tmp_path):
@@ -150,6 +159,13 @@ class TestBadInput:
         for day in ("3", "-1"):
             self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--day", day,
                                        "--out", str(tmp_path / "x.csv")], f"day {day} out of range")
+
+    def test_day_of_a_grid_with_slots_longer_than_a_day(self, tmp_path, capsys):
+        grid = tmp_path / "long-slots.csv"
+        save_occupancy(OccupancyGrid(100_000, np.zeros((2, 3), dtype=np.uint8)), str(grid))
+        self.assert_error(capsys, ["run", "--grid", str(grid), "--lambda", "3", "--day", "0",
+                                   "--out", str(tmp_path / "x.csv")],
+                          "slot_seconds 100000 exceeds a day (86400 s)")
 
     def test_non_numeric_bid(self, grid_csv, request_csv, tmp_path, capsys):
         lines = request_csv.read_text().splitlines()

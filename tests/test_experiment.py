@@ -4,8 +4,9 @@ import logging
 
 import pytest
 
-from spectrum_auctions import rho_bound, synthesize_occupancy
+from spectrum_auctions import experiment, rho_bound, synthesize_occupancy
 from spectrum_auctions.experiment import (
+    NUMERIC_COLUMNS,
     RESULT_COLUMNS,
     ExperimentPlan,
     format_cell,
@@ -122,6 +123,18 @@ class TestMetricsColumns:
         assert lifted["revenue_ratio"] == pytest.approx(
             lifted["revenue"] / base["efficiency"])
 
+    def test_reserve_order_changes_no_value(self, grid):
+        def by_point(eta_s_values):
+            plan = ExperimentPlan(lambdas=[3, 5], eta_s_values=eta_s_values, set_kinds=[1, 2],
+                                  trials=2, master_seed=4, beta=2.0)
+            return {(r["set"], r["lambda"], r["eta_s"], r["trial"], r["mech"]):
+                    [r[c] for c in NUMERIC_COLUMNS] for r in run_experiment(grid, plan)}
+
+        late_zero, early_zero = by_point([0.001, 0.0]), by_point([0.0, 0.001])
+        assert late_zero == early_zero
+        assert all(values[NUMERIC_COLUMNS.index("revenue_ratio")] is not None
+                   for values in early_zero.values())
+
     def test_runtime_blank_without_timing_flag(self, grid, tmp_path):
         plan = ExperimentPlan(lambdas=[2], set_kinds=[1], trials=1, master_seed=1)
         rows = run_experiment(grid, plan)
@@ -150,3 +163,49 @@ class TestCsvWriting:
         assert format_cell(0.5) == "0.5"
         assert format_cell(3) == "3"
         assert format_cell("mean") == "mean"
+
+
+class TestZeroReserveNormalizer:
+    """``revenue_ratio`` on markets the exact solver's cap refuses at zero reserve."""
+
+    @pytest.fixture(scope="class")
+    def cap_grid(self):
+        return synthesize_occupancy(3, 1, 0.5, seed=7)
+
+    @staticmethod
+    def plan(eta_s_values):
+        return ExperimentPlan(lambdas=[20], eta_s_values=eta_s_values, set_kinds=[1],
+                              trials=2, master_seed=0, vcg_max_jobs=18)
+
+    @pytest.fixture
+    def zero_reserve_calls(self, monkeypatch):
+        calls = []
+        original = experiment._zero_reserve_efficiency
+
+        def counted(mech, market, plan):
+            calls.append(mech)
+            return original(mech, market, plan)
+
+        monkeypatch.setattr(experiment, "_zero_reserve_efficiency", counted)
+        return calls
+
+    def test_a_listed_zero_reserve_is_the_normalizer(self, cap_grid, zero_reserve_calls):
+        rows = raw_rows(run_experiment(cap_grid, self.plan([0.0, 0.002])))
+        vcg = {(r["eta_s"], r["trial"]): r for r in rows if r["mech"] == "vcg"}
+        assert zero_reserve_calls == []
+        for trial in range(2):
+            assert vcg[0.0, trial]["efficiency"] is None  # refused at zero reserve
+            assert vcg[0.002, trial]["efficiency"] is not None
+            assert vcg[0.002, trial]["revenue_ratio"] is None
+
+    def test_without_a_zero_reserve_an_allocation_only_run_normalizes(self, cap_grid):
+        rows = raw_rows(run_experiment(cap_grid, self.plan([0.002])))
+        assert {r["trial"] for r in rows} == {0, 1}
+        for r in rows:
+            assert r["efficiency"] is not None
+            if r["mech"] == "vcg":
+                assert r["revenue_ratio"] is None  # the exact solver refuses it at zero reserve
+            else:
+                assert r["revenue_ratio"] is not None
+        listed = raw_rows(run_experiment(cap_grid, self.plan([0.0, 0.002])))
+        assert rows == [r for r in listed if r["eta_s"] == 0.002]

@@ -98,6 +98,13 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             grid.day_slice(3)
 
+    def test_day_slice_refuses_slots_longer_than_a_day(self):
+        grid = OccupancyGrid(100_000, np.zeros((2, 3), dtype=np.uint8))
+        assert grid.horizon_seconds == 300_000  # usable while it is never day-sliced
+        assert len(grid.to_channels("r1", "tv")) == 2
+        with pytest.raises(ValueError, match=r"slot_seconds 100000 exceeds a day \(86400 s\)"):
+            grid.day_slice(0)
+
 
 class TestGenerateRequests:
     def test_zero_requests(self):
