@@ -140,6 +140,8 @@ def _run(args: argparse.Namespace) -> int:
         if args.requests is not None and args.lam is not None:
             raise ValueError("run takes --requests or --lambda, not both")
         if args.requests is not None:
+            if args.trials != 1:
+                raise ValueError(f"run --requests prices one batch: --trials must be 1, got {args.trials}")
             requests = load_requests(args.requests)
             lambdas = [len(requests)]
         elif args.lam is not None:
@@ -151,7 +153,7 @@ def _run(args: argparse.Namespace) -> int:
         lambdas, eta_s_values, set_kinds = args.lambda_list, args.eta_s_list, args.sets
     plan = ExperimentPlan(
         lambdas=lambdas, eta_s_values=eta_s_values, set_kinds=set_kinds,
-        trials=1 if requests is not None else args.trials,
+        trials=args.trials,
         master_seed=args.seed, beta=args.beta, xi=args.xi,
         mechanisms=args.mechanisms, vcg_max_jobs=args.vcg_max_jobs,
         timing=args.timing, hot_fraction=args.delta, day=args.day,

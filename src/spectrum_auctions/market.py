@@ -25,6 +25,7 @@ import heapq
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import inf, sqrt
 from numbers import Real
 
@@ -177,42 +178,30 @@ class SegmentedTimeline:
 
     ``job_windows`` maps a job id to the inclusive slot-index range
     ``(first, last)`` covered by its ``[arrival, deadline)`` window;
-    ``first > last`` means no whole slot lies inside the window, which
+    ``last == first - 1`` means no whole slot lies inside the window, which
     ``segment_timeline`` never produces since it cuts at every endpoint.
-    The rest is derived from those two fields when the timeline is built,
-    and bids never change it: ``free_before[l]`` is the capacity of
-    ``slots[:l]``; ``free_spans`` maps a job id to its window in those
-    free-second coordinates, ``[free_before[first], free_before[last + 1])``
-    (empty when ``first > last``); ``window_capacities`` is each span's
-    length.
+    ``free_before[l]`` is the capacity of ``slots[:l]``, derived once when
+    the timeline is built; bids never change it.  A window's span in those
+    free-second coordinates is ``[free_before[first], free_before[last + 1])``
+    and its capacity is that span's length, read when asked, never stored.
     """
 
     channel_id: int
     slots: tuple[Slot, ...]
     job_windows: dict[int, tuple[int, int]]
     free_before: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    free_spans: dict[int, tuple[int, int]] = field(init=False, repr=False, compare=False)
-    window_capacities: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        before = [0]
-        for slot in self.slots:
-            before.append(before[-1] + slot.capacity)
-        spans = {jid: (before[first], before[last + 1]) if first <= last else (0, 0)
-                 for jid, (first, last) in self.job_windows.items()}
-        object.__setattr__(self, "free_before", tuple(before))
-        object.__setattr__(self, "free_spans", spans)
-        object.__setattr__(self, "window_capacities", {jid: e - s for jid, (s, e) in spans.items()})
-
-    def window_range(self, job: Job) -> tuple[int, int]:
-        """Inclusive (first, last) slot indices inside the job's window."""
-        return self.job_windows[job.id]
+        before = tuple(accumulate((slot.capacity for slot in self.slots), initial=0))
+        object.__setattr__(self, "free_before", before)
 
     def empty_usage(self) -> list[int]:
         return [0] * len(self.slots)
 
     def window_capacity(self, job: Job) -> int:
-        return self.window_capacities[job.id]
+        """Free seconds inside the job's window."""
+        first, last = self.job_windows[job.id]
+        return self.free_before[last + 1] - self.free_before[first]
 
 
 def filter_reserve(jobs: Iterable[Job], eta_s: float) -> list[Job]:
@@ -281,7 +270,7 @@ def segment_timeline(channel: Channel, jobs: list[Job]) -> SegmentedTimeline:
 
 def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
     """Free seconds left inside the job's window under ``committed`` usage."""
-    first, last = timeline.window_range(job)
+    first, last = timeline.job_windows[job.id]
     return timeline.window_capacity(job) - sum(committed[first:last + 1])
 
 
@@ -307,7 +296,7 @@ def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int
     """
     amounts = [0] * len(timeline.slots)
     need = job.duration
-    first, last = timeline.window_range(job)
+    first, last = timeline.job_windows[job.id]
     slots = timeline.slots
     for l in range(first, last + 1):
         room = slots[l].capacity - committed[l]
@@ -338,18 +327,20 @@ def _edf(jobs: list[Job], timeline: SegmentedTimeline,
          per_job: dict[int, list[int]] | None) -> bool:
     """Preemptive earliest-deadline-first in free-second coordinates.
 
-    Each job is released at the start of its ``free_spans`` span and due
-    at its end; the channel runs one job at a time at unit rate.  Event by
-    event over the releases and finishes, the released job with the
-    earliest last slot (ties by id) runs until it finishes or the next
-    release.  This meets every demand iff any schedule does (Horn 1974),
-    so it fails as soon as the running job could not finish by its end
-    even uninterrupted.  That is O(k log k) work for k jobs, whatever the
-    slot count.  When ``per_job`` maps each job id to a zeroed per-slot
-    list, each run is mapped back to slots through ``free_before``.
+    Each job is released at ``free_before[first]`` and due at
+    ``free_before[last + 1]``, the ends of its window's free-second span;
+    the channel runs one job at a time at unit rate.  Event by event over
+    the releases and finishes, the released job with the earliest last
+    slot (ties by id) runs until it finishes or the next release.  This
+    meets every demand iff any schedule does (Horn 1974), so it fails as
+    soon as the running job could not finish by its end even
+    uninterrupted.  That is O(k log k) work for k jobs, whatever the slot
+    count.  When ``per_job`` maps each job id to a zeroed per-slot list,
+    each run is mapped back to slots through ``free_before``.
     """
-    spans, windows = timeline.free_spans, timeline.job_windows
-    pending = [(*spans[j.id], windows[j.id][1], j.id, j.duration) for j in jobs]
+    before, windows = timeline.free_before, timeline.job_windows
+    pending = [(before[first], before[last + 1], last, j.id, j.duration)
+               for j in jobs for first, last in (windows[j.id],)]
     pending.sort(reverse=True)  # earliest release at the end
     ready: list[list[int]] = []  # heap of [last, id, end, seconds still needed]
     t = 0

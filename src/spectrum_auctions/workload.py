@@ -62,11 +62,14 @@ class OccupancyGrid:
         return self.horizon_slots * self.slot_seconds
 
     def day_slice(self, day: int) -> "OccupancyGrid":
-        """Extract one 24 h window as its own grid."""
-        per_day = DAY_SECONDS // self.slot_seconds
-        if per_day == 0:
+        """Extract one 24 h window as its own grid; ``slot_seconds`` must divide 86400."""
+        if self.slot_seconds > DAY_SECONDS:
             raise ValueError(f"slot_seconds {self.slot_seconds} exceeds a day ({DAY_SECONDS} s), "
                              "so a day holds no whole slot")
+        if DAY_SECONDS % self.slot_seconds:
+            raise ValueError(f"slot_seconds {self.slot_seconds} does not divide a day "
+                             f"({DAY_SECONDS} s), so days would drift off midnight")
+        per_day = DAY_SECONDS // self.slot_seconds
         start = day * per_day
         if day < 0 or start + per_day > self.horizon_slots:
             raise ValueError(f"day {day} out of range for a {self.horizon_slots}-slot grid")
@@ -147,7 +150,8 @@ def synthesize_occupancy(channels: int, days: int, duty_cycle: float, seed: int,
     Each channel gets occupied runs totaling exactly
     ``round(duty_cycle * slots_per_day)`` slots, split into a few random
     bursts separated by free gaps; the same daily pattern repeats every
-    day, mimicking primary users with stable daily habits.
+    day, mimicking primary users with stable daily habits.  ``slot_seconds``
+    must divide 86400, so every day starts at a slot boundary.
     """
     if not 0.0 <= duty_cycle <= 1.0:
         raise ValueError("duty_cycle must lie in [0, 1]")
@@ -155,6 +159,8 @@ def synthesize_occupancy(channels: int, days: int, duty_cycle: float, seed: int,
         raise ValueError(f"slot_seconds must be positive, got {slot_seconds}")
     if slot_seconds > DAY_SECONDS:
         raise ValueError(f"slot_seconds must not exceed a day ({DAY_SECONDS}), got {slot_seconds}")
+    if DAY_SECONDS % slot_seconds:
+        raise ValueError(f"slot_seconds must divide a day ({DAY_SECONDS}), got {slot_seconds}")
     for name, count in (("channels", channels), ("days", days)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")

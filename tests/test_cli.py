@@ -167,6 +167,13 @@ class TestBadInput:
                                    "--out", str(tmp_path / "x.csv")],
                           "slot_seconds 100000 exceeds a day (86400 s)")
 
+    def test_requests_with_several_trials(self, grid_csv, request_csv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   "--trials", "4", "--out", str(out)],
+                          "--trials must be 1, got 4")
+        assert not out.exists()
+
     def test_non_numeric_bid(self, grid_csv, request_csv, tmp_path, capsys):
         lines = request_csv.read_text().splitlines()
         cells = lines[1].split(",")
@@ -273,6 +280,7 @@ class TestBadInput:
         ("--slot-seconds", "0", "slot_seconds must be positive, got 0"),
         ("--slot-seconds", "-5", "slot_seconds must be positive, got -5"),
         ("--slot-seconds", "86401", "slot_seconds must not exceed a day (86400), got 86401"),
+        ("--slot-seconds", "50000", "slot_seconds must divide a day (86400), got 50000"),
         ("--days", "0", "days must be at least 1, got 0"),
         ("--channels", "0", "channels must be at least 1, got 0"),
         ("--seed", "-1", "seed must not be negative, got -1"),

@@ -147,7 +147,7 @@ class TestSegmentTimeline:
         tl = segment_timeline(ch, [j])
         assert len(tl.slots) == 3
         assert tl.slots[1].capacity == 0
-        assert tl.window_range(j) == (0, 2)
+        assert tl.job_windows[j.id] == (0, 2)
 
     def test_window_capacity_matches_interval_intersection(self):
         rig = random.Random(7)
@@ -162,39 +162,39 @@ class TestSegmentTimeline:
                 )
                 assert tl.window_capacity(j) == direct
 
-    def test_window_capacities_recorded_at_segmentation(self):
+    def test_window_capacity_is_window_slot_sum(self):
         rig = random.Random(9)
         for _ in range(100):
             market = random_market(rig, max_jobs=6, max_channels=1)
-            tl = segment_timeline(market.channels[0], list(market.jobs))
-            assert set(tl.window_capacities) == {j.id for j in market.jobs}
+            ch = market.channels[0]
+            tl = segment_timeline(ch, list(market.jobs))
             for j in market.jobs:
-                first, last = tl.window_range(j)
+                first, last = tl.job_windows[j.id]
                 slot_sum = sum(s.capacity for s in tl.slots[first:last + 1])
-                assert tl.window_capacities[j.id] == slot_sum == tl.window_capacity(j)
-        # a hand-built timeline derives them too; an empty window holds 0
+                direct = sum(max(0, min(e, j.deadline) - max(s, j.arrival))
+                             for s, e in ch.free_intervals)
+                assert tl.window_capacity(j) == slot_sum == direct
+        # a hand-built timeline derives it too; an empty window holds 0
         tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 2, 2), Slot(2, 4, 0), Slot(4, 6, 2)),
                                job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
-        assert tl.window_capacities == {1: 0, 2: 4, 3: 2}
+        assert [tl.window_capacity(job(jid, 1.0, 0, 6, 1)) for jid in (1, 2, 3)] == [0, 4, 2]
 
-    def test_free_spans_recorded_at_segmentation(self):
+    def test_free_span_starts_at_free_seconds_before_arrival(self):
         rig = random.Random(10)
         for _ in range(100):
             market = random_market(rig, max_jobs=6, max_channels=1)
             ch = market.channels[0]
             tl = segment_timeline(ch, list(market.jobs))
-            assert set(tl.free_spans) == {j.id for j in market.jobs}
+            assert tl.free_before[-1] == ch.free_seconds
             for j in market.jobs:
-                start, end = tl.free_spans[j.id]
+                first, last = tl.job_windows[j.id]
+                start, end = tl.free_before[first], tl.free_before[last + 1]
                 assert start == sum(max(0, min(e, j.arrival) - s) for s, e in ch.free_intervals)
-                assert end - start == tl.window_capacities[j.id]
-        # a hand-built timeline derives them too; an empty window gets an empty span
+                assert end - start == tl.window_capacity(j)
+        # a hand-built timeline derives the prefix sums too
         tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 2, 2), Slot(2, 4, 0), Slot(4, 6, 2)),
                                job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
-        start, end = tl.free_spans[1]
-        assert start == end
-        assert tl.free_spans[2] == (0, 4)
-        assert tl.free_spans[3] == (2, 4)
+        assert tl.free_before == (0, 2, 2, 4)
 
     def test_slots_tile_without_overlap(self):
         rig = random.Random(8)
@@ -285,7 +285,7 @@ class TestCommitAllocation:
                     continue
                 amounts = commit_allocation(j, tl, committed)
                 assert sum(amounts) == j.duration
-                first, last = tl.window_range(j)
+                first, last = tl.job_windows[j.id]
                 assert all(a == 0 for i, a in enumerate(amounts) if not first <= i <= last)
             assert all(c <= s.capacity for c, s in zip(committed, tl.slots))
 
@@ -297,7 +297,7 @@ def brute_force_feasible(jobs, timeline):
         members = [jobs[i] for i in range(n) if mask >> i & 1]
         slot_union = set()
         for j in members:
-            first, last = timeline.window_range(j)
+            first, last = timeline.job_windows[j.id]
             slot_union.update(range(first, last + 1))
         capacity = sum(timeline.slots[i].capacity for i in slot_union)
         if sum(j.duration for j in members) > capacity:
@@ -359,7 +359,7 @@ class TestSetFeasible:
                 per_slot = [0] * len(tl.slots)
                 for j in jobs:
                     assert sum(flows[j.id]) == j.duration
-                    first, last = tl.window_range(j)
+                    first, last = tl.job_windows[j.id]
                     for i, a in enumerate(flows[j.id]):
                         assert a == 0 or first <= i <= last
                         per_slot[i] += a
@@ -417,7 +417,7 @@ def slot_walk_edf(jobs, timeline, per_job):
     """
     pending = []
     for j in jobs:
-        first, last = timeline.window_range(j)
+        first, last = timeline.job_windows[j.id]
         if first > last:
             return False
         pending.append((first, last, j.id, j.duration))
@@ -479,12 +479,13 @@ class TestEdfMatchesSlotWalk:
                 if not fits:
                     continue
                 seen["feasible"] += 1
-                windows = [tl.window_range(j) for j in members]
+                windows = [tl.job_windows[j.id] for j in members]
                 seen["zero slot"] += any(tl.slots[l].capacity == 0
                                          for first, last in windows for l in range(first, last + 1))
                 seen["touching"] += any(a.deadline == b.arrival for a in members for b in members)
                 seen["same end, other slot"] += any(
-                    tl.free_spans[a.id][1] == tl.free_spans[b.id][1]
-                    and tl.window_range(a)[1] != tl.window_range(b)[1]
+                    tl.free_before[tl.job_windows[a.id][1] + 1]
+                    == tl.free_before[tl.job_windows[b.id][1] + 1]
+                    and tl.job_windows[a.id][1] != tl.job_windows[b.id][1]
                     for a in members for b in members)
         assert all(seen.values()), seen

@@ -61,7 +61,7 @@ def simulated_eviction_prefix(greedy, job, cid, state):
     """
     beta = greedy.config.beta
     timeline = greedy.timelines[cid]
-    first, last = timeline.window_range(job)
+    first, last = timeline.job_windows[job.id]
     on_channel = {w.id for w in state.winners[cid]}
     candidates = sorted(
         (j for j in greedy.order if j.id in on_channel
@@ -125,7 +125,7 @@ class TestAllocation:
         assert stats.readmissions == 1
         # readmitted job now lives in [6h, 8h)
         tl = out.timelines[1]
-        first, last = tl.window_range(early)
+        first, last = tl.job_windows[early.id]
         placed = [i for i, a in enumerate(out.allocations[1]) if a]
         assert all(tl.slots[i].start >= 6 * H for i in placed)
 
@@ -445,7 +445,7 @@ class TestResumedPricing:
 def unpruned_eviction_prefix(greedy, job, cid, state):
     """Reference: the eviction walk with neither the value stop nor the window skip."""
     timeline = greedy.timelines[cid]
-    first, last = timeline.window_range(job)
+    first, last = timeline.job_windows[job.id]
     free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
     prefix = []
     for cand in reversed(state.winners[cid]):

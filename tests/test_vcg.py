@@ -203,7 +203,7 @@ class TestSolveOptimal:
                 amounts = sol.allocations[jid]
                 assert sum(amounts) == j.duration
                 tl = sol.timelines[cid]
-                first, last = tl.window_range(j)
+                first, last = tl.job_windows[j.id]
                 for i, a in enumerate(amounts):
                     assert a == 0 or first <= i <= last
                     per_channel_usage[cid][i] += a

@@ -105,6 +105,19 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"slot_seconds 100000 exceeds a day \(86400 s\)"):
             grid.day_slice(0)
 
+    def test_slots_that_do_not_divide_a_day_are_never_day_sliced(self, tmp_path):
+        # a one-slot "day 1" of this grid would be seconds 50,000-100,000, not 86,400-172,800
+        grid = OccupancyGrid(50_000, np.zeros((1, 4), dtype=np.uint8))
+        path = tmp_path / "grid.csv"
+        save_occupancy(grid, str(path))
+        assert load_occupancy(str(path)).horizon_seconds == 200_000
+        with pytest.raises(ValueError, match=r"slot_seconds 50000 does not divide a day \(86400 s\)"):
+            grid.day_slice(1)
+        # two synthesized 7-s days would span 172,788 s, not 172,800
+        with pytest.raises(ValueError, match=r"slot_seconds must divide a day \(86400\), got 7"):
+            synthesize_occupancy(1, 2, 0.5, seed=1, slot_seconds=7)
+        assert synthesize_occupancy(1, 2, 0.5, seed=1, slot_seconds=5).horizon_seconds == 2 * DAY
+
 
 class TestGenerateRequests:
     def test_zero_requests(self):
