@@ -7,7 +7,7 @@ force references quantify the difference: the contiguous model's best
 welfare collapses to zero while the split model captures the full bid.
 """
 
-from spectrum_auctions import Channel, Job, LocalMarket, commit_allocation, segment_timeline, solve_optimal
+from spectrum_auctions import Channel, Job, LocalMarket, segment_timeline, solve_optimal
 from spectrum_auctions.oracle import contiguous_optimal
 
 H = 3600
@@ -23,13 +23,11 @@ print("channel slots (hours, free):",
       [(s.start / H, s.end / H, s.capacity / H) for s in timeline.slots])
 print(f"request: {job.duration / H}h anywhere in [0h, 3h), bid {job.bid_value}")
 
-committed = timeline.empty_usage()
-amounts = commit_allocation(job, timeline, committed)
-print("forward-fill takes (seconds per slot):", amounts)
+solution = solve_optimal(market, 0.0)
+print("split allocation (seconds per slot):", solution.allocations[job.id])
 
-split = solve_optimal(market, 0.0).welfare
 contiguous = contiguous_optimal(market)
-print(f"\nsplit-allocation welfare:      {split}")
+print(f"\nsplit-allocation welfare:      {solution.welfare}")
 print(f"one-block-allocation welfare:  {contiguous}")
 print("\nThe gap is unbounded in general: shrink the islands toward the "
       "demand and the one-block model keeps earning zero while the split "

@@ -11,16 +11,13 @@ from .market import (
     AuctionConfig,
     AuctionOutcome,
     Channel,
-    InfeasibleCommitError,
     Job,
     LocalMarket,
     SegmentedTimeline,
     Slot,
     SpectrumAuctionError,
     build_timelines,
-    commit_allocation,
     filter_reserve,
-    fits_in_residual,
     partition_markets,
     segment_timeline,
     set_feasible,
@@ -43,9 +40,8 @@ from .workload import (
 
 __all__ = [
     "AuctionConfig", "AuctionOutcome", "Channel", "Job", "LocalMarket",
-    "SegmentedTimeline", "Slot", "SpectrumAuctionError", "InfeasibleCommitError",
-    "build_timelines", "commit_allocation", "filter_reserve", "fits_in_residual",
-    "partition_markets", "segment_timeline", "set_feasible",
+    "SegmentedTimeline", "Slot", "SpectrumAuctionError",
+    "build_timelines", "filter_reserve", "partition_markets", "segment_timeline", "set_feasible",
     "social_efficiency", "utilization_ratio",
     "OracleCapError", "OracleResult", "contiguous_optimal",
     "enumerate_optimal", "scan_critical_value",

@@ -52,15 +52,16 @@ def _add_auction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mechanisms", type=_mechanisms, default=MECHANISM_ORDER,
                    help="comma list out of vcg,pvg (default both)")
     p.add_argument("--trials", type=int, default=ExperimentPlan.trials)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"master seed (default {ExperimentPlan.master_seed})")
     p.add_argument("--day", type=int, default=None,
                    help="slice this 24h day out of the grid before running")
     p.add_argument("--vcg-max-jobs", type=int, default=ExperimentPlan.vcg_max_jobs,
                    help="exact-solver job cap (default %(default)s)")
     p.add_argument("--timing", action="store_true",
                    help="fill runtime_ms (breaks byte-identical reruns)")
-    p.add_argument("--delta", type=float, default=WorkloadSpec.hot_fraction,
-                   help="hot-time request fraction for set 2 (default %(default)s)")
+    p.add_argument("--delta", type=float, default=None,
+                   help=f"hot-time request fraction for set 2 (default {WorkloadSpec.hot_fraction})")
     p.add_argument("--out", required=True, help="results CSV path")
 
 
@@ -93,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", default=None, help="request CSV (skips generation)")
     p.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="number of requests per trial (generator mode)")
-    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=WorkloadSpec.set_kind)
+    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=None,
+                   help=f"request set (generator mode; default {WorkloadSpec.set_kind})")
     p.add_argument("--eta-s", type=float, default=AuctionConfig.eta_s,
                    help="reserve price per second")
     _add_auction_flags(p)
@@ -142,21 +144,27 @@ def _run(args: argparse.Namespace) -> int:
         if args.requests is not None:
             if args.trials != 1:
                 raise ValueError(f"run --requests prices one batch: --trials must be 1, got {args.trials}")
+            for flag, value in (("--set", args.set_kind), ("--delta", args.delta), ("--seed", args.seed)):
+                if value is not None:
+                    raise ValueError(f"run --requests prices one batch: {flag} applies only to generated requests")
             requests = load_requests(args.requests)
             lambdas = [len(requests)]
         elif args.lam is not None:
             lambdas = [args.lam]
         else:
             raise ValueError("run needs --requests or --lambda")
-        eta_s_values, set_kinds = [args.eta_s], [args.set_kind]
+        eta_s_values = [args.eta_s]
+        set_kinds = [WorkloadSpec.set_kind if args.set_kind is None else args.set_kind]
     else:
         lambdas, eta_s_values, set_kinds = args.lambda_list, args.eta_s_list, args.sets
     plan = ExperimentPlan(
         lambdas=lambdas, eta_s_values=eta_s_values, set_kinds=set_kinds,
         trials=args.trials,
-        master_seed=args.seed, beta=args.beta, xi=args.xi,
+        master_seed=ExperimentPlan.master_seed if args.seed is None else args.seed,
+        beta=args.beta, xi=args.xi,
         mechanisms=args.mechanisms, vcg_max_jobs=args.vcg_max_jobs,
-        timing=args.timing, hot_fraction=args.delta, day=args.day,
+        timing=args.timing, day=args.day,
+        hot_fraction=WorkloadSpec.hot_fraction if args.delta is None else args.delta,
     )
     write_results_csv(run_experiment(grid, plan, requests=requests), args.out)
     return 0

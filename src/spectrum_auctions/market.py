@@ -15,8 +15,7 @@ set fits one channel is Horn's (1974) preemptive EDF condition, decided
 event by event in O(k log k) for k jobs, whatever the channel's slot
 count.
 
-All times are integer seconds.  Capacity maps ("committed" usage) are
-plain lists owned by the caller; nothing here keeps global state.
+All times are integer seconds.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ from numbers import Real
 
 class SpectrumAuctionError(Exception):
     """Base class for errors raised by this package."""
-
-
-class InfeasibleCommitError(SpectrumAuctionError):
-    """A commit was requested for a job that does not fit its window."""
 
 
 def _whole_seconds(value, what: str) -> int:
@@ -195,9 +190,6 @@ class SegmentedTimeline:
         before = tuple(accumulate((slot.capacity for slot in self.slots), initial=0))
         object.__setattr__(self, "free_before", before)
 
-    def empty_usage(self) -> list[int]:
-        return [0] * len(self.slots)
-
     def window_capacity(self, job: Job) -> int:
         """Free seconds inside the job's window."""
         first, last = self.job_windows[job.id]
@@ -266,61 +258,6 @@ def segment_timeline(channel: Channel, jobs: list[Job]) -> SegmentedTimeline:
     index = {b: i for i, b in enumerate(boundaries)}
     job_windows = {j.id: (index[j.arrival], index[j.deadline] - 1) for j in jobs}
     return SegmentedTimeline(channel_id=channel.id, slots=tuple(slots), job_windows=job_windows)
-
-
-def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
-    """Free seconds left inside the job's window under ``committed`` usage."""
-    first, last = timeline.job_windows[job.id]
-    return timeline.window_capacity(job) - sum(committed[first:last + 1])
-
-
-def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> bool:
-    """True iff the job's demand fits the residual capacity of its window.
-
-    Because allocations need not be contiguous, summed residual capacity
-    inside the window is both necessary and sufficient.
-    """
-    return window_residual(job, timeline, committed) >= job.duration
-
-
-def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> list[int]:
-    """Forward-fill the job from its arrival toward its deadline.
-
-    Walks the window slots in time order, taking the smaller of the
-    slot's residual and the remaining need from each until the full
-    duration is covered.
-    Updates ``committed`` in place and returns the per-slot amounts
-    (aligned with ``timeline.slots``; zero outside the window).  When the
-    window's residual falls short, ``committed`` is left as it was and
-    InfeasibleCommitError is raised.
-    """
-    amounts = [0] * len(timeline.slots)
-    need = job.duration
-    first, last = timeline.job_windows[job.id]
-    slots = timeline.slots
-    for l in range(first, last + 1):
-        room = slots[l].capacity - committed[l]
-        take = room if room < need else need
-        if take > 0:
-            amounts[l] = take
-            committed[l] += take
-            need -= take
-            if not need:
-                return amounts
-    for l in range(first, last + 1):
-        committed[l] -= amounts[l]
-    raise InfeasibleCommitError(
-        f"job {job.id} does not fit channel {timeline.channel_id} residual capacity"
-    )
-
-
-def release_allocation(timeline: SegmentedTimeline, committed: list[int], amounts: list[int]) -> None:
-    """Give back previously committed per-slot amounts."""
-    for l, a in enumerate(amounts):
-        if a:
-            committed[l] -= a
-            if committed[l] < 0:
-                raise ValueError(f"slot {l} of channel {timeline.channel_id} released below zero")
 
 
 def _edf(jobs: list[Job], timeline: SegmentedTimeline,

@@ -12,19 +12,13 @@ def social_efficiency(outcome: AuctionOutcome, jobs: Iterable[Job]) -> float:
     return winner_welfare({j.id: j.bid_value for j in jobs}, outcome.assignment)
 
 
-def utilization_ratio(outcomes: AuctionOutcome | Iterable[AuctionOutcome],
-                      markets: LocalMarket | Iterable[LocalMarket]) -> float:
-    """Allocated seconds over the free (sellable) seconds of all channels.
+def utilization_ratio(outcome: AuctionOutcome, market: LocalMarket) -> float:
+    """Allocated seconds over the free (sellable) seconds of the market's channels.
 
     Wall-clock time the primary user occupies is unsellable and excluded
     from the denominator.  Returns 0.0 when there is no free time at all.
     """
-    if isinstance(outcomes, AuctionOutcome):
-        outcomes = [outcomes]
-    if isinstance(markets, LocalMarket):
-        markets = [markets]
-    allocated = sum(o.allocated_seconds() for o in outcomes)
-    free = sum(c.free_seconds for m in markets for c in m.channels)
+    free = sum(c.free_seconds for c in market.channels)
     if free == 0:
         return 0.0
-    return allocated / free
+    return outcome.allocated_seconds() / free

@@ -9,6 +9,8 @@ total value of that minimal eviction prefix, the prefix is preempted and
 the newcomer commits (case 2), after which earlier-ranked unplaced jobs
 are re-admitted into the freed channel wherever they now fit without
 further eviction (case 3).  Jobs failing everywhere are rejected.
+A placed job is forward-filled slot by slot into its window's residual
+seconds (``commit_allocation``); only the greedy keeps per-slot usage.
 
 Case 2 walks an eviction prefix only where one can pay.  At rank idx every
 placed job comes from ``order[:idx]``, so its per-second value is at least
@@ -72,14 +74,11 @@ from .market import (
     AuctionOutcome,
     Job,
     LocalMarket,
+    SegmentedTimeline,
     build_timelines,
     candidate_channels,
-    commit_allocation,
     filter_reserve,
-    fits_in_residual,
     processing_key,
-    release_allocation,
-    window_residual,
 )
 
 
@@ -91,6 +90,56 @@ class PvgStats:
     commits: int = 0
     preemptions: int = 0
     readmissions: int = 0
+
+
+def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
+    """Free seconds left inside the job's window under ``committed`` usage."""
+    first, last = timeline.job_windows[job.id]
+    return timeline.window_capacity(job) - sum(committed[first:last + 1])
+
+
+def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> bool:
+    """True iff the job's demand fits the residual capacity of its window.
+
+    Because allocations need not be contiguous, summed residual capacity
+    inside the window is both necessary and sufficient.
+    """
+    return window_residual(job, timeline, committed) >= job.duration
+
+
+def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> list[int]:
+    """Forward-fill the job from its arrival toward its deadline.
+
+    Walks the window slots in time order, taking the smaller of the
+    slot's residual and the remaining need from each until the full
+    duration is covered.  The caller has checked that the window's
+    residual covers the duration.  Updates ``committed`` in place and
+    returns the per-slot amounts (aligned with ``timeline.slots``; zero
+    outside the window).
+    """
+    amounts = [0] * len(timeline.slots)
+    need = job.duration
+    first, last = timeline.job_windows[job.id]
+    slots = timeline.slots
+    for l in range(first, last + 1):
+        room = slots[l].capacity - committed[l]
+        take = room if room < need else need
+        if take > 0:
+            amounts[l] = take
+            committed[l] += take
+            need -= take
+            if not need:
+                break
+    return amounts
+
+
+def release_allocation(timeline: SegmentedTimeline, committed: list[int], amounts: list[int]) -> None:
+    """Give back previously committed per-slot amounts."""
+    for l, a in enumerate(amounts):
+        if a:
+            committed[l] -= a
+            if committed[l] < 0:
+                raise ValueError(f"slot {l} of channel {timeline.channel_id} released below zero")
 
 
 @dataclass
@@ -144,7 +193,7 @@ class _Greedy:
 
     def initial_state(self) -> PvgState:
         return PvgState(winners={cid: [] for cid in self.timelines},
-                        committed={cid: tl.empty_usage() for cid, tl in self.timelines.items()})
+                        committed={cid: [0] * len(tl.slots) for cid, tl in self.timelines.items()})
 
     def eviction_prefix(self, job: Job, cid: int, free: int, state: PvgState) -> list[Job] | None:
         """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``, if it pays.

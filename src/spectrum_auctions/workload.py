@@ -76,23 +76,18 @@ class OccupancyGrid:
         return OccupancyGrid(self.slot_seconds, self.occupancy[:, start:start + per_day].copy())
 
     def to_channels(self, region: str, band_type: str) -> list[Channel]:
-        """Free runs of each row become a channel's free intervals."""
+        """Free runs of each row become a channel's free intervals.
+
+        With an occupied cell added at both ends of a row, each free run
+        starts and ends where the row changes value.
+        """
         channels = []
-        for row_idx in range(self.n_channels):
-            row = self.occupancy[row_idx]
-            intervals: list[tuple[int, int]] = []
-            start = None
-            for slot, cell in enumerate(row):
-                if cell == 0 and start is None:
-                    start = slot
-                elif cell == 1 and start is not None:
-                    intervals.append((start * self.slot_seconds, slot * self.slot_seconds))
-                    start = None
-            if start is not None:
-                intervals.append((start * self.slot_seconds, len(row) * self.slot_seconds))
+        for row_idx, row in enumerate(self.occupancy):
+            edges = np.flatnonzero(np.diff(np.pad(row, 1, constant_values=1)))
+            edges = (edges * self.slot_seconds).tolist()
             channels.append(Channel(
                 id=row_idx + 1, region=region, band_type=band_type,
-                free_intervals=tuple(intervals),
+                free_intervals=tuple(zip(edges[::2], edges[1::2])),
             ))
         return channels
 

@@ -174,6 +174,15 @@ class TestBadInput:
                           "--trials must be 1, got 4")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--set", "2"), ("--delta", "0.3"), ("--seed", "9")])
+    def test_requests_with_a_generator_flag(self, grid_csv, request_csv, tmp_path, capsys,
+                                            flag, value):
+        out = tmp_path / "x.csv"
+        self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
+                                   flag, value, "--out", str(out)],
+                          f"{flag} applies only to generated requests")
+        assert not out.exists()
+
     def test_non_numeric_bid(self, grid_csv, request_csv, tmp_path, capsys):
         lines = request_csv.read_text().splitlines()
         cells = lines[1].split(",")

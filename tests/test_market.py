@@ -8,17 +8,15 @@ import pytest
 from spectrum_auctions import (
     AuctionConfig,
     Channel,
-    InfeasibleCommitError,
     Job,
     LocalMarket,
-    commit_allocation,
-    fits_in_residual,
     partition_markets,
     segment_timeline,
     set_feasible,
 )
 from spectrum_auctions.market import SegmentedTimeline, Slot, window_flow_allocation
 from spectrum_auctions.oracle import _channel_set_feasible
+from spectrum_auctions.pvg import commit_allocation, fits_in_residual
 
 from conftest import BAND, REGION, random_channel, random_market
 
@@ -207,17 +205,19 @@ class TestSegmentTimeline:
 
 
 class TestFitsInResidual:
+    """The greedy's window residual check, ``pvg.fits_in_residual``."""
+
     def test_noncontiguous_residual_accepted(self):
         ch = channel(1, [(0, H), (2 * H, 3 * H)])
         j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
         tl = segment_timeline(ch, [j])
-        assert fits_in_residual(j, tl, tl.empty_usage())
+        assert fits_in_residual(j, tl, [0] * len(tl.slots))
 
     def test_empty_window_rejected(self):
         ch = channel(1, [(10, 20)])
         j = job(1, 5.0, 0, 8, 2)
         tl = segment_timeline(ch, [j])
-        assert not fits_in_residual(j, tl, tl.empty_usage())
+        assert not fits_in_residual(j, tl, [0] * len(tl.slots))
 
     def test_sum_short_of_demand_rejected(self):
         # residuals 1800 + 2520 + 2520 = 6840 < 7200
@@ -231,11 +231,13 @@ class TestFitsInResidual:
 
 
 class TestCommitAllocation:
+    """The greedy's forward fill, ``pvg.commit_allocation``, where the residual covers the job."""
+
     def test_forward_fill_skips_occupied(self):
         ch = channel(1, [(0, H), (2 * H, 3 * H)])
         j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
         tl = segment_timeline(ch, [j])
-        committed = tl.empty_usage()
+        committed = [0] * len(tl.slots)
         amounts = commit_allocation(j, tl, committed)
         assert amounts == [H, 0, 1800]
         assert committed == [H, 0, 1800]
@@ -245,7 +247,7 @@ class TestCommitAllocation:
         marker = job(2, 1.0, 0, 2 * H, H)
         j = job(1, 5.0, 0, 4 * H, H)
         tl = segment_timeline(ch, [j, marker])
-        amounts = commit_allocation(j, tl, tl.empty_usage())
+        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
         assert amounts == [H, 0]
 
     def test_exact_fit_across_slots(self):
@@ -253,33 +255,15 @@ class TestCommitAllocation:
         cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
         j = job(1, 5.0, 0, 3 * H, 3 * H)
         tl = segment_timeline(ch, [j] + cuts)
-        amounts = commit_allocation(j, tl, tl.empty_usage())
+        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
         assert amounts == [H, H, H]
-
-    def test_infeasible_commit_raises(self):
-        ch = channel(1, [(0, H)])
-        j = job(1, 5.0, 0, 2 * H, 2 * H)
-        tl = segment_timeline(ch, [j])
-        with pytest.raises(InfeasibleCommitError):
-            commit_allocation(j, tl, tl.empty_usage())
-
-    def test_failed_commit_leaves_committed_unchanged(self):
-        # the forward fill takes the first two slots' residue before it runs short
-        ch = channel(1, [(0, 3 * H)])
-        cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
-        j = job(1, 5.0, 0, 3 * H, 2 * H)
-        tl = segment_timeline(ch, [j] + cuts)
-        committed = [H - 1800, H - 2520, H - 2520]
-        with pytest.raises(InfeasibleCommitError):
-            commit_allocation(j, tl, committed)
-        assert committed == [H - 1800, H - 2520, H - 2520]
 
     def test_never_exceeds_capacity_and_allocates_exactly(self):
         rig = random.Random(21)
         for _ in range(200):
             market = random_market(rig, max_jobs=6, max_channels=1)
             tl = segment_timeline(market.channels[0], list(market.jobs))
-            committed = tl.empty_usage()
+            committed = [0] * len(tl.slots)
             for j in market.jobs:
                 if not fits_in_residual(j, tl, committed):
                     continue
@@ -334,7 +318,7 @@ class TestSetFeasible:
             market = random_market(rig, max_jobs=4, max_channels=1)
             tl = segment_timeline(market.channels[0], list(market.jobs))
             for j in market.jobs:
-                if fits_in_residual(j, tl, tl.empty_usage()):
+                if fits_in_residual(j, tl, [0] * len(tl.slots)):
                     assert set_feasible([j], tl)
 
     def test_matches_exhaustive_subset_search(self):

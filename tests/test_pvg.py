@@ -21,16 +21,16 @@ from spectrum_auctions import (
 )
 from spectrum_auctions import pvg
 from spectrum_auctions.experiment import trial_seed
-from spectrum_auctions.market import (
-    build_timelines,
-    candidate_channels,
+from spectrum_auctions.market import build_timelines, candidate_channels, processing_key
+from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
+from spectrum_auctions.pvg import (
+    _Greedy,
+    bid_grid_point,
+    bid_grid_size,
     fits_in_residual,
-    processing_key,
     release_allocation,
     window_residual,
 )
-from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
-from spectrum_auctions.pvg import _Greedy, bid_grid_point, bid_grid_size
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
 from conftest import BAND, REGION, random_market, random_reserve
@@ -208,7 +208,7 @@ class TestAllocation:
                 assert set(placed) == set(state.allocations)
                 for cid, winners in state.winners.items():
                     assert winners == sorted(winners, key=processing_key)
-                    total = greedy.timelines[cid].empty_usage()
+                    total = [0] * len(greedy.timelines[cid].slots)
                     for w in winners:
                         total = [t + a for t, a in zip(total, state.allocations[w.id])]
                     assert state.committed[cid] == total

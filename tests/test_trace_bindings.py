@@ -42,9 +42,9 @@ def test_names_the_tracer_reads_directly_exist():
 def test_traced_clearings_time_the_pricing_bindings():
     """A clearing run through the wrapped names shows up in the pricing metrics.
 
-    The mechanisms must keep solving, pricing and deciding channel sets
-    through the module-level names the tracer wraps, or these metrics
-    silently read 0.
+    The mechanisms must keep solving, pricing, deciding channel sets and
+    checking readmissions through the module-level names the tracer wraps,
+    or these metrics silently read 0.
     """
     tracer = load_tracer()
     package = importlib.import_module(tracer.PACKAGE)
@@ -54,12 +54,20 @@ def test_traced_clearings_time_the_pricing_bindings():
     jobs = tuple(package.Job(i + 1, "r1", "tv", v, 0, 4 * hours, 2 * hours)
                  for i, v in enumerate([10.0, 6.0, 4.0]))
     market = package.LocalMarket("r1", "tv", jobs, (channel,))
+    # the long job evicts the short one, which case 3 readmits after it
+    wide = package.Channel(1, "r1", "tv", ((0, 8 * hours),))
+    readmitting = package.LocalMarket("r1", "tv", (
+        package.Job(1, "r1", "tv", 10.0, 0, 8 * hours, 2 * hours),
+        package.Job(2, "r1", "tv", 21.0, 0, 6 * hours, 6 * hours),
+    ), (wide,))
     config = package.AuctionConfig(beta=2.0)
     with tracer.Tracer().installed() as traced:
         assert experiment.run_vcg(market, config).assignment
         assert experiment.run_pvg(market, config).assignment
+        assert len(experiment.run_pvg(readmitting, config).assignment) == 2
     metrics = traced.layer_metrics()
     for name in ("vcg.solve_optimal.calls", "vcg.vcg_payments.s", "pvg.critical_value.calls",
                  "market.set_feasible.calls", "market.window_flow_allocation.calls",
-                 "market.build_timelines.pvg.calls"):
+                 "market.build_timelines.pvg.calls", "pvg.readmissions",
+                 "market.fits_in_residual.calls"):
         assert metrics[name] > 0, name

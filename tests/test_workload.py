@@ -53,14 +53,41 @@ class TestOccupancyCsv:
             load_occupancy(str(path))
 
     def test_all_free_row_is_one_interval(self):
-        grid = OccupancyGrid(75, np.zeros((1, 10), dtype=np.uint8))
-        (ch,) = grid.to_channels("r1", "tv")
-        assert ch.free_intervals == ((0, 750),)
+        grid = OccupancyGrid(75, np.array([[0] * 10, [1] * 10], dtype=np.uint8))
+        free, busy = grid.to_channels("r1", "tv")
+        assert free.free_intervals == ((0, 750),)
+        assert busy.free_intervals == ()
 
     def test_alternating_cells_fragment(self):
-        grid = OccupancyGrid(75, np.array([[1, 0, 1, 0, 1, 0]], dtype=np.uint8))
-        (ch,) = grid.to_channels("r1", "tv")
-        assert ch.free_intervals == ((75, 150), (225, 300), (375, 450))
+        grid = OccupancyGrid(75, np.array([[1, 0, 1, 0, 1, 0],
+                                           [0, 0, 1, 1, 0, 0]], dtype=np.uint8))
+        inner, ends = grid.to_channels("r1", "tv")
+        assert inner.free_intervals == ((75, 150), (225, 300), (375, 450))
+        assert ends.free_intervals == ((0, 150), (300, 450))
+
+    def test_matches_cell_by_cell_walk(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 30)))
+            grid = OccupancyGrid(int(rng.integers(1, 400)),
+                                 (rng.random(shape) < rng.random()).astype(np.uint8))
+            channels = grid.to_channels("r1", "tv")
+            assert [ch.free_intervals for ch in channels] == free_runs_cell_by_cell(grid)
+
+
+def free_runs_cell_by_cell(grid):
+    """Reference: each row's free runs, found by walking its cells one by one."""
+    rows = []
+    for row in grid.occupancy.tolist():
+        runs, start = [], None
+        for slot, cell in enumerate(row + [1]):
+            if cell == 0 and start is None:
+                start = slot
+            elif cell == 1 and start is not None:
+                runs.append((start * grid.slot_seconds, slot * grid.slot_seconds))
+                start = None
+        rows.append(tuple(runs))
+    return rows
 
 
 class TestSynthesize:
