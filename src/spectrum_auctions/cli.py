@@ -3,8 +3,8 @@
 Subcommands:
   gen-occupancy   synthesize a daily-repeating occupancy grid CSV
   gen-requests    draw a request batch and save it as CSV
-  run             run the mechanisms once for a single (lambda, eta_s)
-  sweep           cartesian sweep over lambda and eta_s lists
+  run             price one request file with the mechanisms
+  sweep           draw workloads over a cartesian grid of lambda, set and eta_s
 
 ``run`` and ``sweep`` write the results CSV described in the README.
 Timing is off by default so identical seeds give byte-identical output;
@@ -32,41 +32,49 @@ from .workload import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises parse errors as ValueError, so ``main`` prints them as one line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers") from None
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from None
 
 
 def _mechanisms(text: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in text.split(",") if x.strip())
 
 
-def _add_auction_flags(p: argparse.ArgumentParser) -> None:
+def _add_clearing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=AuctionConfig.beta,
                    help="preemption threshold factor (default 1+sqrt(2))")
     p.add_argument("--xi", type=float, default=AuctionConfig.xi,
                    help="bid granularity (default %(default)s)")
     p.add_argument("--mechanisms", type=_mechanisms, default=MECHANISM_ORDER,
                    help="comma list out of vcg,pvg (default both)")
-    p.add_argument("--trials", type=int, default=ExperimentPlan.trials)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default {ExperimentPlan.master_seed})")
     p.add_argument("--day", type=int, default=None,
                    help="slice this 24h day out of the grid before running")
     p.add_argument("--vcg-max-jobs", type=int, default=ExperimentPlan.vcg_max_jobs,
                    help="exact-solver job cap (default %(default)s)")
     p.add_argument("--timing", action="store_true",
                    help="fill runtime_ms (breaks byte-identical reruns)")
-    p.add_argument("--delta", type=float, default=None,
-                   help=f"hot-time request fraction for set 2 (default {WorkloadSpec.hot_fraction})")
     p.add_argument("--out", required=True, help="results CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectrum-auction",
         description="Truthful spectrum auction mechanisms and experiments",
     )
@@ -89,24 +97,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=DAY_SECONDS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("run", help="single-point run")
+    p = sub.add_parser("run", help="price one request file")
     p.add_argument("--grid", required=True, help="occupancy CSV path")
-    p.add_argument("--requests", default=None, help="request CSV (skips generation)")
-    p.add_argument("--lambda", dest="lam", type=int, default=None,
-                   help="number of requests per trial (generator mode)")
-    p.add_argument("--set", dest="set_kind", type=int, choices=(1, 2), default=None,
-                   help=f"request set (generator mode; default {WorkloadSpec.set_kind})")
+    p.add_argument("--requests", required=True, help="request CSV, priced as one batch")
     p.add_argument("--eta-s", type=float, default=AuctionConfig.eta_s,
                    help="reserve price per second")
-    _add_auction_flags(p)
+    _add_clearing_flags(p)
 
-    p = sub.add_parser("sweep", help="cartesian sweep over lambda and eta_s")
+    p = sub.add_parser("sweep", help="cartesian sweep over lambda, set and eta_s")
     p.add_argument("--grid", required=True)
     p.add_argument("--lambda-list", type=_int_list, required=True,
                    help="comma list, e.g. 8,15,25")
     p.add_argument("--eta-s-list", type=_float_list, default=[AuctionConfig.eta_s])
     p.add_argument("--sets", type=_int_list, default=[1, 2])
-    _add_auction_flags(p)
+    p.add_argument("--trials", type=int, default=ExperimentPlan.trials)
+    p.add_argument("--seed", type=int, default=ExperimentPlan.master_seed,
+                   help="master seed (default %(default)s)")
+    p.add_argument("--delta", type=float, default=WorkloadSpec.hot_fraction,
+                   help="hot-time request fraction for set 2 (default %(default)s)")
+    _add_clearing_flags(p)
 
     return parser
 
@@ -114,9 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; bad input ends in a one-line error and exit code 2."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except (SpectrumAuctionError, ValueError, OSError) as err:
         print(f"spectrum-auction: error: {err}", file=sys.stderr)
         return 2
@@ -137,35 +145,17 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     grid = load_occupancy(args.grid)
-    requests = None
+    clearing = dict(beta=args.beta, xi=args.xi, mechanisms=args.mechanisms,
+                    vcg_max_jobs=args.vcg_max_jobs, timing=args.timing, day=args.day)
     if args.command == "run":
-        if args.requests is not None and args.lam is not None:
-            raise ValueError("run takes --requests or --lambda, not both")
-        if args.requests is not None:
-            if args.trials != 1:
-                raise ValueError(f"run --requests prices one batch: --trials must be 1, got {args.trials}")
-            for flag, value in (("--set", args.set_kind), ("--delta", args.delta), ("--seed", args.seed)):
-                if value is not None:
-                    raise ValueError(f"run --requests prices one batch: {flag} applies only to generated requests")
-            requests = load_requests(args.requests)
-            lambdas = [len(requests)]
-        elif args.lam is not None:
-            lambdas = [args.lam]
-        else:
-            raise ValueError("run needs --requests or --lambda")
-        eta_s_values = [args.eta_s]
-        set_kinds = [WorkloadSpec.set_kind if args.set_kind is None else args.set_kind]
+        requests = load_requests(args.requests)
+        plan = ExperimentPlan(lambdas=[len(requests)], eta_s_values=[args.eta_s], **clearing)
     else:
-        lambdas, eta_s_values, set_kinds = args.lambda_list, args.eta_s_list, args.sets
-    plan = ExperimentPlan(
-        lambdas=lambdas, eta_s_values=eta_s_values, set_kinds=set_kinds,
-        trials=args.trials,
-        master_seed=ExperimentPlan.master_seed if args.seed is None else args.seed,
-        beta=args.beta, xi=args.xi,
-        mechanisms=args.mechanisms, vcg_max_jobs=args.vcg_max_jobs,
-        timing=args.timing, day=args.day,
-        hot_fraction=WorkloadSpec.hot_fraction if args.delta is None else args.delta,
-    )
+        requests = None
+        plan = ExperimentPlan(
+            lambdas=args.lambda_list, eta_s_values=args.eta_s_list, set_kinds=args.sets,
+            trials=args.trials, master_seed=args.seed, hot_fraction=args.delta, **clearing,
+        )
     write_results_csv(run_experiment(grid, plan, requests=requests), args.out)
     return 0
 

@@ -201,11 +201,6 @@ def filter_reserve(jobs: Iterable[Job], eta_s: float) -> list[Job]:
     return [j for j in jobs if j.bid_value >= eta_s * j.duration]
 
 
-def processing_key(job: Job) -> tuple[float, int]:
-    """The greedy's job order: per-second bid descending, ties by ascending id."""
-    return (-job.unit_value, job.id)
-
-
 def winner_welfare(value_by_id: Mapping[int, float], winner_ids: Iterable[int]) -> float:
     """The winners' bids summed in id order, so equal winner sets give bitwise-equal welfare."""
     return sum((value_by_id[w] for w in sorted(winner_ids)), 0.0)

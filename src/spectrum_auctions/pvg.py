@@ -78,7 +78,6 @@ from .market import (
     build_timelines,
     candidate_channels,
     filter_reserve,
-    processing_key,
 )
 
 
@@ -90,6 +89,11 @@ class PvgStats:
     commits: int = 0
     preemptions: int = 0
     readmissions: int = 0
+
+
+def processing_key(job: Job) -> tuple[float, int]:
+    """The greedy's job order: per-second bid descending, ties by ascending id."""
+    return (-job.unit_value, job.id)
 
 
 def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:

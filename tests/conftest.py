@@ -15,6 +15,10 @@ REGION = "r1"
 BAND = "tv"
 
 
+def channel(cid, intervals, region=REGION, band=BAND):
+    return Channel(id=cid, region=region, band_type=band, free_intervals=tuple(intervals))
+
+
 def random_channel(rng: random.Random, cid: int, grid_max: int = 8) -> Channel:
     """1-3 disjoint free intervals with endpoints on the integer grid."""
     n_points = rng.randint(2, min(6, grid_max + 1))

@@ -51,8 +51,8 @@ class TestGenRequests:
 class TestRun:
     def test_with_generated_workload(self, grid_csv, tmp_path):
         out = tmp_path / "res.csv"
-        assert main(["run", "--grid", grid_csv, "--lambda", "4", "--set", "1",
-                     "--beta", "2.0", "--eta-s", "0.0", "--trials", "2",
+        assert main(["sweep", "--grid", grid_csv, "--lambda-list", "4", "--sets", "1",
+                     "--beta", "2.0", "--eta-s-list", "0.0", "--trials", "2",
                      "--seed", "5", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(RESULT_COLUMNS)
@@ -73,17 +73,17 @@ class TestRun:
         grid = tmp_path / "short.csv"  # 40 x 500 s = 20,000 s, the hot window starts at 68,400 s
         save_occupancy(OccupancyGrid(500, np.zeros((2, 40), dtype=np.uint8)), str(grid))
         out = tmp_path / "res.csv"
-        assert main(["run", "--grid", str(grid), "--lambda", "5", "--set", "1",
+        assert main(["sweep", "--grid", str(grid), "--lambda-list", "5", "--sets", "1",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 2 + 2
-        TestBadInput.assert_error(capsys, ["run", "--grid", str(grid), "--lambda", "5",
-                                           "--set", "2", "--out", str(out)],
+        TestBadInput.assert_error(capsys, ["sweep", "--grid", str(grid), "--lambda-list", "5",
+                                           "--sets", "2", "--out", str(out)],
                                   "the hot window must lie inside the horizon")
 
     def test_requires_workload_or_requests(self, grid_csv, tmp_path, capsys):
         TestBadInput.assert_error(capsys, ["run", "--grid", grid_csv,
                                            "--out", str(tmp_path / "x.csv")],
-                                  "run needs --requests or --lambda")
+                                  "the following arguments are required: --requests")
 
     def test_requests_and_lambda_together(self, grid_csv, tmp_path, capsys):
         req = tmp_path / "req.csv"
@@ -91,7 +91,7 @@ class TestRun:
         out = tmp_path / "x.csv"
         TestBadInput.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(req),
                                            "--lambda", "5", "--out", str(out)],
-                                  "run takes --requests or --lambda, not both")
+                                  "unrecognized arguments: --lambda 5")
         assert not out.exists()
 
 
@@ -124,7 +124,7 @@ class TestGolden:
     @pytest.mark.parametrize("name, argv", [
         ("golden_sweep.csv", ["sweep", "--lambda-list", "8,15,25", "--eta-s-list", "0.0,0.0005",
                               "--sets", "1,2", "--beta", "2.0", "--trials", "2", "--seed", "1"]),
-        ("golden_run.csv", ["run", "--lambda", "15", "--set", "2", "--eta-s", "0.0005",
+        ("golden_run.csv", ["sweep", "--lambda-list", "15", "--sets", "2", "--eta-s-list", "0.0005",
                             "--trials", "2", "--seed", "3"]),
     ])
     def test_matches_committed_csv(self, tmp_path, name, argv):
@@ -152,18 +152,19 @@ class TestBadInput:
         assert "\n" not in err and needle in err
 
     def test_zero_xi(self, grid_csv, tmp_path, capsys):
-        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--xi", "0",
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3", "--xi", "0",
                                    "--out", str(tmp_path / "x.csv")], "xi")
 
     def test_day_out_of_range(self, grid_csv, tmp_path, capsys):
         for day in ("3", "-1"):
-            self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", "--day", day,
-                                       "--out", str(tmp_path / "x.csv")], f"day {day} out of range")
+            self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3",
+                                       "--day", day, "--out", str(tmp_path / "x.csv")],
+                              f"day {day} out of range")
 
     def test_day_of_a_grid_with_slots_longer_than_a_day(self, tmp_path, capsys):
         grid = tmp_path / "long-slots.csv"
         save_occupancy(OccupancyGrid(100_000, np.zeros((2, 3), dtype=np.uint8)), str(grid))
-        self.assert_error(capsys, ["run", "--grid", str(grid), "--lambda", "3", "--day", "0",
+        self.assert_error(capsys, ["sweep", "--grid", str(grid), "--lambda-list", "3", "--day", "0",
                                    "--out", str(tmp_path / "x.csv")],
                           "slot_seconds 100000 exceeds a day (86400 s)")
 
@@ -171,17 +172,31 @@ class TestBadInput:
         out = tmp_path / "x.csv"
         self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
                                    "--trials", "4", "--out", str(out)],
-                          "--trials must be 1, got 4")
+                          "unrecognized arguments: --trials 4")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--set", "2"), ("--delta", "0.3"), ("--seed", "9")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "5"), ("--lambda-list", "5"), ("--set", "2"), ("--sets", "1"),
+        ("--trials", "1"), ("--delta", "0.3"), ("--seed", "9"),
+    ])
     def test_requests_with_a_generator_flag(self, grid_csv, request_csv, tmp_path, capsys,
                                             flag, value):
+        # a request file is one fixed batch, so every sweep-only flag is refused
         out = tmp_path / "x.csv"
         self.assert_error(capsys, ["run", "--grid", grid_csv, "--requests", str(request_csv),
                                    flag, value, "--out", str(out)],
-                          f"{flag} applies only to generated requests")
+                          f"unrecognized arguments: {flag} {value}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lambda-list", "3,x"], "argument --lambda-list: '3,x' is not a comma list of integers"),
+        (["--lambda-list", "3", "--eta-s-list", "0,y"],
+         "argument --eta-s-list: '0,y' is not a comma list of numbers"),
+        (["--lambda-list", "3", "--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+    ], ids=["int-list", "float-list", "int"])
+    def test_parser_error(self, grid_csv, tmp_path, capsys, flags, message):
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, *flags,
+                                   "--out", str(tmp_path / "x.csv")], message)
 
     def test_non_numeric_bid(self, grid_csv, request_csv, tmp_path, capsys):
         lines = request_csv.read_text().splitlines()
@@ -235,7 +250,7 @@ class TestBadInput:
         ("--mechanisms", "foo", "unknown mechanism 'foo'"),
     ])
     def test_non_finite_auction_flag(self, grid_csv, tmp_path, capsys, flag, value, message):
-        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3", flag, value,
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3", flag, value,
                                    "--out", str(tmp_path / "x.csv")], message)
 
     def test_duplicate_request_id_names_both_lines(self, grid_csv, request_csv, tmp_path,
@@ -276,12 +291,12 @@ class TestBadInput:
                           "trials must be at least 1, got 0")
 
     def test_negative_vcg_max_jobs(self, grid_csv, tmp_path, capsys):
-        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "3",
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3",
                                    "--vcg-max-jobs", "-1", "--out", str(tmp_path / "x.csv")],
                           "vcg_max_jobs must not be negative, got -1")
 
     def test_negative_lambda(self, grid_csv, tmp_path, capsys):
-        self.assert_error(capsys, ["run", "--grid", grid_csv, "--lambda", "-3",
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "-3",
                                    "--out", str(tmp_path / "x.csv")],
                           "lambda must not be negative, got -3")
 
@@ -325,7 +340,7 @@ class TestBadInput:
 
     def test_missing_grid_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
-        self.assert_error(capsys, ["run", "--grid", str(missing), "--lambda", "3",
+        self.assert_error(capsys, ["sweep", "--grid", str(missing), "--lambda-list", "3",
                                    "--out", str(tmp_path / "x.csv")], str(missing))
 
     @pytest.mark.parametrize("text, message", [
@@ -338,5 +353,5 @@ class TestBadInput:
     def test_bad_grid_file_names_file_and_line(self, tmp_path, capsys, text, message):
         grid = tmp_path / "grid.csv"
         grid.write_text(text)
-        self.assert_error(capsys, ["run", "--grid", str(grid), "--lambda", "3",
+        self.assert_error(capsys, ["sweep", "--grid", str(grid), "--lambda-list", "3",
                                    "--out", str(tmp_path / "x.csv")], f"{grid}, {message}")

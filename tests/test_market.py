@@ -7,7 +7,6 @@ import pytest
 
 from spectrum_auctions import (
     AuctionConfig,
-    Channel,
     Job,
     LocalMarket,
     partition_markets,
@@ -16,9 +15,9 @@ from spectrum_auctions import (
 )
 from spectrum_auctions.market import SegmentedTimeline, Slot, window_flow_allocation
 from spectrum_auctions.oracle import _channel_set_feasible
-from spectrum_auctions.pvg import commit_allocation, fits_in_residual
+from spectrum_auctions.pvg import fits_in_residual
 
-from conftest import BAND, REGION, random_channel, random_market
+from conftest import BAND, REGION, channel, random_channel, random_market
 
 H = 3600
 
@@ -26,10 +25,6 @@ H = 3600
 def job(jid, v, a, d, t, region=REGION, band=BAND):
     return Job(id=jid, region=region, band_type=band, bid_value=v,
                arrival=a, deadline=d, duration=t)
-
-
-def channel(cid, intervals, region=REGION, band=BAND):
-    return Channel(id=cid, region=region, band_type=band, free_intervals=tuple(intervals))
 
 
 class TestValidation:
@@ -202,76 +197,6 @@ class TestSegmentTimeline:
             for a, b in zip(tl.slots, tl.slots[1:]):
                 assert a.end == b.start
                 assert a.end > a.start
-
-
-class TestFitsInResidual:
-    """The greedy's window residual check, ``pvg.fits_in_residual``."""
-
-    def test_noncontiguous_residual_accepted(self):
-        ch = channel(1, [(0, H), (2 * H, 3 * H)])
-        j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
-        tl = segment_timeline(ch, [j])
-        assert fits_in_residual(j, tl, [0] * len(tl.slots))
-
-    def test_empty_window_rejected(self):
-        ch = channel(1, [(10, 20)])
-        j = job(1, 5.0, 0, 8, 2)
-        tl = segment_timeline(ch, [j])
-        assert not fits_in_residual(j, tl, [0] * len(tl.slots))
-
-    def test_sum_short_of_demand_rejected(self):
-        # residuals 1800 + 2520 + 2520 = 6840 < 7200
-        ch = channel(1, [(0, 3 * H)])
-        cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
-        j = job(1, 5.0, 0, 3 * H, 2 * H)
-        tl = segment_timeline(ch, [j] + cuts)
-        committed = [H - 1800, H - 2520, H - 2520]
-        assert sum(tl.slots[i].capacity - committed[i] for i in range(3)) == 6840
-        assert not fits_in_residual(j, tl, committed)
-
-
-class TestCommitAllocation:
-    """The greedy's forward fill, ``pvg.commit_allocation``, where the residual covers the job."""
-
-    def test_forward_fill_skips_occupied(self):
-        ch = channel(1, [(0, H), (2 * H, 3 * H)])
-        j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
-        tl = segment_timeline(ch, [j])
-        committed = [0] * len(tl.slots)
-        amounts = commit_allocation(j, tl, committed)
-        assert amounts == [H, 0, 1800]
-        assert committed == [H, 0, 1800]
-
-    def test_first_slot_suffices(self):
-        ch = channel(1, [(0, 4 * H)])
-        marker = job(2, 1.0, 0, 2 * H, H)
-        j = job(1, 5.0, 0, 4 * H, H)
-        tl = segment_timeline(ch, [j, marker])
-        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
-        assert amounts == [H, 0]
-
-    def test_exact_fit_across_slots(self):
-        ch = channel(1, [(0, 3 * H)])
-        cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
-        j = job(1, 5.0, 0, 3 * H, 3 * H)
-        tl = segment_timeline(ch, [j] + cuts)
-        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
-        assert amounts == [H, H, H]
-
-    def test_never_exceeds_capacity_and_allocates_exactly(self):
-        rig = random.Random(21)
-        for _ in range(200):
-            market = random_market(rig, max_jobs=6, max_channels=1)
-            tl = segment_timeline(market.channels[0], list(market.jobs))
-            committed = [0] * len(tl.slots)
-            for j in market.jobs:
-                if not fits_in_residual(j, tl, committed):
-                    continue
-                amounts = commit_allocation(j, tl, committed)
-                assert sum(amounts) == j.duration
-                first, last = tl.job_windows[j.id]
-                assert all(a == 0 for i, a in enumerate(amounts) if not first <= i <= last)
-            assert all(c <= s.capacity for c, s in zip(committed, tl.slots))
 
 
 def brute_force_feasible(jobs, timeline):

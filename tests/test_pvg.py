@@ -17,23 +17,26 @@ from spectrum_auctions import (
     pvg_allocate,
     rho_bound,
     run_pvg,
+    segment_timeline,
     solve_optimal,
 )
 from spectrum_auctions import pvg
 from spectrum_auctions.experiment import trial_seed
-from spectrum_auctions.market import build_timelines, candidate_channels, processing_key
+from spectrum_auctions.market import build_timelines, candidate_channels
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
 from spectrum_auctions.pvg import (
     _Greedy,
     bid_grid_point,
     bid_grid_size,
+    commit_allocation,
     fits_in_residual,
+    processing_key,
     release_allocation,
     window_residual,
 )
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
-from conftest import BAND, REGION, random_market, random_reserve
+from conftest import BAND, REGION, channel, random_market, random_reserve
 
 H = 3600
 BETA_STAR = 1.0 + math.sqrt(2.0)
@@ -75,6 +78,76 @@ def simulated_eviction_prefix(greedy, job, cid, state):
         if fits_in_residual(job, timeline, usage):
             return candidates[:n], n
     return None, len(candidates)
+
+
+class TestFitsInResidual:
+    """The greedy's window residual check, ``pvg.fits_in_residual``."""
+
+    def test_noncontiguous_residual_accepted(self):
+        ch = channel(1, [(0, H), (2 * H, 3 * H)])
+        j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
+        tl = segment_timeline(ch, [j])
+        assert fits_in_residual(j, tl, [0] * len(tl.slots))
+
+    def test_empty_window_rejected(self):
+        ch = channel(1, [(10, 20)])
+        j = job(1, 5.0, 0, 8, 2)
+        tl = segment_timeline(ch, [j])
+        assert not fits_in_residual(j, tl, [0] * len(tl.slots))
+
+    def test_sum_short_of_demand_rejected(self):
+        # residuals 1800 + 2520 + 2520 = 6840 < 7200
+        ch = channel(1, [(0, 3 * H)])
+        cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
+        j = job(1, 5.0, 0, 3 * H, 2 * H)
+        tl = segment_timeline(ch, [j] + cuts)
+        committed = [H - 1800, H - 2520, H - 2520]
+        assert sum(tl.slots[i].capacity - committed[i] for i in range(3)) == 6840
+        assert not fits_in_residual(j, tl, committed)
+
+
+class TestCommitAllocation:
+    """The greedy's forward fill, ``pvg.commit_allocation``, where the residual covers the job."""
+
+    def test_forward_fill_skips_occupied(self):
+        ch = channel(1, [(0, H), (2 * H, 3 * H)])
+        j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
+        tl = segment_timeline(ch, [j])
+        committed = [0] * len(tl.slots)
+        amounts = commit_allocation(j, tl, committed)
+        assert amounts == [H, 0, 1800]
+        assert committed == [H, 0, 1800]
+
+    def test_first_slot_suffices(self):
+        ch = channel(1, [(0, 4 * H)])
+        marker = job(2, 1.0, 0, 2 * H, H)
+        j = job(1, 5.0, 0, 4 * H, H)
+        tl = segment_timeline(ch, [j, marker])
+        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
+        assert amounts == [H, 0]
+
+    def test_exact_fit_across_slots(self):
+        ch = channel(1, [(0, 3 * H)])
+        cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
+        j = job(1, 5.0, 0, 3 * H, 3 * H)
+        tl = segment_timeline(ch, [j] + cuts)
+        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
+        assert amounts == [H, H, H]
+
+    def test_never_exceeds_capacity_and_allocates_exactly(self):
+        rig = random.Random(21)
+        for _ in range(200):
+            market = random_market(rig, max_jobs=6, max_channels=1)
+            tl = segment_timeline(market.channels[0], list(market.jobs))
+            committed = [0] * len(tl.slots)
+            for j in market.jobs:
+                if not fits_in_residual(j, tl, committed):
+                    continue
+                amounts = commit_allocation(j, tl, committed)
+                assert sum(amounts) == j.duration
+                first, last = tl.job_windows[j.id]
+                assert all(a == 0 for i, a in enumerate(amounts) if not first <= i <= last)
+            assert all(c <= s.capacity for c, s in zip(committed, tl.slots))
 
 
 class TestAllocation:

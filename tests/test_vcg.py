@@ -17,10 +17,9 @@ from spectrum_auctions import (
 )
 from spectrum_auctions import vcg
 from spectrum_auctions.experiment import trial_seed
-from spectrum_auctions.market import (
-    build_timelines, candidate_channels, processing_key, set_feasible,
-)
+from spectrum_auctions.market import build_timelines, candidate_channels, set_feasible
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
+from spectrum_auctions.pvg import processing_key
 from spectrum_auctions.vcg import _Search, _time_components
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
