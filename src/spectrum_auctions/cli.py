@@ -33,7 +33,14 @@ from .workload import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises parse errors as ValueError, so ``main`` prints them as one line."""
+    """Raises parse errors as ValueError, so ``main`` prints them as one line.
+
+    Flags must be spelled out: with prefix matching, ``--set`` would read as
+    ``--sets`` and ``--eta-s`` as ``--eta-s-list`` on ``sweep``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise ValueError(message)

@@ -10,18 +10,21 @@ feasibility questions reduce to slot-capacity arithmetic.
 
 Counting only the free seconds before each slot boundary maps every job
 window to a span of free-second coordinates.  Occupied slots vanish
-there, and a channel becomes one unit-rate machine, so whether a job
-set fits one channel is Horn's (1974) preemptive EDF condition, decided
-event by event in O(k log k) for k jobs, whatever the channel's slot
-count.
+there, and a channel becomes one unit-rate machine, so a job set fits
+one channel iff every interval between a release and a due end holds
+the demand of the jobs whose spans lie inside it (Horn 1974), an O(k^2)
+check for k jobs whatever the channel's slot count.  Preemptive EDF meets
+every demand whenever any schedule does, and a fixed-priority schedule
+is the earliest fit of each job in priority order, so EDF's per-slot
+allocation is the forward fill (``commit_allocation``) run job by job
+in (last slot, id) order.  The greedy places its winners with the same
+fill.
 
 All times are integer seconds.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -255,72 +258,84 @@ def segment_timeline(channel: Channel, jobs: list[Job]) -> SegmentedTimeline:
     return SegmentedTimeline(channel_id=channel.id, slots=tuple(slots), job_windows=job_windows)
 
 
-def _edf(jobs: list[Job], timeline: SegmentedTimeline,
-         per_job: dict[int, list[int]] | None) -> bool:
-    """Preemptive earliest-deadline-first in free-second coordinates.
+def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
+    """Free seconds left inside the job's window under ``committed`` usage."""
+    first, last = timeline.job_windows[job.id]
+    return timeline.window_capacity(job) - sum(committed[first:last + 1])
 
-    Each job is released at ``free_before[first]`` and due at
-    ``free_before[last + 1]``, the ends of its window's free-second span;
-    the channel runs one job at a time at unit rate.  Event by event over
-    the releases and finishes, the released job with the earliest last
-    slot (ties by id) runs until it finishes or the next release.  This
-    meets every demand iff any schedule does (Horn 1974), so it fails as
-    soon as the running job could not finish by its end even
-    uninterrupted.  That is O(k log k) work for k jobs, whatever the slot
-    count.  When ``per_job`` maps each job id to a zeroed per-slot list,
-    each run is mapped back to slots through ``free_before``.
+
+def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> list[int]:
+    """Forward-fill the job from its arrival toward its deadline.
+
+    Walks the window slots in time order, taking the smaller of the
+    slot's residual and the remaining need from each until the full
+    duration is covered.  The caller has checked that the window's
+    residual covers the duration.  Updates ``committed`` in place and
+    returns the per-slot amounts (aligned with ``timeline.slots``; zero
+    outside the window).
     """
-    before, windows = timeline.free_before, timeline.job_windows
-    pending = [(before[first], before[last + 1], last, j.id, j.duration)
-               for j in jobs for first, last in (windows[j.id],)]
-    pending.sort(reverse=True)  # earliest release at the end
-    ready: list[list[int]] = []  # heap of [last, id, end, seconds still needed]
-    t = 0
-    while pending or ready:
-        if not ready:
-            t = pending[-1][0]
-        while pending and pending[-1][0] <= t:
-            _, end, last, jid, need = pending.pop()
-            heapq.heappush(ready, [last, jid, end, need])
-        top = ready[0]
-        finish = t + top[3]
-        if finish > top[2]:
-            return False
-        stop = pending[-1][0] if pending and pending[-1][0] < finish else finish
-        if per_job is not None:
-            _pour(per_job[top[1]], timeline.free_before, t, stop)
-        top[3] = finish - stop
-        t = stop
-        if not top[3]:
-            heapq.heappop(ready)
-    return True
-
-
-def _pour(amounts: list[int], before: tuple[int, ...], t: int, stop: int) -> None:
-    """Add the free seconds ``[t, stop)`` to ``amounts``, slot by slot."""
-    l = bisect_right(before, t) - 1
-    while t < stop:
-        nxt = min(before[l + 1], stop)
-        amounts[l] += nxt - t
-        t = nxt
-        l += 1
+    amounts = [0] * len(timeline.slots)
+    need = job.duration
+    first, last = timeline.job_windows[job.id]
+    slots = timeline.slots
+    for l in range(first, last + 1):
+        room = slots[l].capacity - committed[l]
+        take = room if room < need else need
+        if take > 0:
+            amounts[l] = take
+            committed[l] += take
+            need -= take
+            if not need:
+                break
+    return amounts
 
 
 def set_feasible(jobs: list[Job], timeline: SegmentedTimeline) -> bool:
     """Joint feasibility of a job set on one channel.
 
     True iff every job can get its full duration inside its window
-    without any slot exceeding its capacity.  Decided by the EDF pass;
-    the tests cross-check it against an exhaustive subset search and the
-    oracle's augmenting-path max flow.
+    without any slot exceeding its capacity.  Each job is released at
+    ``free_before[first]`` and due at ``free_before[last + 1]``, and by
+    Horn's condition the set fits iff, for every release r and due end d,
+    the jobs released at r or later and due by d need at most ``d - r``
+    seconds.  For each job's release, one pass over the spans in due
+    order sums that demand, so the check is O(k^2) for k jobs.  The tests
+    cross-check it against an exhaustive subset search, a slot-by-slot
+    EDF and the oracle's augmenting-path max flow.
     """
-    return _edf(jobs, timeline, None)
+    before, windows = timeline.free_before, timeline.job_windows
+    spans = []
+    for j in jobs:
+        first, last = windows[j.id]
+        spans.append((before[last + 1], before[first], j.duration))
+    spans.sort()
+    for _, release, _ in spans:
+        demand = 0
+        for due, r, need in spans:
+            if r >= release:
+                demand += need
+                if demand > due - release:
+                    return False
+    return True
 
 
 def window_flow_allocation(jobs: list[Job], timeline: SegmentedTimeline) -> dict[int, list[int]] | None:
-    """Per-job slot amounts realizing a feasible set, or None if infeasible."""
-    per_job = {j.id: [0] * len(timeline.slots) for j in jobs}
-    return per_job if _edf(jobs, timeline, per_job) else None
+    """Per-job slot amounts realizing a feasible set, or None if infeasible.
+
+    EDF with ties by id gives each job a fixed priority, its (last slot,
+    id), and a fixed-priority schedule is the earliest fit of each job in
+    priority order.  So the forward fill, job by job in that order, is
+    EDF's allocation, and it runs short for some job iff the set does not
+    fit.  The amounts are returned in ``jobs`` order.
+    """
+    windows = timeline.job_windows
+    committed = [0] * len(timeline.slots)
+    amounts = {}
+    for j in sorted(jobs, key=lambda j: (windows[j.id][1], j.id)):
+        if window_residual(j, timeline, committed) < j.duration:
+            return None
+        amounts[j.id] = commit_allocation(j, timeline, committed)
+    return {j.id: amounts[j.id] for j in jobs}
 
 
 def build_timelines(market: LocalMarket) -> dict[int, SegmentedTimeline]:

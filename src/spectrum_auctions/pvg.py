@@ -10,7 +10,9 @@ the newcomer commits (case 2), after which earlier-ranked unplaced jobs
 are re-admitted into the freed channel wherever they now fit without
 further eviction (case 3).  Jobs failing everywhere are rejected.
 A placed job is forward-filled slot by slot into its window's residual
-seconds (``commit_allocation``); only the greedy keeps per-slot usage.
+seconds by ``market.commit_allocation``, the fill that also gives the
+exact mechanism's allocations; only the greedy keeps per-slot usage
+between jobs.
 
 Case 2 walks an eviction prefix only where one can pay.  At rank idx every
 placed job comes from ``order[:idx]``, so its per-second value is at least
@@ -77,7 +79,9 @@ from .market import (
     SegmentedTimeline,
     build_timelines,
     candidate_channels,
+    commit_allocation,
     filter_reserve,
+    window_residual,
 )
 
 
@@ -96,12 +100,6 @@ def processing_key(job: Job) -> tuple[float, int]:
     return (-job.unit_value, job.id)
 
 
-def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
-    """Free seconds left inside the job's window under ``committed`` usage."""
-    first, last = timeline.job_windows[job.id]
-    return timeline.window_capacity(job) - sum(committed[first:last + 1])
-
-
 def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> bool:
     """True iff the job's demand fits the residual capacity of its window.
 
@@ -109,32 +107,6 @@ def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]
     inside the window is both necessary and sufficient.
     """
     return window_residual(job, timeline, committed) >= job.duration
-
-
-def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> list[int]:
-    """Forward-fill the job from its arrival toward its deadline.
-
-    Walks the window slots in time order, taking the smaller of the
-    slot's residual and the remaining need from each until the full
-    duration is covered.  The caller has checked that the window's
-    residual covers the duration.  Updates ``committed`` in place and
-    returns the per-slot amounts (aligned with ``timeline.slots``; zero
-    outside the window).
-    """
-    amounts = [0] * len(timeline.slots)
-    need = job.duration
-    first, last = timeline.job_windows[job.id]
-    slots = timeline.slots
-    for l in range(first, last + 1):
-        room = slots[l].capacity - committed[l]
-        take = room if room < need else need
-        if take > 0:
-            amounts[l] = take
-            committed[l] += take
-            need -= take
-            if not need:
-                break
-    return amounts
 
 
 def release_allocation(timeline: SegmentedTimeline, committed: list[int], amounts: list[int]) -> None:

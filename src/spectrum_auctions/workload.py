@@ -44,10 +44,13 @@ class OccupancyGrid:
     def __post_init__(self) -> None:
         if self.slot_seconds <= 0:
             raise ValueError("slot_seconds must be positive")
-        arr = np.asarray(self.occupancy, dtype=np.uint8)
+        arr = np.asarray(self.occupancy)
         if arr.ndim != 2:
             raise ValueError("occupancy must be 2-dimensional")
-        object.__setattr__(self, "occupancy", arr)
+        bad = arr[(arr != 0) & (arr != 1)]
+        if bad.size:
+            raise ValueError(f"occupancy cell {bad[0].item()!r} is not 0 or 1")
+        object.__setattr__(self, "occupancy", arr.astype(np.uint8, copy=False))
 
     @property
     def n_channels(self) -> int:

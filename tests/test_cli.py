@@ -188,6 +188,20 @@ class TestBadInput:
                           f"unrecognized arguments: {flag} {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--set", "2"), ("sweep", "--eta-s", "0.001"), ("run", "--req", None),
+    ])
+    def test_flag_prefix_is_refused(self, grid_csv, request_csv, tmp_path, capsys, command, flag,
+                                    value):
+        # read by prefix, these would be --sets, --eta-s-list and --requests
+        value = value or str(request_csv)
+        inputs = ["--requests", str(request_csv)] if command == "run" else ["--lambda-list", "3"]
+        out = tmp_path / "x.csv"
+        self.assert_error(capsys, [command, "--grid", grid_csv, *inputs, flag, value,
+                                   "--out", str(out)],
+                          f"unrecognized arguments: {flag} {value}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--lambda-list", "3,x"], "argument --lambda-list: '3,x' is not a comma list of integers"),
         (["--lambda-list", "3", "--eta-s-list", "0,y"],
@@ -239,7 +253,7 @@ class TestBadInput:
                           f"bid_value must be finite and >= 0, got {shown}")
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--eta-s", "nan", "eta_s must be finite and >= 0, got nan"),
+        ("--eta-s-list", "nan", "eta_s must be finite and >= 0, got nan"),
         ("--beta", "nan", "beta must be finite and >= 1, got nan"),
         ("--beta", "inf", "beta must be finite and >= 1, got inf"),
         ("--xi", "nan", "xi must be finite and > 0, got nan"),

@@ -237,6 +237,20 @@ class TestSetFeasible:
         assert set_feasible([fits], tl)
         assert not set_feasible([too_big], tl)
 
+    def test_only_overfull_interval_lies_inside_the_extremes(self):
+        # [3, 5) needs 3 seconds in 2; every interval that starts at the
+        # earliest release (0) or ends at the latest due end (10) has room
+        ch = channel(1, [(0, 10)])
+        wide = job(1, 1.0, 0, 10, 1)
+        b = job(2, 1.0, 3, 5, 2)
+        c = job(3, 1.0, 4, 5, 1)
+        tl = segment_timeline(ch, [wide, b, c])
+        assert not set_feasible([wide, b, c], tl)
+        assert not brute_force_feasible([wide, b, c], tl)
+        assert not _channel_set_feasible(ch, [wide, b, c])
+        assert window_flow_allocation([wide, b, c], tl) is None
+        assert set_feasible([wide, b], tl) and set_feasible([wide, c], tl)
+
     def test_fit_alone_implies_singleton_feasible(self):
         rig = random.Random(3)
         for _ in range(200):
@@ -277,7 +291,7 @@ class TestSetFeasible:
 
 class TestEdf:
     def test_gap_with_nothing_released(self):
-        # the ready heap empties after slot 0 and the walk jumps to slot 2
+        # no window covers slot 1, which stays idle; b fills from slot 2
         ch = channel(1, [(0, 10)])
         a = job(1, 1.0, 0, 2, 2)
         b = job(2, 1.0, 6, 8, 2)
@@ -319,7 +333,7 @@ class TestEdf:
 
 
 def slot_walk_edf(jobs, timeline, per_job):
-    """The slot-by-slot EDF that ``market._edf`` replaced, kept as its reference.
+    """Slot-by-slot EDF, the reference for ``set_feasible`` and ``window_flow_allocation``.
 
     Walks the slots in time order, pouring each slot's free seconds into
     the released job with the earliest last slot (ties by id).
@@ -358,14 +372,14 @@ def slot_walk_edf(jobs, timeline, per_job):
 
 class TestEdfMatchesSlotWalk:
     def test_feasibility_and_allocations_equal(self):
-        """Free-second EDF equals the slot walk on every job subset of random channels.
+        """The interval check and the fill equal the slot walk on every job subset.
 
         Short demands on a 12-second grid with 1-3 free intervals make
         most subsets feasible, so the allocations are compared too.  The
         draws must include occupied slots inside windows, windows that
         touch, and two windows of one feasible set that end at the same
-        free second in different slots, where only the (last slot, id)
-        heap key gives the slot walk's allocation.
+        free second in different slots, where only filling in (last slot,
+        id) order gives the slot walk's allocation.
         """
         rig = random.Random(16)
         seen = {"zero slot": 0, "touching": 0, "same end, other slot": 0, "feasible": 0}
@@ -398,3 +412,34 @@ class TestEdfMatchesSlotWalk:
                     and tl.job_windows[a.id][1] != tl.job_windows[b.id][1]
                     for a in members for b in members)
         assert all(seen.values()), seen
+
+    def test_sets_of_up_to_twelve_jobs(self):
+        """Whole sets of 2-12 jobs: the slot walk, the max flow and the fill agree.
+
+        Each job fits its window alone, with a demand of 1-4 seconds on a
+        96-second grid, so many large sets are feasible and their
+        allocations and key order are compared too.
+        """
+        rig = random.Random(23)
+        feasible_large = 0
+        for _ in range(400):
+            ch = random_channel(rig, 1, grid_max=96)
+            ids = rig.sample(range(1, 30), rig.randint(2, 12))
+            jobs = []
+            while len(jobs) < len(ids):
+                a = rig.randint(0, 95)
+                d = rig.randint(a + 1, 96)
+                free = sum(max(0, min(e, d) - max(s, a)) for s, e in ch.free_intervals)
+                if free:
+                    jobs.append(job(ids[len(jobs)], 1.0, a, d, rig.randint(1, min(4, free))))
+            tl = segment_timeline(ch, jobs)
+            fits = slot_walk_edf(jobs, tl, None)
+            assert set_feasible(jobs, tl) == fits == _channel_set_feasible(ch, jobs)
+            expected = {j.id: [0] * len(tl.slots) for j in jobs}
+            slot_walk_edf(jobs, tl, expected)
+            flows = window_flow_allocation(jobs, tl)
+            assert flows == (expected if fits else None)
+            if fits:
+                assert list(flows) == [j.id for j in jobs]
+                feasible_large += len(jobs) >= 9
+        assert feasible_large >= 40, feasible_large

@@ -22,17 +22,20 @@ from spectrum_auctions import (
 )
 from spectrum_auctions import pvg
 from spectrum_auctions.experiment import trial_seed
-from spectrum_auctions.market import build_timelines, candidate_channels
+from spectrum_auctions.market import (
+    build_timelines,
+    candidate_channels,
+    commit_allocation,
+    window_residual,
+)
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
 from spectrum_auctions.pvg import (
     _Greedy,
     bid_grid_point,
     bid_grid_size,
-    commit_allocation,
     fits_in_residual,
     processing_key,
     release_allocation,
-    window_residual,
 )
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
@@ -107,7 +110,10 @@ class TestFitsInResidual:
 
 
 class TestCommitAllocation:
-    """The greedy's forward fill, ``pvg.commit_allocation``, where the residual covers the job."""
+    """The forward fill both mechanisms share, ``market.commit_allocation``.
+
+    Every case here has a window residual that covers the job.
+    """
 
     def test_forward_fill_skips_occupied(self):
         ch = channel(1, [(0, H), (2 * H, 3 * H)])

@@ -52,6 +52,13 @@ class TestOccupancyCsv:
         with pytest.raises(OccupancyFormatError, match="line 3"):
             load_occupancy(str(path))
 
+    @pytest.mark.parametrize("cells, shown", [([[2]], "2"), ([[-1, 0]], "-1"),
+                                              ([[0, 0.5]], "0.5"), ([[1, float("nan")]], "nan")])
+    def test_grid_rejects_non_binary_cell(self, cells, shown):
+        # unchecked, a 2 reads as a free slot and a -1 overflows the uint8 cast
+        with pytest.raises(ValueError, match=f"occupancy cell {shown} is not 0 or 1"):
+            OccupancyGrid(75, cells)
+
     def test_all_free_row_is_one_interval(self):
         grid = OccupancyGrid(75, np.array([[0] * 10, [1] * 10], dtype=np.uint8))
         free, busy = grid.to_channels("r1", "tv")
