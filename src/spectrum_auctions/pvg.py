@@ -36,22 +36,23 @@ with ``critical_value`` over that same allocation run.
 
 Pricing replays only what a probe can change.  Segmentation, candidate
 channels and the truthful order do not depend on the probed bid, so one
-``_Greedy`` per market holds them, and a ``PvgState`` holds only what a
-rank changes.  ``run_pvg`` keeps the state of its allocation run before
-every rank.  For winner i it then runs the market without i once, from a
-fork of the kept state at i's rank, and keeps that run's state before
-every rank and the ranks at which it preempted; the ranks above i's are
-the truthful run's own kept states.  A rank that leaves its job unplaced
-changes nothing, so both runs keep one state object for every rank since
-their last placement; kept states are shared and read-only, and every
-probe forks the one it resumes from.  A probe at bid b puts i at its
-rank r for b under ``processing_key`` and resumes from the state before
-rank r.  This is exact: processing a job reads only the jobs ranked
-above it (case-3 readmission scans ``order[:idx]``, and the eviction
-prefix walks only placed jobs), so the jobs above r are processed in the
-probe exactly as in the run without i, and the runs with and without i
-agree above i's own rank.  From rank r on, the probe replays only the
-ranks that can change whether i wins:
+``_Greedy`` per market holds them.  A state maps each channel id to a
+``_Snapshot`` of that channel (its winners, used seconds and the winners'
+allocations) that is never changed once built: a step returns a new
+mapping with a new snapshot for the one channel it changed, or its input
+when it placed nothing, so a kept state is a plain reference and runs
+share every channel they have in common.  ``run_pvg`` keeps the state of
+its allocation run before every rank.  For winner i it then runs the
+market without i once, from the kept state at i's rank, and keeps that
+run's state before every rank and the ranks at which it preempted; the
+ranks above i's are the truthful run's own kept states.  A probe at bid b
+puts i at its rank r for b under ``processing_key`` and resumes from the
+state before rank r.  This is exact: processing a job reads only the jobs
+ranked above it (case-3 readmission scans ``order[:idx]``, and the
+eviction prefix walks only placed jobs), so the jobs above r are processed
+in the probe exactly as in the run without i, and the runs with and
+without i agree above i's own rank.  From rank r on, the probe replays
+only the ranks that can change whether i wins:
 
 * Losing side.  While i is unplaced it changes nothing, and a rank reads
   unplaced jobs only in its case-3 scan, which runs only at a rank that
@@ -62,13 +63,39 @@ ranks that can change whether i wins:
   which is then worth at least b (bids are >= 0, and float sums and
   products are monotone), so no later job bidding at most ``beta * b``
   evicts i.  Once i is placed and no job still to come bids more, i wins.
+
+Two kinds of reuse skip work without changing an answer:
+
+* Snapshot memos.  Each snapshot records, per job, the window residual
+  (by job id), the snapshot after placing the job (by job id and bid) and
+  the eviction walk with the ids of the winners it summed (by job id and
+  bid).  Each is a function of the snapshot's content and of the job's
+  window, duration and bid alone, never of the run that asks, so a run
+  without a winner, or a probe, that reaches a channel another run
+  already processed takes the answer instead of recomputing it.  Whether
+  a job fits a snapshot decides which of case 1's fill or case 2's
+  eviction places it there, so one placement memo serves both.
+* Probe answers by rank.  Two bids that put i at one rank give one
+  processing order and the same place for i in every channel's winner
+  list.  Then only three decisions read i's bid: an eviction walk that
+  sums i, i's own walk once it sums a winner, and the winning side's stop
+  test.  When the first probe at a rank replayed with no walk reading the
+  bid (a memo hit reports the ids its walk summed, just as a miss does),
+  a later probe there makes the same decisions up to where the first
+  stopped, and takes its answer, unless the first won by the stop test at
+  ``idx`` and ``highest[idx + 1] > beta * b`` for the later bid.  Should
+  the later probe's own stop test fire sooner, i is placed there, and as
+  only a walk that sums i can remove it, the first probe won too.  Only
+  the first replay at a rank is kept: a later one makes the same
+  decisions up to the first one's bid read, so it reads the bid there too
+  unless its stop test ends it sooner.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .market import (
@@ -87,12 +114,23 @@ from .market import (
 
 @dataclass
 class PvgStats:
-    """Work counters for complexity checks; purely observational."""
+    """Work counters for complexity checks; purely observational.
+
+    ``fit_checks`` counts window residuals computed, winners summed by
+    eviction walks and readmission fits tested; ``commits`` counts channel
+    snapshots built by placing a job.  Both count work done: an answer
+    taken from a snapshot's memo adds to neither.  ``preemptions`` and
+    ``readmissions`` count the jobs evicted and readmitted by the steps
+    that ran.  ``probes`` counts price probes, and ``reused_probes`` those
+    of them answered by an earlier probe at the same rank without a replay.
+    """
 
     fit_checks: int = 0
     commits: int = 0
     preemptions: int = 0
     readmissions: int = 0
+    probes: int = 0
+    reused_probes: int = 0
 
 
 def processing_key(job: Job) -> tuple[float, int]:
@@ -118,44 +156,46 @@ def release_allocation(timeline: SegmentedTimeline, committed: list[int], amount
                 raise ValueError(f"slot {l} of channel {timeline.channel_id} released below zero")
 
 
-@dataclass
-class PvgState:
-    """The allocator's state between two processed ranks.
+class _Snapshot:
+    """One channel between two ranks; what it holds never changes once built.
 
-    ``winners`` is each channel's placed jobs in processing order, and
-    ``committed`` each channel's per-slot used seconds, the sum of its
-    winners' ``allocations``.  What no rank changes (timelines, candidate
-    channels, the processing order) lives in ``_Greedy``; a run's order is
-    passed to each step.  Kept states (``_Greedy.run``) are read-only:
-    every user forks one before stepping it.
+    ``winners`` is the channel's placed jobs in processing order,
+    ``committed`` its per-slot used seconds, and ``allocations`` each
+    winner's per-slot amounts, which sum slot-wise to ``committed``.  The
+    memos only grow, and each answer in them is a function of the
+    snapshot's content and the asking job (module docstring):
+    ``residuals`` maps a job id to the job's free window seconds,
+    ``placed`` maps (job id, bid) to the snapshot after placing the job,
+    and ``walks`` maps (job id, bid) to the job's eviction walk as
+    ``_Greedy.eviction_prefix`` returns it.
     """
 
-    winners: dict[int, list[Job]]
-    committed: dict[int, list[int]]
-    allocations: dict[int, list[int]] = field(default_factory=dict)
+    __slots__ = ("winners", "committed", "allocations", "residuals", "placed", "walks")
 
-    def fork(self) -> PvgState:
-        """An independent copy.
+    def __init__(self, winners: tuple[Job, ...], committed: list[int],
+                 allocations: dict[int, list[int]]):
+        self.winners = winners
+        self.committed = committed
+        self.allocations = allocations
+        self.residuals: dict[int, int] = {}
+        self.placed: dict[tuple[int, float], _Snapshot] = {}
+        self.walks: dict[tuple[int, float], tuple[list[Job] | None, tuple[int, ...]]] = {}
 
-        Per-job allocation lists are shared: once committed they are only
-        ever dropped, never changed.
-        """
-        return PvgState(
-            winners={cid: list(placed) for cid, placed in self.winners.items()},
-            committed={cid: list(used) for cid, used in self.committed.items()},
-            allocations=dict(self.allocations),
-        )
+
+# The allocator's state between two processed ranks: each channel's snapshot.
+PvgState = dict[int, _Snapshot]
 
 
 class _Greedy:
-    """One market's greedy: what no rank changes, and the steps over a ``PvgState``.
+    """One market's greedy: what no rank changes, and the steps between ``PvgState``s.
 
     Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` are
     the market's channels cut once, ``candidates`` every job's candidate
     channels, ``order`` the truthful processing order (``processing_key``)
     over reserve-eligible jobs, ``keys`` its processing keys and
     ``highest[k]`` the largest bid among ``order[k:]``.  Work is counted
-    into ``stats``.
+    into ``stats``.  While a probe of job ``watched`` replays, a step sets
+    ``bid_read`` when one of its eviction walks reads that job's bid.
     """
 
     def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
@@ -166,121 +206,161 @@ class _Greedy:
         self.order = sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key)
         self.keys = [processing_key(j) for j in self.order]
         self.highest = list(accumulate(reversed([j.bid_value for j in self.order]), max))[::-1]
+        self.watched: int | None = None
+        self.bid_read = False
 
     def initial_state(self) -> PvgState:
-        return PvgState(winners={cid: [] for cid in self.timelines},
-                        committed={cid: [0] * len(tl.slots) for cid, tl in self.timelines.items()})
+        return {cid: _Snapshot((), [0] * len(tl.slots), {}) for cid, tl in self.timelines.items()}
 
-    def eviction_prefix(self, job: Job, cid: int, free: int, state: PvgState) -> list[Job] | None:
+    def eviction_prefix(self, job: Job, cid: int, free: int,
+                        snap: _Snapshot) -> tuple[list[Job] | None, tuple[int, ...]]:
         """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``, if it pays.
 
         Candidates are the channel's winners with any seconds inside ``job``'s
         window, ordered by per-second value ascending (ties: descending id),
-        which is ``state.winners[cid]`` reversed; a winner whose window misses
-        the job's slot range is passed over unsummed.  Removing one frees
-        exactly its in-window seconds, so a running total from the window's
-        residual ``free`` finds the first point at which the job fits.  The
-        prefix is returned only if the job's bid exceeds ``beta`` times its
-        value; the walk gives up with None as soon as the value so far reaches
-        that, since adding non-negative bids never lowers a float sum.  ``cid``
-        is one of the job's candidate channels, so removing every overlapping
-        winner frees the whole window capacity, which covers the job's duration.
+        which is ``snap.winners`` reversed; a winner whose window misses the
+        job's slot range is passed over unsummed.  Removing one frees exactly
+        its in-window seconds, so a running total from the window's residual
+        ``free`` finds the first point at which the job fits.  The prefix is
+        returned only if the job's bid exceeds ``beta`` times its value; the
+        walk gives up with None as soon as the value so far reaches that,
+        since adding non-negative bids never lowers a float sum.  ``cid`` is
+        one of the job's candidate channels, so removing every overlapping
+        winner frees the whole window capacity, which covers the job's
+        duration.  Also returns the ids of the winners whose bids were summed.
         """
         windows = self.timelines[cid].job_windows
         first, last = windows[job.id]
         beta = self.config.beta
         value = 0.0
-        prefix: list[Job] = []
-        for cand in reversed(state.winners[cid]):
+        summed: list[Job] = []
+        for cand in reversed(snap.winners):
             lo, hi = windows[cand.id]
             if hi < first or lo > last:
                 continue
-            freed = sum(state.allocations[cand.id][max(lo, first):min(hi, last) + 1])
+            freed = sum(snap.allocations[cand.id][max(lo, first):min(hi, last) + 1])
             if not freed:
                 continue
             self.stats.fit_checks += 1
             value += cand.bid_value
+            summed.append(cand)
             if job.bid_value <= beta * value:
-                return None
-            prefix.append(cand)
+                break
             free += freed
             if free >= job.duration:
-                return prefix
-        return None
+                return summed, tuple(c.id for c in summed)
+        return None, tuple(c.id for c in summed)
 
-    def accept(self, job: Job, cid: int, state: PvgState) -> None:
-        state.allocations[job.id] = commit_allocation(job, self.timelines[cid],
-                                                      state.committed[cid])
-        insort(state.winners[cid], job, key=processing_key)
-        self.stats.commits += 1
+    def place(self, job: Job, cid: int, snap: _Snapshot,
+              prefix: list[Job] | None = None) -> _Snapshot:
+        """``snap`` with ``prefix`` evicted and ``job`` forward-filled into what is left.
 
-    def step(self, state: PvgState, order: list[Job], idx: int) -> bool:
-        """Process ``order[idx]`` onto ``state``, in place; True iff it preempted."""
-        timelines, candidates, stats = self.timelines, self.candidates, self.stats
+        Memoized on ``snap`` by (job id, bid): whether the job fits there
+        decides between case 1's plain fill and case 2's eviction, and the
+        walk that picks the prefix reads only the snapshot and the job.
+        """
+        key = (job.id, job.bid_value)
+        placed = snap.placed.get(key)
+        if placed is None:
+            timeline = self.timelines[cid]
+            committed = list(snap.committed)
+            allocations = dict(snap.allocations)
+            winners = snap.winners
+            if prefix:
+                for victim in prefix:
+                    release_allocation(timeline, committed, allocations.pop(victim.id))
+                winners = tuple(w for w in winners if w.id in allocations)
+            allocations[job.id] = commit_allocation(job, timeline, committed)
+            at = bisect_left(winners, processing_key(job), key=processing_key)
+            placed = _Snapshot(winners[:at] + (job,) + winners[at:], committed, allocations)
+            snap.placed[key] = placed
+            self.stats.commits += 1
+        return placed
+
+    def step(self, state: PvgState, order: list[Job], idx: int) -> tuple[PvgState, bool]:
+        """Process ``order[idx]`` from ``state``: the state after it, and True iff it preempted.
+
+        ``state`` is left as it is.  A rank that places its job returns a new
+        mapping whose one changed channel has a new snapshot; a rank that
+        leaves its job unplaced returns ``state`` itself.
+        """
+        timelines, stats = self.timelines, self.stats
         job = order[idx]
+        jid, duration = job.id, job.duration
+        channels = self.candidates[jid]
         residuals = []
-        for cid in candidates[job.id]:  # case 1: conflict-free acceptance
-            free = window_residual(job, timelines[cid], state.committed[cid])
-            stats.fit_checks += 1
-            if free >= job.duration:
-                self.accept(job, cid, state)
-                return False
+        for cid in channels:  # case 1: conflict-free acceptance
+            snap = state[cid]
+            free = snap.residuals.get(jid)
+            if free is None:
+                free = snap.residuals[jid] = window_residual(job, timelines[cid], snap.committed)
+                stats.fit_checks += 1
+            if free >= duration:
+                return {**state, cid: self.place(job, cid, snap)}, False
             residuals.append(free)
         # case 2: try to preempt cheaper overlap where an eviction prefix can pay
-        for cid, free in zip(candidates[job.id], residuals):
-            if self.config.beta * (job.duration - free) > job.duration * (1.0 + 1e-9):
+        beta, key = self.config.beta, (jid, job.bid_value)
+        for cid, free in zip(channels, residuals):
+            if beta * (duration - free) > duration * (1.0 + 1e-9):
                 continue
-            prefix = self.eviction_prefix(job, cid, free, state)
+            snap = state[cid]
+            walk = snap.walks.get(key)
+            if walk is None:
+                walk = snap.walks[key] = self.eviction_prefix(job, cid, free, snap)
+            prefix, summed = walk
+            if summed and (jid == self.watched or self.watched in summed):
+                self.bid_read = True
             if prefix is None:
                 continue
-            for victim in prefix:
-                release_allocation(timelines[cid], state.committed[cid],
-                                   state.allocations.pop(victim.id))
-                state.winners[cid].remove(victim)
-                stats.preemptions += 1
-            self.accept(job, cid, state)
+            stats.preemptions += len(prefix)
+            snap = self.place(job, cid, snap, prefix)
+            state = {**state, cid: snap}
             # case 3: readmission into this channel only
+            placed_ids = {w for other in state.values() for w in other.allocations}
+            timeline = timelines[cid]
             for earlier in order[:idx]:
-                if earlier.id in state.allocations or cid not in candidates[earlier.id]:
+                if earlier.id in placed_ids or cid not in self.candidates[earlier.id]:
                     continue
                 stats.fit_checks += 1
-                if fits_in_residual(earlier, timelines[cid], state.committed[cid]):
-                    self.accept(earlier, cid, state)
+                if fits_in_residual(earlier, timeline, snap.committed):
+                    snap = self.place(earlier, cid, snap)
                     stats.readmissions += 1
-            return True
-        return False
+            state[cid] = snap
+            return state, True
+        return state, False
 
     def run(self, state: PvgState, order: list[Job], start: int,
-            kept: list[PvgState] | None = None) -> list[int]:
-        """Process ``order[start:]`` onto ``state``, in place; the ranks that preempted.
+            kept: list[PvgState] | None = None) -> tuple[PvgState, list[int]]:
+        """Process ``order[start:]`` from ``state``: the end state and the ranks that preempted.
 
         When ``kept`` is given it holds the states before ranks ``0 ..
         start``, the last equal to ``state``, and the state after each
         processed rank is appended to it, so it ends indexed by rank with
-        the end state last.  Only a rank that placed its job appends a
-        fresh fork; one that left its job unplaced changed nothing, so the
-        previous kept object is appended again.
+        the end state last.
         """
         preempting = []
+        step = self.step
         for idx in range(start, len(order)):
-            if self.step(state, order, idx):
+            state, preempted = step(state, order, idx)
+            if preempted:
                 preempting.append(idx)
             if kept is not None:
-                kept.append(state.fork() if order[idx].id in state.allocations else kept[-1])
-        return preempting
+                kept.append(state)
+        return state, preempting
 
     def truthful_run(self) -> list[PvgState]:
         """The market's own run as its states before each rank, then its end state."""
         kept = [self.initial_state()]
-        self.run(kept[0].fork(), self.order, 0, kept)
+        self.run(kept[0], self.order, 0, kept)
         return kept
 
     def outcome(self, state: PvgState) -> AuctionOutcome:
-        assignment = dict(sorted((j.id, cid) for cid, placed in state.winners.items()
-                                 for j in placed))
+        assignment = dict(sorted((j.id, cid) for cid, snap in state.items()
+                                 for j in snap.winners))
         return AuctionOutcome(
             assignment=assignment,
-            allocations={jid: list(state.allocations[jid]) for jid in assignment},
+            allocations={jid: list(state[cid].allocations[jid])
+                         for jid, cid in assignment.items()},
             payments={},
             timelines=self.timelines,
         )
@@ -294,43 +374,62 @@ class _Greedy:
         rank, keeping its state before each rank and the ranks at which it
         preempted.  Each probe inserts the deviated job at its rank under
         the processing key, resumes from the state kept there, and stops by
-        the two rules of the module docstring.
+        the two rules of the module docstring; a probe at a rank already
+        replayed takes that replay's answer where the docstring allows.
         """
-        keys, highest, beta = self.keys, self.highest, self.config.beta
+        keys, highest, beta, stats = self.keys, self.highest, self.config.beta, self.stats
         rank = bisect_left(keys, processing_key(job))
         others = self.order[:rank] + self.order[rank + 1:]
         without = truthful[:rank + 1]
-        preempting = self.run(without[rank].fork(), others, rank, without)
+        preempting = self.run(without[rank], others, rank, without)[1]
+        channels = self.candidates[job.id]
+        # rank -> (answer, rank of an early win or None), or None where the bid was read
+        answers: dict[int, tuple[bool, int | None] | None] = {}
+
+        def holds(state: PvgState) -> bool:
+            return any(job.id in state[cid].allocations for cid in channels)
+
+        def replay(probe: Job, at: int) -> tuple[bool, int | None]:
+            probe_order = others[:at] + [probe] + others[at:]
+            state = self.step(without[at], probe_order, at)[0]
+            idx = at
+            if not holds(state):
+                # An unplaced probe changes nothing: this run is the run without
+                # it except at a preempting rank, whose case-3 scan may readmit it.
+                for k in preempting[bisect_left(preempting, at):]:
+                    state = self.step(without[k], probe_order, k + 1)[0]
+                    if holds(state):
+                        idx = k + 1
+                        break
+                else:
+                    return False, None
+            # others[idx:], that is order[idx + 1:], are still to come; no bid
+            # up to beta * bid evicts the probe
+            safe = beta * probe.bid_value
+            while idx < len(others):
+                if holds(state) and highest[idx + 1] <= safe:
+                    return True, idx
+                idx += 1
+                state = self.step(state, probe_order, idx)[0]
+            return holds(state), None
 
         def wins(bid: float) -> bool:
+            stats.probes += 1
             probe = _with_bid(job, bid)
             # at most job's own bid, the probe ranks below order[:rank + 1];
             # from there on, others[k] is order[k + 1]
             at = bisect_left(keys, processing_key(probe), rank + 1) - 1
-            probe_order = others[:at] + [probe] + others[at:]
-            state = without[at].fork()
-            self.step(state, probe_order, at)
-            idx = at
-            if probe.id not in state.allocations:
-                # An unplaced probe changes nothing: this run is the run without
-                # it except at a preempting rank, whose case-3 scan may readmit it.
-                for k in preempting[bisect_left(preempting, at):]:
-                    state = without[k].fork()
-                    self.step(state, probe_order, k + 1)
-                    if probe.id in state.allocations:
-                        idx = k + 1
-                        break
-                else:
-                    return False
-            # others[idx:], that is order[idx + 1:], are still to come; no bid
-            # up to beta * bid evicts the probe
-            safe = beta * bid
-            while idx < len(others):
-                if probe.id in state.allocations and highest[idx + 1] <= safe:
-                    return True
-                idx += 1
-                self.step(state, probe_order, idx)
-            return probe.id in state.allocations
+            earlier = answers.get(at)
+            if earlier is not None:
+                won, stop = earlier
+                if stop is None or highest[stop + 1] <= beta * bid:
+                    stats.reused_probes += 1
+                    return won
+            self.watched, self.bid_read = job.id, False
+            won, stop = replay(probe, at)
+            self.watched = None
+            answers.setdefault(at, None if self.bid_read else (won, stop))
+            return won
 
         return wins
 
@@ -344,8 +443,7 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
     when not given.
     """
     greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
-    state = greedy.initial_state()
-    greedy.run(state, greedy.order, 0)
+    state, _ = greedy.run(greedy.initial_state(), greedy.order, 0)
     return greedy.outcome(state)
 
 
@@ -420,8 +518,8 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
     final = truthful[-1]
     outcome = greedy.outcome(final)
     payments = {j.id: 0.0 for j in market.jobs}
-    for placed in final.winners.values():
-        for winner in placed:
+    for snap in final.values():
+        for winner in snap.winners:
             payments[winner.id] = critical_value(greedy, winner, truthful)
     outcome.payments = payments
     return outcome

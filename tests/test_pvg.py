@@ -35,7 +35,6 @@ from spectrum_auctions.pvg import (
     bid_grid_size,
     fits_in_residual,
     processing_key,
-    release_allocation,
 )
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
@@ -58,29 +57,36 @@ def one_channel(*intervals):
     return Channel(1, REGION, BAND, tuple(intervals))
 
 
-def simulated_eviction_prefix(greedy, job, cid, state):
+def simulated_eviction_prefix(greedy, job, cid, snap):
     """Reference: remove cheapest overlapping winners one by one, re-checking the fit.
 
     Gives up as soon as ``beta`` times the removed winners' value reaches
     the job's bid.  Returns the prefix (None if it cannot pay or no removal
-    helps) and the fit checks made, one per removed winner.
+    helps) and the ids of the winners whose bids were summed, one fit
+    check each.
     """
     beta = greedy.config.beta
     timeline = greedy.timelines[cid]
     first, last = timeline.job_windows[job.id]
-    on_channel = {w.id for w in state.winners[cid]}
+    on_channel = {w.id for w in snap.winners}
     candidates = sorted(
         (j for j in greedy.order if j.id in on_channel
-         and any(state.allocations[j.id][first:last + 1])),
+         and any(snap.allocations[j.id][first:last + 1])),
         key=lambda j: (j.unit_value, -j.id))
-    usage = list(state.committed[cid])
+    usage = list(snap.committed)
     for n, cand in enumerate(candidates, start=1):
+        summed = tuple(c.id for c in candidates[:n])
         if job.bid_value <= beta * sum(c.bid_value for c in candidates[:n]):
-            return None, n
-        usage = [u - a for u, a in zip(usage, state.allocations[cand.id])]
+            return None, summed
+        usage = [u - a for u, a in zip(usage, snap.allocations[cand.id])]
         if fits_in_residual(job, timeline, usage):
-            return candidates[:n], n
-    return None, len(candidates)
+            return candidates[:n], summed
+    return None, tuple(c.id for c in candidates)
+
+
+def holds(state, jid):
+    """Is job ``jid`` placed on some channel of ``state``?"""
+    return any(jid in snap.allocations for snap in state.values())
 
 
 class TestFitsInResidual:
@@ -242,17 +248,17 @@ class TestAllocation:
             greedy = _Greedy(m, config, PvgStats())
             for state in greedy.truthful_run():
                 for j in greedy.order:
-                    if j.id in state.allocations:
+                    if holds(state, j.id):
                         continue
                     for cid in greedy.candidates[j.id]:
-                        timeline = greedy.timelines[cid]
-                        if fits_in_residual(j, timeline, state.committed[cid]):
+                        timeline, snap = greedy.timelines[cid], state[cid]
+                        if fits_in_residual(j, timeline, snap.committed):
                             continue
                         greedy.stats = PvgStats()
-                        free = window_residual(j, timeline, state.committed[cid])
-                        prefix = greedy.eviction_prefix(j, cid, free, state)
-                        assert (prefix, greedy.stats.fit_checks) == simulated_eviction_prefix(
-                            greedy, j, cid, state)
+                        free = window_residual(j, timeline, snap.committed)
+                        prefix, summed = greedy.eviction_prefix(j, cid, free, snap)
+                        assert (prefix, summed) == simulated_eviction_prefix(greedy, j, cid, snap)
+                        assert greedy.stats.fit_checks == len(summed)
                         compared += 1
                         paying += prefix is not None
         assert compared > 50 and 0 < paying < compared
@@ -268,9 +274,9 @@ class TestAllocation:
         step = pvg._Greedy.step
 
         def keeping(greedy, state, order, idx):
-            preempted = step(greedy, state, order, idx)
-            kept.append((greedy, state.fork()))
-            return preempted
+            state, preempted = step(greedy, state, order, idx)
+            kept.append((greedy, state))
+            return state, preempted
 
         monkeypatch.setattr(pvg._Greedy, "step", keeping)
         stats = PvgStats()
@@ -282,16 +288,19 @@ class TestAllocation:
             kept.clear()
             run_pvg(m, config, stats=stats)
             for greedy, state in kept:
-                placed = [j.id for winners in state.winners.values() for j in winners]
+                placed = [j.id for snap in state.values() for j in snap.winners]
+                allocated = [jid for snap in state.values() for jid in snap.allocations]
                 assert len(placed) == len(set(placed))
-                assert set(placed) == set(state.allocations)
-                for cid, winners in state.winners.items():
-                    assert winners == sorted(winners, key=processing_key)
+                assert len(allocated) == len(set(allocated))
+                assert set(placed) == set(allocated)
+                for cid, snap in state.items():
+                    assert list(snap.winners) == sorted(snap.winners, key=processing_key)
+                    assert {w.id for w in snap.winners} == set(snap.allocations)
                     total = [0] * len(greedy.timelines[cid].slots)
-                    for w in winners:
-                        total = [t + a for t, a in zip(total, state.allocations[w.id])]
-                    assert state.committed[cid] == total
-                multi_channel += sum(1 for w in state.winners.values() if w) > 1
+                    for w in snap.winners:
+                        total = [t + a for t, a in zip(total, snap.allocations[w.id])]
+                    assert snap.committed == total
+                multi_channel += sum(1 for snap in state.values() if snap.winners) > 1
             checked += len(kept)
         assert checked > 1000 and multi_channel > 100
         assert stats.preemptions > 20 and stats.readmissions > 0
@@ -337,9 +346,9 @@ class TestAllocation:
                                    eta_s=random_reserve(rng))
             greedy = _Greedy(m, config, PvgStats())
             for state in greedy.truthful_run():
-                for cid, usage in state.committed.items():
+                for cid, snap in state.items():
                     slots = greedy.timelines[cid].slots
-                    assert all(0 <= u <= s.capacity for u, s in zip(usage, slots))
+                    assert all(0 <= u <= s.capacity for u, s in zip(snap.committed, slots))
             out = pvg_allocate(m, config)
             for jid in out.assignment:
                 assert sum(out.allocations[jid]) == m.job_by_id(jid).duration
@@ -481,6 +490,7 @@ class TestResumedPricing:
         assert channel_counts == {1, 2, 3} and betas == {1.1, 2.0, BETA_STAR}
         assert winners > 200 and reserve_winners > 100 and scanned >= winners - 3
         assert ties > 300
+        assert stats.reused_probes > 0
 
     def test_probe_readmitted_at_a_later_preempting_rank(self):
         """A probe rejected at its own rank still wins if a later preemption readmits it.
@@ -504,6 +514,32 @@ class TestResumedPricing:
         assert [wins(bid) for bid in bids] == [_wins_at_bid(m, config, jobs[1], bid) for bid in bids]
         assert run_pvg(m, config).payments[4] == scan_critical_value(m, config, 4)
 
+    def test_probe_answer_reused_only_where_no_bid_decides_it(self):
+        """Two bids at one rank get different answers because a later walk sums the probe.
+
+        Job 2 ranks first at any bid above 0.625.  Placed in [3, 4), it
+        leaves job 1 (2.5 for 4 s inside [1, 5)) one second short, and job
+        1's eviction walk sums the probe's bid: it evicts the probe below
+        2.5 / 1.1 and fails from 2.5 up.  Probed from the bottom, the first
+        probe at that rank loses after a walk read its bid, so that loss is
+        not reused.  Probed from the top, the first wins by the stop test
+        (2.5 <= 1.1 * 5.75); 2.25 may not reuse that win, as 2.5 > 1.1 * 2.25.
+        """
+        m = market([job(1, 2.5, 1, 8, 4), job(2, 5.75, 3, 4, 1)], [one_channel((0, 5))])
+        config = AuctionConfig(beta=1.1, xi=self.XI)
+        probed = m.job_by_id(2)
+        bids = [k * self.XI for k in range(24)]
+        full = [_wins_at_bid(m, config, probed, bid) for bid in bids]
+        assert full == [False] * 10 + [True] * 14
+        for sequence in (bids, bids[::-1]):
+            stats = PvgStats()
+            greedy = _Greedy(m, config, stats)
+            wins = greedy.resumed_probe(probed, greedy.truthful_run())
+            answers = {bid: wins(bid) for bid in sequence}
+            assert [answers[bid] for bid in bids] == full, sequence
+            assert stats.reused_probes > 0
+        assert run_pvg(m, config).payments[2] == scan_critical_value(m, config, 2) == 2.5
+
     def test_standalone_critical_value_on_deviated_markets(self):
         """Priced the way the strategyproofness criterion prices a deviation."""
         checked = 0
@@ -521,14 +557,14 @@ class TestResumedPricing:
         assert checked > 100
 
 
-def unpruned_eviction_prefix(greedy, job, cid, state):
+def unpruned_eviction_prefix(greedy, job, cid, snap):
     """Reference: the eviction walk with neither the value stop nor the window skip."""
     timeline = greedy.timelines[cid]
     first, last = timeline.job_windows[job.id]
-    free = timeline.window_capacity(job) - sum(state.committed[cid][first:last + 1])
+    free = timeline.window_capacity(job) - sum(snap.committed[first:last + 1])
     prefix = []
-    for cand in reversed(state.winners[cid]):
-        freed = sum(state.allocations[cand.id][first:last + 1])
+    for cand in reversed(snap.winners):
+        freed = sum(snap.allocations[cand.id][first:last + 1])
         if not freed:
             continue
         prefix.append(cand)
@@ -540,40 +576,49 @@ def unpruned_eviction_prefix(greedy, job, cid, state):
 
 
 def unpruned_step(greedy, state, order, idx):
-    """Reference: one greedy rank that walks an eviction prefix on every candidate channel."""
+    """Reference: one greedy rank that walks an eviction prefix on every candidate channel.
+
+    It reads no snapshot memo except through ``greedy.place``, so it builds
+    the snapshots the greedy builds, and it marks every probe's bid as
+    read, so each probe replays.
+    """
     timelines, candidates, stats = greedy.timelines, greedy.candidates, greedy.stats
     job = order[idx]
+    greedy.bid_read = True
 
-    def fits(j, cid):
+    def fits(j, cid, snap):
         stats.fit_checks += 1
-        return fits_in_residual(j, timelines[cid], state.committed[cid])
+        return fits_in_residual(j, timelines[cid], snap.committed)
 
     for cid in candidates[job.id]:  # case 1: conflict-free acceptance
-        if fits(job, cid):
-            greedy.accept(job, cid, state)
-            return False
+        if fits(job, cid, state[cid]):
+            return {**state, cid: greedy.place(job, cid, state[cid])}, False
     for cid in candidates[job.id]:  # case 2: try to preempt cheaper overlap
-        prefix = unpruned_eviction_prefix(greedy, job, cid, state)
+        prefix = unpruned_eviction_prefix(greedy, job, cid, state[cid])
         if job.bid_value > greedy.config.beta * sum(p.bid_value for p in prefix):
-            for victim in prefix:
-                release_allocation(timelines[cid], state.committed[cid],
-                                   state.allocations.pop(victim.id))
-                state.winners[cid].remove(victim)
-                stats.preemptions += 1
-            greedy.accept(job, cid, state)
+            stats.preemptions += len(prefix)
+            state = {**state, cid: greedy.place(job, cid, state[cid], prefix)}
             # case 3: readmission into this channel only
             for earlier in order[:idx]:
-                if earlier.id in state.allocations or cid not in candidates[earlier.id]:
+                if holds(state, earlier.id) or cid not in candidates[earlier.id]:
                     continue
-                if fits(earlier, cid):
-                    greedy.accept(earlier, cid, state)
+                if fits(earlier, cid, state[cid]):
+                    state[cid] = greedy.place(earlier, cid, state[cid])
                     stats.readmissions += 1
-            return True
-    return False
+            return state, True
+    return state, False
+
+
+def replaying_every_probe(step):
+    """``step`` that marks every probe's bid as read, so no probe answer is reused."""
+    def replaying(greedy, state, order, idx):
+        greedy.bid_read = True
+        return step(greedy, state, order, idx)
+    return replaying
 
 
 class TestPrunedGreedy:
-    """The case-2 skip, the eviction walk's value stop and shared kept states change no output.
+    """The case-2 skip, the eviction walk's value stop, shared snapshots and reused probe answers change no output.
 
     Bids, reserves and the bid grid are dyadic (xi = 0.25), so per-second
     values tie often and a preemption's value test often sits exactly on
@@ -596,11 +641,16 @@ class TestPrunedGreedy:
                                 xi=0.25))
                  for _ in range(2000)]
         pruned = [self.priced(m, config) for m, config in cases]
+        monkeypatch.setattr(pvg._Greedy, "step", replaying_every_probe(pvg._Greedy.step))
+        replayed = [self.priced(m, config) for m, config in cases]
         monkeypatch.setattr(pvg._Greedy, "step", unpruned_step)
         preempting_betas = set()
-        for (m, config), got in zip(cases, pruned):
+        for (m, config), got, got_replayed in zip(cases, pruned, replayed):
             expected = self.priced(m, config)
-            assert got == expected, (m, config)
+            # with every probe replayed on both sides the work is the same too;
+            # reused probe answers skip work, so there only the outcome must match
+            assert got_replayed == expected, (m, config)
+            assert got[:3] == expected[:3], (m, config)
             if expected[3][1]:
                 preempting_betas.add(config.beta)
         assert preempting_betas == set(self.BETAS)
@@ -618,30 +668,49 @@ class TestPrunedGreedy:
         assert run_pvg(m, config).payments == {1: 0.0, 2: 20.25}
 
     def test_kept_states_are_never_changed(self, monkeypatch):
-        """Every state a greedy run keeps, truthful or without a winner, survives all pricing."""
-        kept = []
+        """No snapshot's content and no kept state changes, whatever run built it, through all pricing.
+
+        A snapshot keeps its winners, used seconds and allocations (only its
+        memos grow), and every state a run keeps, truthful or without a
+        winner, still maps each channel to the same snapshot object.
+        """
+        built, kept = [], []
+
+        class Recorded(pvg._Snapshot):
+            __slots__ = ()
+
+            def __init__(self, winners, committed, allocations):
+                super().__init__(winners, committed, allocations)
+                built.append((self, copy.deepcopy((winners, committed, allocations))))
+
         run = pvg._Greedy.run
 
-        def keeping(greedy, state, order, start, snapshots=None):
-            preempting = run(greedy, state, order, start, snapshots)
-            if snapshots is not None:
-                kept.extend((s, copy.deepcopy(s)) for s in snapshots)
-            return preempting
+        def keeping(greedy, state, order, start, states=None):
+            end = run(greedy, state, order, start, states)
+            if states is not None:
+                kept.extend((s, dict(s)) for s in states)
+            return end
 
+        monkeypatch.setattr(pvg, "_Snapshot", Recorded)
         monkeypatch.setattr(pvg._Greedy, "run", keeping)
         rig = random.Random(1718)
         stats = PvgStats()
-        checked = shared = 0
+        checked = shared = snapshots = 0
         for _ in range(150):
             m = random_market(rig, max_jobs=8, max_channels=3)
             config = AuctionConfig(beta=rig.choice([1.1, 2.0, BETA_STAR]), xi=0.25)
+            built.clear()
             kept.clear()
             run_pvg(m, config, stats=stats)
+            for snap, before in built:
+                assert (snap.winners, snap.committed, snap.allocations) == before
             for state, before in kept:
+                # a snapshot has no __eq__, so this compares the channels' objects
                 assert state == before
+            snapshots += len(built)
             checked += len(kept)
             shared += len(kept) - len({id(s) for s, _ in kept})
-        assert checked > 1000 and shared > 100
+        assert snapshots > 1000 and checked > 1000 and shared > 100
         assert stats.preemptions > 20 and stats.readmissions > 0
 
 
@@ -711,27 +780,28 @@ class TestRhoBound:
 
 class TestPricingCost:
     def test_greedy_contested_panel_fit_checks(self, monkeypatch):
-        """Pricing replays, walks and keeps only what can change an answer.
+        """Pricing replays, walks and builds only what can change an answer.
 
         ``run_pvg`` over the first six greedy-contested panel markets (set 2,
         lambda 40, beta 2, no reserve) made 64,957 fit checks when every
         probe ran to the last rank and 14,032 when it replays only the
         preempting ranks while it loses and stops once no later bid can
         evict it.  Skipping eviction walks that cannot pay and stopping a
-        walk once its value reaches the bid brought that to 7,818.  Keeping
-        a state only after a rank that placed its job cut ``PvgState.fork``
-        calls from 3,820 to 1,960, and forking each without-run's working
-        state once instead of twice (it keeps the truthful state at the
-        winner's rank) to 1,866.
+        walk once its value reaches the bid brought that to 7,818.  With
+        one mutable state per run, kept states cost 1,866 forks.  Immutable
+        channel snapshots with memos, and probe answers reused within a
+        rank, bring that to 3,121 fit checks and 673 snapshots built.
         """
-        forks = []
-        fork = pvg.PvgState.fork
+        built = []
 
-        def counting(state):
-            forks.append(1)
-            return fork(state)
+        class Counted(pvg._Snapshot):
+            __slots__ = ()
 
-        monkeypatch.setattr(pvg.PvgState, "fork", counting)
+            def __init__(self, winners, committed, allocations):
+                super().__init__(winners, committed, allocations)
+                built.append(1)
+
+        monkeypatch.setattr(pvg, "_Snapshot", Counted)
         grid = synthesize_occupancy(3, 1, 0.5, seed=7)
         channels = tuple(grid.to_channels(REGION, BAND))
         stats = PvgStats()
@@ -741,8 +811,9 @@ class TestPricingCost:
                 seed=trial_seed(0, 2, 40, trial)))
             run_pvg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(beta=2.0),
                     stats=stats)
-        assert stats.fit_checks <= 8_600
-        assert len(forks) <= 1_900
+        assert stats.fit_checks <= 3_200
+        assert len(built) <= 700
+        assert stats.reused_probes > 0
 
 
 class TestComplexityTrend:
