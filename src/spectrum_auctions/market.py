@@ -206,7 +206,7 @@ def filter_reserve(jobs: Iterable[Job], eta_s: float) -> list[Job]:
 
 def winner_welfare(value_by_id: Mapping[int, float], winner_ids: Iterable[int]) -> float:
     """The winners' bids summed in id order, so equal winner sets give bitwise-equal welfare."""
-    return sum((value_by_id[w] for w in sorted(winner_ids)), 0.0)
+    return sum(map(value_by_id.__getitem__, sorted(winner_ids)), 0.0)
 
 
 def partition_markets(jobs: list[Job], channels: list[Channel]) -> list[LocalMarket]:

@@ -5,9 +5,13 @@ reserve, single-channel-per-job, and slot-capacity constraints.  The
 search is a hand-rolled depth-first branch and bound: each job is either
 rejected or assigned to one channel, every partial assignment keeps each
 channel's job set jointly feasible, and one upper bound prunes the tree:
-the value so far plus the sum of the bids not yet branched on.  Jobs are
-branched on largest bid first (ties by id), so that bound shrinks as
-fast as it can.
+the bids accepted so far plus the bids of the jobs still alive.  A job
+is dead once it fits beside no channel's set: sets only grow down the
+tree and a superset of an infeasible set is infeasible, so it is
+rejected in the whole subtree, and the search skips it instead of
+branching on it.  Which later jobs still fit beside a channel's set is
+memoized per channel and set.  Jobs are branched on largest bid first
+(ties by id), so the bound shrinks as fast as it can.
 
 The market is first cut into time components: sorted by arrival, a
 new component starts wherever the next arrival is at or after every
@@ -25,7 +29,7 @@ and ``vcg_payments`` reruns exactly those, so a solution is always
 priced at the reserve it was solved at.
 The market without winner k is the solve's own tree with k rejected, so
 one pricing search per component over the solve's setup (timelines,
-branching order, ``market.candidate_channels`` and feasibility memo)
+branching order, ``market.candidate_channels`` and later-fits memo)
 prices every winner in it at once, the way shortest-path Vickrey prices
 are found all together (Hershberger & Suri 2001).  It keeps
 ``best_without[k]`` per winner, starting at the welfare of the
@@ -39,8 +43,8 @@ until a leaf raises an entry.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .market import (
     AuctionConfig,
@@ -84,23 +88,39 @@ class _Search:
     """DFS state for the branch and bound over one time component.
 
     Jobs are indexed by their position in the branching order (largest
-    bid first); each channel's tentative job set is an index bitmask, which
-    keeps the feasibility memo keys cheap to hash.  One DFS body serves
-    every run: a run has a list of targets, each the best welfare over
-    the leaves that leave out one job (its excluded bit), and a node is
-    searched while its value plus the bids still to branch on (the one
-    bound) reaches the smallest target it can still raise.  ``solve()``
-    has one target that excludes nothing; ``price()`` one per winner.
-    Each target keeps the smallest key among the leaves that reach it
-    (winner ids, then for the solve channel ids), so no result depends on
-    the branching order.  All runs share the feasibility memo, one dict
-    per channel keyed by mask, so a lookup builds no key tuple.
+    bid first); each channel's tentative job set is an index bitmask.  A
+    node also knows, per channel, ``fits[cid]``: the undecided jobs that
+    still fit beside that channel's set.  Sets only grow down the tree and
+    a superset of an infeasible set is infeasible, so a job in no
+    channel's ``fits`` (a dead job) is rejected in the whole subtree: the
+    DFS skips straight to the lowest job still alive, and the one bound is
+    the bids accepted so far plus the bids still alive.  Each channel's
+    ``fits`` comes from ``later_fits``, one memo per channel keyed by
+    mask: the jobs after the mask's last job that fit beside it.  An
+    entry is filled from its parent's, testing only the parent's later
+    jobs, so each (mask, later job) pair, and so each channel set, is
+    decided at most once per search.
+
+    One DFS body serves every run: a run has a list of targets, each the
+    best welfare over the leaves that leave out one job (its excluded
+    bit), and a node is searched while its bound reaches the smallest
+    target it can still raise.  ``solve()`` has one target that excludes
+    nothing; ``price()`` one per winner.  Each target keeps the smallest
+    key among the leaves that reach it (winner ids, then for the solve
+    channel ids), so no result depends on the branching order.  All runs
+    share the memo.
     """
 
     # The bound is compared with a hair of slack: an exactly-tight float
     # bound may land one ulp under the incumbent and must not prune the
     # branch that realizes it.  Admitting dust-level-worse branches is
-    # harmless for exactness.
+    # harmless for exactness.  The bound is carried down as the root's
+    # alive-bid sum less each bid rejected or killed on the way, and a
+    # leaf's welfare sums its winners' bids in id order: each takes at
+    # most n roundings of 2**-53 times the component's bid total, so a
+    # tied leaf is pruned only if 2n of them exceed the slack, which
+    # needs bid totals above about 10**5 at the cap (workload markets
+    # total a few hundred).
     PRUNE_EPS = 1e-9
 
     def __init__(self, order: list[Job], timelines: dict[int, SegmentedTimeline],
@@ -110,16 +130,30 @@ class _Search:
         self.candidates = candidates
         self.masks = dict.fromkeys(timelines, 0)
         self.assignment: dict[int, int] = {}
-        self.feas_memo: dict[int, dict[int, bool]] = {cid: {} for cid in timelines}
+        self.bids = [j.bid_value for j in order]
         self.value_by_id = {j.id: j.bid_value for j in order}
-        # the bids from each depth on: the value bound's remainder
-        cum_val = list(accumulate((j.bid_value for j in order), initial=0.0))
-        self.suffix_value = [cum_val[-1] - v for v in cum_val]
+        # a job fits beside the empty set exactly where it is a candidate
+        self.fits = dict.fromkeys(timelines, 0)
+        self.root_alive = 0
+        self.root_bound = 0.0
+        for i, cids in enumerate(candidates):
+            for cid in cids:
+                self.fits[cid] |= 1 << i
+            if cids:
+                self.root_alive |= 1 << i
+                self.root_bound += self.bids[i]
+        self.later_fits = {cid: {0: fits} for cid, fits in self.fits.items()}
 
-    def channel_feasible(self, cid: int, mask: int) -> bool:
-        """Decide one channel's job set and memoize it; the DFS reads the memo first."""
-        members = [self.order[i] for i in range(mask.bit_length()) if mask >> i & 1]
-        fits = self.feas_memo[cid][mask] = set_feasible(members, self.timelines[cid])
+    def _fill_later_fits(self, cid: int, mask: int, parent_fits: int) -> int:
+        """Memoize which of ``parent_fits`` after ``mask``'s last job fit beside ``mask``."""
+        members = [self.order[i] for i in _indices(mask)]
+        timeline = self.timelines[cid]
+        top = mask.bit_length()
+        fits = 0
+        for i in _indices(parent_fits >> top << top):
+            if set_feasible([*members, self.order[i]], timeline):
+                fits |= 1 << i
+        self.later_fits[cid][mask] = fits
         return fits
 
     def solve(self) -> dict[int, int]:
@@ -152,7 +186,7 @@ class _Search:
         self.best_sets = best_sets
         self.watched = sum(excluded)
         self.cutoffs: dict[int, float] = {}
-        self._dfs(0, 0.0, 0)
+        self._dfs(self.root_alive, self.root_bound, 0)
 
     def _cutoff(self, accepted: int) -> float:
         # min best over the live targets; with none left nothing can rise
@@ -161,31 +195,46 @@ class _Search:
         self.cutoffs[accepted] = cutoff
         return cutoff
 
-    def _dfs(self, depth: int, value: float, accepted: int) -> None:
+    def _dfs(self, alive: int, bound: float, accepted: int) -> None:
         cutoff = self.cutoffs.get(accepted)
         if cutoff is None:
             cutoff = self._cutoff(accepted)
-        if value + self.suffix_value[depth] < cutoff:
+        if bound < cutoff:
             return
-        if depth == len(self.order):
+        if not alive:
             self._offer_leaf(accepted)
             return
+        bit = alive & -alive
+        depth = bit.bit_length() - 1
         job = self.order[depth]
-        bit = 1 << depth
+        rest = alive ^ bit
         taken = accepted | (bit & self.watched)
+        fits, masks, assignment = self.fits, self.masks, self.assignment
         for cid in self.candidates[depth]:
-            trial = self.masks[cid] | bit
-            fits = self.feas_memo[cid].get(trial)
-            if fits is None:
-                fits = self.channel_feasible(cid, trial)
-            if not fits:
+            before = fits[cid]
+            if not before & bit:
                 continue
-            self.masks[cid] = trial
-            self.assignment[job.id] = cid
-            self._dfs(depth + 1, value + job.bid_value, taken)
-            del self.assignment[job.id]
-            self.masks[cid] &= ~bit
-        self._dfs(depth + 1, value, accepted)
+            mask = masks[cid] | bit
+            after = self.later_fits[cid].get(mask)
+            if after is None:
+                after = self._fill_later_fits(cid, mask, before)
+            # the jobs this channel no longer holds die unless another still does
+            dead = rest & before & ~after
+            child_bound = bound
+            if dead:
+                for other, other_fits in fits.items():
+                    if other != cid:
+                        dead &= ~other_fits
+                for i in _indices(dead):
+                    child_bound -= self.bids[i]
+            fits[cid] = after
+            masks[cid] = mask
+            assignment[job.id] = cid
+            self._dfs(rest ^ dead, child_bound, taken)
+            del assignment[job.id]
+            masks[cid] = mask ^ bit
+            fits[cid] = before
+        self._dfs(rest, bound - self.bids[depth], accepted)
 
     def _offer_leaf(self, accepted: int) -> None:
         winners = tuple(sorted(self.assignment))
@@ -201,6 +250,14 @@ class _Search:
             best[t] = canon
             self.best_sets[t] = key
             self.cutoffs.clear()
+
+
+def _indices(mask: int) -> Iterator[int]:
+    """The positions of ``mask``'s set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _time_components(jobs: list[Job]) -> list[list[Job]]:

@@ -409,6 +409,26 @@ class TestVcgPayments:
             sets += len(decided)
         assert winners > 40 and sets > 40
 
+    def test_later_fits_memo_holds_exactly_the_later_jobs_that_fit(self, rng):
+        """Each per-channel memo entry is the candidates after the mask's last job that fit beside it."""
+        entries = 0
+        for _ in range(60):
+            m = random_market(rng, max_jobs=8, max_channels=3)
+            sol = solve_optimal(m, random_reserve(rng))
+            vcg_payments(m, sol)
+            for search in sol.searches:
+                for cid, memo in search.later_fits.items():
+                    timeline = sol.timelines[cid]
+                    for mask, fits in memo.items():
+                        members = [j for i, j in enumerate(search.order) if mask >> i & 1]
+                        expected = sum(
+                            1 << i for i, j in enumerate(search.order)
+                            if i >= mask.bit_length() and cid in search.candidates[i]
+                            and set_feasible([*members, j], timeline))
+                        assert fits == expected, (cid, bin(mask))
+                        entries += 1
+        assert entries > 200
+
     def test_segments_each_market_once(self, rng, monkeypatch):
         calls = []
 
@@ -461,7 +481,8 @@ class TestSearchCost:
 
         Solve plus pricing over the first six exact-hot panel markets
         (set 2, lambda 18, no reserve) took 643,221 DFS calls in per-second
-        rate order and 147,835 in bid order.
+        rate order, 147,835 in bid order, and 45,802 once jobs that fit no
+        channel are skipped and left out of the bound.
         """
         calls = [0]
         dfs = _Search._dfs
@@ -472,13 +493,16 @@ class TestSearchCost:
 
         monkeypatch.setattr(_Search, "_dfs", counting)
         clear_exact_hot_panel(6)
-        assert calls[0] <= 160_000
+        assert calls[0] <= 50_000
 
     def test_exact_hot_panel_feasibility_checks(self, monkeypatch):
         """Each channel set is decided once per search, through the module-level name.
 
-        The same six markets asked 4,603 channel-set questions; a lost
-        memo would ask again, and a private feasibility path would ask 0.
+        The same six markets asked 4,603 channel-set questions, and 4,238
+        once a lone job is read off its candidate channels and a set is
+        asked about only if it also fits without its next-to-last job; a
+        lost memo would ask again, and a private feasibility path would
+        ask 0.
         """
         calls = [0]
 
@@ -488,4 +512,28 @@ class TestSearchCost:
 
         monkeypatch.setattr(vcg, "set_feasible", counting)
         clear_exact_hot_panel(6)
-        assert 0 < calls[0] <= 4_603
+        assert 0 < calls[0] <= 4_238
+
+    def test_jobs_that_fit_no_channel_are_skipped(self, monkeypatch):
+        """Once the only channel is full, the jobs after the winner are not branched on one by one.
+
+        Each of k jobs needs all of the channel's free time.  Accepting
+        one kills the rest, and rejecting it keeps the others alive, so
+        the solve takes at most two DFS calls per job: 31 for k = 16,
+        where branching level by level took 151.
+        """
+        k = 16
+        m = market([job(i + 1, float(k - i), 0, 4 * H, 2 * H) for i in range(k)],
+                   [Channel(1, REGION, BAND, ((H, 3 * H),))])
+        calls = [0]
+        dfs = _Search._dfs
+
+        def counting(self, *args):
+            calls[0] += 1
+            return dfs(self, *args)
+
+        monkeypatch.setattr(_Search, "_dfs", counting)
+        sol = solve_optimal(m, 0.0)
+        assert sol.assignment == {1: 1}
+        assert calls[0] <= 2 * k
+        assert vcg_payments(m, sol) == {1: float(k - 1), **{i: 0.0 for i in range(2, k + 1)}}
