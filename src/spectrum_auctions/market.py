@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from math import inf, sqrt
 from numbers import Real
@@ -126,6 +127,26 @@ class LocalMarket:
                 if x.id in seen:
                     raise ValueError(f"duplicate {kind} id {x.id} in market {key}")
                 seen.add(x.id)
+
+    # Work that every clearing of this market object shares, whatever its
+    # reserve: a reserve only drops jobs, and neither mechanism changes a
+    # timeline.  Each is computed on first use and lives exactly as long as
+    # the object; an equal market built anew starts without them.
+
+    @cached_property
+    def timelines(self) -> dict[int, SegmentedTimeline]:
+        """Every channel segmented against all the market's jobs, by channel id."""
+        return {c.id: segment_timeline(c, list(self.jobs)) for c in self.channels}
+
+    @cached_property
+    def candidates(self) -> dict[int, list[int]]:
+        """Each job id's ``candidate_channels`` on ``timelines``."""
+        return candidate_channels(self.jobs, self.timelines)
+
+    @cached_property
+    def greedy_runs(self) -> dict[float, dict]:
+        """The greedy's kept runs per beta, filled and read by ``pvg._Greedy``."""
+        return {}
 
     def job_by_id(self, job_id: int) -> Job:
         for j in self.jobs:
@@ -339,8 +360,8 @@ def window_flow_allocation(jobs: list[Job], timeline: SegmentedTimeline) -> dict
 
 
 def build_timelines(market: LocalMarket) -> dict[int, SegmentedTimeline]:
-    """Segment every channel of the market against all its jobs."""
-    return {c.id: segment_timeline(c, list(market.jobs)) for c in market.channels}
+    """Every channel of the market segmented against all its jobs, once per market object."""
+    return market.timelines
 
 
 def candidate_channels(jobs: Iterable[Job],

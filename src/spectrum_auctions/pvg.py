@@ -89,6 +89,30 @@ Two kinds of reuse skip work without changing an answer:
   the first replay at a rank is kept: a later one makes the same
   decisions up to the first one's bid read, so it reads the bid there too
   unless its stop test ends it sooner.
+
+Clearings of one market object share runs.  A market is often cleared at
+several reserves, and a reserve only drops the jobs whose per-second bid
+is below it, which come last in the processing order; so the orders of
+two clearings usually share a long prefix, and the state before rank k
+of any run is a function of its ``order[:k]`` alone (rank k reads only
+``order[:k + 1]`` and the state, as above).  The market therefore keeps,
+per beta, a truthful run and each winner's run without it, as orders
+with their states and preempting ranks.  A clearing finds the longest
+common prefix of its order with the kept run's (compared job by job, so
+float rounding in the reserve filter, or reserves in any order, only
+shorten it) and processes only the ranks after it; a winner's run
+without it starts from the longer of that prefix of its kept run and its
+own rank in the truthful run.  A run that processed any rank replaces
+the kept one, and a run wholly reused leaves it, so a clearing at a
+higher reserve never shortens what a lower one kept.  The runs are keyed
+by beta because the eviction walks, and so every placement memo, read
+it; the reserve and ``xi`` reach no step.  They live exactly as long as
+the market object (``LocalMarket.greedy_runs``), never keyed by its
+value, so an equal market built anew shares nothing.  Per clearing
+remain the order, its keys and ``highest`` (which depend on where the
+order ends), each winner's price floor and bid grid, and the probe
+answers.  ``PvgStats`` counts only ranks processed, so reused states add
+nothing to it.
 """
 
 from __future__ import annotations
@@ -97,6 +121,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .market import (
     AuctionConfig,
@@ -105,7 +130,6 @@ from .market import (
     LocalMarket,
     SegmentedTimeline,
     build_timelines,
-    candidate_channels,
     commit_allocation,
     filter_reserve,
     window_residual,
@@ -186,31 +210,54 @@ class _Snapshot:
 PvgState = dict[int, _Snapshot]
 
 
+class _Run(NamedTuple):
+    """A processing order run from the empty state.
+
+    ``states[k]`` is the state before rank k and ``states[-1]`` the end
+    state; ``preempting`` holds the ranks that preempted, ascending.
+    """
+
+    order: list[Job]
+    states: list[PvgState]
+    preempting: list[int]
+
+
+def _common_prefix(a: list[Job], b: list[Job]) -> int:
+    """How many leading jobs ``a`` and ``b`` share, position by position."""
+    n = min(len(a), len(b))
+    for k in range(n):
+        if a[k] is not b[k]:
+            return k
+    return n
+
+
 class _Greedy:
-    """One market's greedy: what no rank changes, and the steps between ``PvgState``s.
+    """One clearing's greedy: what no rank changes, and the steps between ``PvgState``s.
 
     Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` are
-    the market's channels cut once, ``candidates`` every job's candidate
-    channels, ``order`` the truthful processing order (``processing_key``)
-    over reserve-eligible jobs, ``keys`` its processing keys and
-    ``highest[k]`` the largest bid among ``order[k:]``.  Work is counted
-    into ``stats``.  While a probe of job ``watched`` replays, a step sets
-    ``bid_read`` when one of its eviction walks reads that job's bid.
+    the market's channels cut once and ``candidates`` every job's
+    candidate channels, both shared by every clearing of the market
+    object; ``shared_runs`` maps a run's left-out winner (None for the
+    truthful run) to the run kept for the market at this beta (module
+    docstring).  ``order`` is the clearing's processing order
+    (``processing_key``) over reserve-eligible jobs, ``keys`` its
+    processing keys and ``highest[k]`` the largest bid among
+    ``order[k:]``.  Work is counted into ``stats``.  While a probe of job
+    ``watched`` replays, a step sets ``bid_read`` when one of its eviction
+    walks reads that job's bid.
     """
 
     def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
         self.config = config
         self.stats = stats
         self.timelines = build_timelines(market)
-        self.candidates = candidate_channels(market.jobs, self.timelines)
+        self.candidates = market.candidates
+        self.shared_runs: dict[int | None, _Run] = market.greedy_runs.setdefault(config.beta, {})
         self.order = sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key)
         self.keys = [processing_key(j) for j in self.order]
         self.highest = list(accumulate(reversed([j.bid_value for j in self.order]), max))[::-1]
         self.watched: int | None = None
         self.bid_read = False
-
-    def initial_state(self) -> PvgState:
-        return {cid: _Snapshot((), [0] * len(tl.slots), {}) for cid, tl in self.timelines.items()}
 
     def eviction_prefix(self, job: Job, cid: int, free: int,
                         snap: _Snapshot) -> tuple[list[Job] | None, tuple[int, ...]]:
@@ -329,30 +376,53 @@ class _Greedy:
             return state, True
         return state, False
 
-    def run(self, state: PvgState, order: list[Job], start: int,
-            kept: list[PvgState] | None = None) -> tuple[PvgState, list[int]]:
-        """Process ``order[start:]`` from ``state``: the end state and the ranks that preempted.
+    def run(self, order: list[Job], states: list[PvgState]) -> list[int]:
+        """Process ``order`` from the last of ``states``: the ranks that preempted.
 
-        When ``kept`` is given it holds the states before ranks ``0 ..
-        start``, the last equal to ``state``, and the state after each
-        processed rank is appended to it, so it ends indexed by rank with
-        the end state last.
+        ``states`` holds the states before ranks ``0 .. k``; ranks k on
+        are processed and the state after each is appended, so ``states``
+        ends indexed by rank with the end state last.
         """
         preempting = []
         step = self.step
-        for idx in range(start, len(order)):
+        state = states[-1]
+        for idx in range(len(states) - 1, len(order)):
             state, preempted = step(state, order, idx)
             if preempted:
                 preempting.append(idx)
-            if kept is not None:
-                kept.append(state)
-        return state, preempting
+            states.append(state)
+        return preempting
 
-    def truthful_run(self) -> list[PvgState]:
-        """The market's own run as its states before each rank, then its end state."""
-        kept = [self.initial_state()]
-        self.run(kept[0], self.order, 0, kept)
-        return kept
+    def resume(self, left_out: int | None, order: list[Job], base: _Run) -> _Run:
+        """``order`` run from the empty state, from the kept run that agrees with it longest.
+
+        The candidates are ``base`` and the run kept under ``left_out``.
+        Only the ranks after the chosen run's common prefix with ``order``
+        are processed, and the result is kept under ``left_out`` unless none
+        was, so a shorter run never replaces one it is a prefix of.
+        """
+        start, run = _common_prefix(base.order, order), base
+        kept = self.shared_runs.get(left_out)
+        if kept is not None and kept is not base:
+            agree = _common_prefix(kept.order, order)
+            if agree > start:
+                start, run = agree, kept
+        states = run.states[:start + 1]
+        preempting = run.preempting[:bisect_left(run.preempting, start)]
+        if start == len(order):
+            return _Run(order, states, preempting)
+        preempting += self.run(order, states)
+        run = self.shared_runs[left_out] = _Run(order, states, preempting)
+        return run
+
+    def truthful_run(self) -> _Run:
+        """The clearing's own run, resumed from the market's kept truthful run."""
+        base = self.shared_runs.get(None)
+        if base is None:
+            empty = {cid: _Snapshot((), [0] * len(tl.slots), {})
+                     for cid, tl in self.timelines.items()}
+            base = _Run([], [empty], [])
+        return self.resume(None, self.order, base)
 
     def outcome(self, state: PvgState) -> AuctionOutcome:
         assignment = dict(sorted((j.id, cid) for cid, snap in state.items()
@@ -365,14 +435,15 @@ class _Greedy:
             timelines=self.timelines,
         )
 
-    def resumed_probe(self, job: Job, truthful: list[PvgState]):
+    def resumed_probe(self, job: Job, truthful: _Run):
         """Win predicate over ``job``'s bid that replays only the ranks that can change it.
 
-        ``job`` is a winner of ``truthful``, the market's own run as
-        ``truthful_run`` keeps it, so it is in ``order``.  Runs the market
+        ``job`` is a winner of ``truthful``, the clearing's own run as
+        ``truthful_run`` returns it, so it is in ``order``.  Runs the market
         without ``job`` once, from the truthful run's state at ``job``'s
-        rank, keeping its state before each rank and the ranks at which it
-        preempted.  Each probe inserts the deviated job at its rank under
+        rank or from a longer prefix of the kept run without it, keeping
+        its state before each rank and the ranks at which it preempted.
+        Each probe inserts the deviated job at its rank under
         the processing key, resumes from the state kept there, and stops by
         the two rules of the module docstring; a probe at a rank already
         replayed takes that replay's answer where the docstring allows.
@@ -380,8 +451,7 @@ class _Greedy:
         keys, highest, beta, stats = self.keys, self.highest, self.config.beta, self.stats
         rank = bisect_left(keys, processing_key(job))
         others = self.order[:rank] + self.order[rank + 1:]
-        without = truthful[:rank + 1]
-        preempting = self.run(without[rank], others, rank, without)[1]
+        _, without, preempting = self.resume(job.id, others, truthful)
         channels = self.candidates[job.id]
         # rank -> (answer, rank of an early win or None), or None where the bid was read
         answers: dict[int, tuple[bool, int | None] | None] = {}
@@ -439,12 +509,13 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
     """Run the greedy allocation; payments are left unset.
 
     Deterministic in (market, config): all orderings carry explicit id
-    tie-breaks.  Work is counted into ``stats``, a fresh ``PvgStats``
-    when not given.
+    tie-breaks.  It is the truthful run of ``run_pvg``, so a later
+    clearing of the same market object at the same beta reuses its states
+    and memos.  Work is counted into ``stats``, a fresh ``PvgStats`` when
+    not given.
     """
     greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
-    state, _ = greedy.run(greedy.initial_state(), greedy.order, 0)
-    return greedy.outcome(state)
+    return greedy.outcome(greedy.truthful_run().states[-1])
 
 
 def bid_grid_size(floor: float, top: float, xi: float) -> int:
@@ -483,10 +554,10 @@ def _with_bid(job: Job, bid: float) -> Job:
     return probe
 
 
-def critical_value(greedy: _Greedy, job: Job, truthful: list[PvgState]) -> float:
+def critical_value(greedy: _Greedy, job: Job, truthful: _Run) -> float:
     """Least grid bid at which ``job``, a winner of ``truthful``, still wins.
 
-    ``truthful`` is the market's own run as ``greedy.truthful_run`` keeps it.
+    ``truthful`` is the clearing's own run as ``greedy.truthful_run`` returns it.
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below the reported value ``job.bid_value``, plus that value.
     Bid monotonicity makes the win predicate a threshold over them, so
@@ -509,13 +580,14 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
             stats: PvgStats | None = None) -> AuctionOutcome:
     """Allocate, price, and package the greedy mechanism's outcome.
 
-    One ``_Greedy`` cuts the timelines and builds the rank tables once,
-    and every winner is priced by probes that resume from the kept states
-    of the allocation run (module docstring).
+    One ``_Greedy`` builds the clearing's rank tables once, and every
+    winner is priced by probes that resume from the kept states of the
+    allocation run; runs kept by earlier clearings of the market object
+    are reused where their orders agree (module docstring).
     """
     greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
     truthful = greedy.truthful_run()
-    final = truthful[-1]
+    final = truthful.states[-1]
     outcome = greedy.outcome(final)
     payments = {j.id: 0.0 for j in market.jobs}
     for snap in final.values():

@@ -20,7 +20,8 @@ Components cover disjoint time, so a channel's job set is feasible
 exactly when each component's part of it is, the optimum is the union of
 the component optima, and removing a winner changes only its own
 component.  Each component gets its own search over the market's one
-set of timelines and candidate channels.
+set of timelines and candidate channels, which every clearing of the
+market object shares (``LocalMarket.timelines``).
 
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
@@ -54,7 +55,6 @@ from .market import (
     SegmentedTimeline,
     SpectrumAuctionError,
     build_timelines,
-    candidate_channels,
     filter_reserve,
     set_feasible,
     window_flow_allocation,
@@ -238,7 +238,8 @@ class _Search:
 
     def _offer_leaf(self, accepted: int) -> None:
         winners = tuple(sorted(self.assignment))
-        canon = winner_welfare(self.value_by_id, winners)
+        # winner_welfare's id-ordered sum, over a tuple already in id order
+        canon = sum(map(self.value_by_id.__getitem__, winners), 0.0)
         best = self.best
         for t, bit in enumerate(self.excluded):
             if bit & accepted or canon < best[t]:
@@ -276,10 +277,9 @@ def _time_components(jobs: list[Job]) -> list[list[Job]]:
     return components
 
 
-def _component_searches(jobs: list[Job],
-                        timelines: dict[int, SegmentedTimeline]) -> list[_Search]:
-    """One search per time component, over the market's timelines and candidates."""
-    candidates = candidate_channels(jobs, timelines)
+def _component_searches(jobs: list[Job], timelines: dict[int, SegmentedTimeline],
+                        candidates: dict[int, list[int]]) -> list[_Search]:
+    """One search per time component, over the market's timelines and candidate channels."""
     searches = []
     for component in _time_components(jobs):
         order = sorted(component, key=lambda j: (-j.bid_value, j.id))
@@ -307,7 +307,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX
             "pass max_jobs (--vcg-max-jobs) to override"
         )
     timelines = build_timelines(market)
-    searches = _component_searches(jobs, timelines)
+    searches = _component_searches(jobs, timelines, market.candidates)
     assignment = dict(sorted(pair for search in searches for pair in search.solve().items()))
     by_id = {j.id: j for j in jobs}
     welfare = winner_welfare({j.id: j.bid_value for j in jobs}, assignment)

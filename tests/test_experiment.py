@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from spectrum_auctions import experiment, rho_bound, synthesize_occupancy
+from spectrum_auctions import experiment, market, rho_bound, synthesize_occupancy
 from spectrum_auctions.experiment import (
     NUMERIC_COLUMNS,
     RESULT_COLUMNS,
@@ -134,6 +134,25 @@ class TestMetricsColumns:
         assert late_zero == early_zero
         assert all(values[NUMERIC_COLUMNS.index("revenue_ratio")] is not None
                    for values in early_zero.values())
+
+    def test_each_channel_is_segmented_once_per_market(self, grid, monkeypatch):
+        """Every reserve and both mechanisms clear a market on one segmentation."""
+        segmented = []
+        segment = market.segment_timeline
+
+        def counting(channel, jobs):
+            segmented.append((channel.id, tuple(jobs)))
+            return segment(channel, jobs)
+
+        monkeypatch.setattr(market, "segment_timeline", counting)
+        plan = ExperimentPlan(lambdas=[3, 6], eta_s_values=[0.0, 0.0005, 0.001], set_kinds=[1],
+                              trials=2, master_seed=4, beta=2.0)
+        rows = raw_rows(run_experiment(grid, plan))
+        assert len(rows) == 2 * 3 * 2 * 2  # lambdas x reserves x trials x mechs
+        assert all(r["efficiency"] is not None for r in rows)
+        markets, channels = 2 * 2, grid.n_channels
+        assert len(segmented) == markets * channels
+        assert len(set(segmented)) == len(segmented)
 
     def test_runtime_blank_without_timing_flag(self, grid, tmp_path):
         plan = ExperimentPlan(lambdas=[2], set_kinds=[1], trials=1, master_seed=1)

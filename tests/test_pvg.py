@@ -17,6 +17,7 @@ from spectrum_auctions import (
     pvg_allocate,
     rho_bound,
     run_pvg,
+    run_vcg,
     segment_timeline,
     solve_optimal,
 )
@@ -26,6 +27,7 @@ from spectrum_auctions.market import (
     build_timelines,
     candidate_channels,
     commit_allocation,
+    filter_reserve,
     window_residual,
 )
 from spectrum_auctions.oracle import _wins_at_bid, scan_critical_value
@@ -246,7 +248,7 @@ class TestAllocation:
             m = random_market(rng, max_jobs=8, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
             greedy = _Greedy(m, config, PvgStats())
-            for state in greedy.truthful_run():
+            for state in greedy.truthful_run().states:
                 for j in greedy.order:
                     if holds(state, j.id):
                         continue
@@ -345,7 +347,7 @@ class TestAllocation:
             config = AuctionConfig(beta=rng.choice([1.0, 1.5, BETA_STAR, 3.0]),
                                    eta_s=random_reserve(rng))
             greedy = _Greedy(m, config, PvgStats())
-            for state in greedy.truthful_run():
+            for state in greedy.truthful_run().states:
                 for cid, snap in state.items():
                     slots = greedy.timelines[cid].slots
                     assert all(0 <= u <= s.capacity for u, s in zip(snap.committed, slots))
@@ -629,8 +631,10 @@ class TestPrunedGreedy:
 
     @staticmethod
     def priced(m, config):
+        # a copy built anew keeps no run from an earlier pass, so each
+        # pass's step processes every rank itself
         stats = PvgStats()
-        out = run_pvg(m, config, stats=stats)
+        out = run_pvg(LocalMarket(m.region, m.band_type, m.jobs, m.channels), config, stats=stats)
         return (out.assignment, out.allocations, out.payments,
                 (stats.commits, stats.preemptions, stats.readmissions))
 
@@ -685,11 +689,10 @@ class TestPrunedGreedy:
 
         run = pvg._Greedy.run
 
-        def keeping(greedy, state, order, start, states=None):
-            end = run(greedy, state, order, start, states)
-            if states is not None:
-                kept.extend((s, dict(s)) for s in states)
-            return end
+        def keeping(greedy, order, states):
+            preempting = run(greedy, order, states)
+            kept.extend((s, dict(s)) for s in states)
+            return preempting
 
         monkeypatch.setattr(pvg, "_Snapshot", Recorded)
         monkeypatch.setattr(pvg._Greedy, "run", keeping)
@@ -712,6 +715,68 @@ class TestPrunedGreedy:
             shared += len(kept) - len({id(s) for s, _ in kept})
         assert snapshots > 1000 and checked > 1000 and shared > 100
         assert stats.preemptions > 20 and stats.readmissions > 0
+
+
+class TestClearingsShareRuns:
+    """Clearings of one market object reuse its segmentation and greedy runs.
+
+    Every outcome must equal that of a copy built anew, which shares
+    nothing, whatever the order of reserves, mechanisms and betas.  Bids
+    are tenths, not binary fractions.  Jobs 1 (3.9 for 3 s) and 2 (2.6 for
+    2 s) both bid 1.3 per second as floats, but ``1.3 * 3`` rounds above
+    3.9, so at a reserve of exactly 1.3 the filter drops job 1 and keeps
+    job 2, which ranks after it: that order is no prefix of the others.
+    """
+
+    MECHANISMS = {"vcg": run_vcg, "pvg": run_pvg, "allocate": pvg_allocate}
+
+    @staticmethod
+    def outcome(clear, m, config, stats):
+        out = clear(m, config) if clear is run_vcg else clear(m, config, stats=stats)
+        return out.assignment, out.allocations, out.payments
+
+    def test_outcomes_match_markets_built_anew(self):
+        rig = random.Random(2626)
+        shared_stats, fresh_stats = PvgStats(), PvgStats()
+        clearings = not_prefix = 0
+        for _ in range(50):
+            m = random_market(rig, max_jobs=7, max_channels=3)
+            jobs = [replace(j, id=j.id + 2, bid_value=rig.randint(1, 120) / 10) for j in m.jobs]
+            jobs += [job(1, 3.9, 0, 4, 3), job(2, 2.6, 2, 6, 2)]
+            m = market(jobs, m.channels)
+            reserves = [0.0, 0.5, 1.3, rig.choice(jobs).unit_value]
+            plan = [(eta_s, mech, beta) for eta_s in reserves for mech in self.MECHANISMS
+                    for beta in (2.0, BETA_STAR) if mech != "vcg" or beta == 2.0]
+            rig.shuffle(plan)
+            full = sorted(m.jobs, key=processing_key)
+            for eta_s, mech, beta in plan:
+                config = AuctionConfig(beta=beta, eta_s=eta_s, xi=0.1)
+                clear = self.MECHANISMS[mech]
+                fresh = market(m.jobs, m.channels)
+                assert (self.outcome(clear, m, config, shared_stats)
+                        == self.outcome(clear, fresh, config, fresh_stats)), (m, eta_s, mech, beta)
+                clearings += 1
+            for eta_s in reserves:
+                order = sorted(filter_reserve(m.jobs, eta_s), key=processing_key)
+                not_prefix += order != full[:len(order)]
+        assert clearings == 50 * 20 and not_prefix >= 50
+        # the shared market reran fewer ranks, and reused states count nothing
+        assert shared_stats.commits < fresh_stats.commits
+        assert shared_stats.fit_checks < fresh_stats.fit_checks
+
+    def test_a_wholly_reused_run_keeps_its_preempting_ranks(self):
+        """The market of ``test_probe_readmitted_at_a_later_preempting_rank``, cleared three times.
+
+        Job 4's probes that lose at their own rank win only through the
+        preemption after it, so the later clearings, which reuse every rank
+        of the run without job 4, must keep that preempting rank.
+        """
+        ch = Channel(2, REGION, BAND, ((3, 9), (10, 13), (14, 15)))
+        jobs = [job(1, 10.5, 6, 15, 6), job(4, 4.5, 13, 16, 1), job(6, 4.75, 12, 16, 2)]
+        m = market(jobs, [ch])
+        for eta_s in (0.0, 0.0, 0.25):
+            config = AuctionConfig(beta=1.1, eta_s=eta_s, xi=0.25)
+            assert run_pvg(m, config).payments == run_pvg(market(jobs, [ch]), config).payments
 
 
 class TestBidMonotonicity:
