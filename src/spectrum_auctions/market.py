@@ -140,8 +140,12 @@ class LocalMarket:
 
     @cached_property
     def candidates(self) -> dict[int, list[int]]:
-        """Each job id's ``candidate_channels`` on ``timelines``."""
-        return candidate_channels(self.jobs, self.timelines)
+        """Each job id's channels, in channel id order, whose window capacity covers it.
+
+        No allocation can place a job on any other channel.
+        """
+        return {j.id: [cid for cid, tl in self.timelines.items() if tl.window_capacity(j) >= j.duration]
+                for j in self.jobs}
 
     @cached_property
     def greedy_runs(self) -> dict[float, dict]:
@@ -364,22 +368,13 @@ def build_timelines(market: LocalMarket) -> dict[int, SegmentedTimeline]:
     return market.timelines
 
 
-def candidate_channels(jobs: Iterable[Job],
-                       timelines: dict[int, SegmentedTimeline]) -> dict[int, list[int]]:
-    """Each job id's channels, in ``timelines`` order, whose window capacity covers it.
-
-    No allocation can place a job on any other channel.
-    """
-    return {j.id: [cid for cid, tl in timelines.items() if tl.window_capacity(j) >= j.duration]
-            for j in jobs}
-
-
 @dataclass
 class AuctionOutcome:
     """Result of running one mechanism on one local market.
 
     ``assignment`` maps winning job ids to channel ids; ``allocations``
-    holds each winner's per-slot seconds on its channel's timeline;
+    holds each winner's per-slot seconds on its channel's timeline in
+    ``market.timelines``;
     ``payments`` covers every job once priced (losers pay 0; empty when
     only the allocation step has run).
     """
@@ -387,7 +382,6 @@ class AuctionOutcome:
     assignment: dict[int, int]
     allocations: dict[int, list[int]]
     payments: dict[int, float]
-    timelines: dict[int, SegmentedTimeline]
 
     def allocated_seconds(self) -> int:
         return sum(sum(a) for a in self.allocations.values())

@@ -1,7 +1,7 @@
 """Polynomial-time greedy auction with preemption and critical-value pricing.
 
 Jobs are processed by descending per-second bid value.  A job is accepted
-outright into the first of its ``market.candidate_channels`` with enough
+outright into the first of its ``LocalMarket.candidates`` with enough
 residual window capacity (case 1).  Otherwise, per candidate channel, its
 cheapest winners overlapping the job's window are tentatively removed one
 by one until it fits; if the newcomer's bid exceeds ``beta`` times the
@@ -32,11 +32,12 @@ preempting channel breaks that on some multi-channel markets), so each
 winner is charged the smallest grid bid at which it still wins, found by
 binary search over the bid grid between its reserve floor and its
 reported value.  ``run_pvg`` allocates a market and prices each winner
-with ``critical_value`` over that same allocation run.
+with ``critical_value`` over that same allocation run, ``_Greedy.truthful``.
 
-Pricing replays only what a probe can change.  Segmentation, candidate
-channels and the truthful order do not depend on the probed bid, so one
-``_Greedy`` per market holds them.  A state maps each channel id to a
+Pricing replays only what a probe can change.  Segmentation and
+candidate channels, which the market object owns, and the truthful order
+and run do not depend on the probed bid, so one ``_Greedy`` per clearing
+holds them for every probe.  A state maps each channel id to a
 ``_Snapshot`` of that channel (its winners, used seconds and the winners'
 allocations) that is never changed once built: a step returns a new
 mapping with a new snapshot for the one channel it changed, or its input
@@ -120,6 +121,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -234,17 +236,17 @@ def _common_prefix(a: list[Job], b: list[Job]) -> int:
 class _Greedy:
     """One clearing's greedy: what no rank changes, and the steps between ``PvgState``s.
 
-    Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` are
-    the market's channels cut once and ``candidates`` every job's
-    candidate channels, both shared by every clearing of the market
-    object; ``shared_runs`` maps a run's left-out winner (None for the
-    truthful run) to the run kept for the market at this beta (module
-    docstring).  ``order`` is the clearing's processing order
-    (``processing_key``) over reserve-eligible jobs, ``keys`` its
-    processing keys and ``highest[k]`` the largest bid among
-    ``order[k:]``.  Work is counted into ``stats``.  While a probe of job
-    ``watched`` replays, a step sets ``bid_read`` when one of its eviction
-    walks reads that job's bid.
+    Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` and
+    ``candidates`` alias the market's own, which every clearing of the
+    market object shares; ``shared_runs`` maps a run's left-out winner
+    (None for the truthful run, the empty run until a clearing kept one)
+    to the run kept for the market at this beta (module docstring).
+    ``order`` is the clearing's processing order (``processing_key``) over
+    reserve-eligible jobs, ``keys`` its processing keys, ``highest[k]`` the
+    largest bid among ``order[k:]`` and ``truthful`` its run.  Work is
+    counted into ``stats``.  While a probe of job ``watched`` replays, a
+    step sets ``bid_read`` when one of its eviction walks reads that job's
+    bid.
     """
 
     def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
@@ -252,7 +254,11 @@ class _Greedy:
         self.stats = stats
         self.timelines = build_timelines(market)
         self.candidates = market.candidates
-        self.shared_runs: dict[int | None, _Run] = market.greedy_runs.setdefault(config.beta, {})
+        if config.beta not in market.greedy_runs:
+            empty = {cid: _Snapshot((), [0] * len(tl.slots), {})
+                     for cid, tl in self.timelines.items()}
+            market.greedy_runs[config.beta] = {None: _Run([], [empty], [])}
+        self.shared_runs: dict[int | None, _Run] = market.greedy_runs[config.beta]
         self.order = sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key)
         self.keys = [processing_key(j) for j in self.order]
         self.highest = list(accumulate(reversed([j.bid_value for j in self.order]), max))[::-1]
@@ -402,8 +408,8 @@ class _Greedy:
         was, so a shorter run never replaces one it is a prefix of.
         """
         start, run = _common_prefix(base.order, order), base
-        kept = self.shared_runs.get(left_out)
-        if kept is not None and kept is not base:
+        kept = self.shared_runs.get(left_out, base)
+        if kept is not base:
             agree = _common_prefix(kept.order, order)
             if agree > start:
                 start, run = agree, kept
@@ -415,16 +421,14 @@ class _Greedy:
         run = self.shared_runs[left_out] = _Run(order, states, preempting)
         return run
 
-    def truthful_run(self) -> _Run:
+    @cached_property
+    def truthful(self) -> _Run:
         """The clearing's own run, resumed from the market's kept truthful run."""
-        base = self.shared_runs.get(None)
-        if base is None:
-            empty = {cid: _Snapshot((), [0] * len(tl.slots), {})
-                     for cid, tl in self.timelines.items()}
-            base = _Run([], [empty], [])
-        return self.resume(None, self.order, base)
+        return self.resume(None, self.order, self.shared_runs[None])
 
-    def outcome(self, state: PvgState) -> AuctionOutcome:
+    def outcome(self) -> AuctionOutcome:
+        """The allocation of ``truthful``; payments are left unset."""
+        state = self.truthful.states[-1]
         assignment = dict(sorted((j.id, cid) for cid, snap in state.items()
                                  for j in snap.winners))
         return AuctionOutcome(
@@ -432,26 +436,24 @@ class _Greedy:
             allocations={jid: list(state[cid].allocations[jid])
                          for jid, cid in assignment.items()},
             payments={},
-            timelines=self.timelines,
         )
 
-    def resumed_probe(self, job: Job, truthful: _Run):
+    def resumed_probe(self, job: Job):
         """Win predicate over ``job``'s bid that replays only the ranks that can change it.
 
-        ``job`` is a winner of ``truthful``, the clearing's own run as
-        ``truthful_run`` returns it, so it is in ``order``.  Runs the market
-        without ``job`` once, from the truthful run's state at ``job``'s
-        rank or from a longer prefix of the kept run without it, keeping
-        its state before each rank and the ranks at which it preempted.
-        Each probe inserts the deviated job at its rank under
-        the processing key, resumes from the state kept there, and stops by
-        the two rules of the module docstring; a probe at a rank already
+        ``job`` is a winner of ``truthful``, so it is in ``order``.  Runs the
+        market without ``job`` once, from the truthful run's state at
+        ``job``'s rank or from a longer prefix of the kept run without it,
+        keeping its state before each rank and the ranks at which it
+        preempted.  Each probe inserts the deviated job at its rank under the
+        processing key, resumes from the state kept there, and stops by the
+        two rules of the module docstring; a probe at a rank already
         replayed takes that replay's answer where the docstring allows.
         """
         keys, highest, beta, stats = self.keys, self.highest, self.config.beta, self.stats
         rank = bisect_left(keys, processing_key(job))
         others = self.order[:rank] + self.order[rank + 1:]
-        _, without, preempting = self.resume(job.id, others, truthful)
+        _, without, preempting = self.resume(job.id, others, self.truthful)
         channels = self.candidates[job.id]
         # rank -> (answer, rank of an early win or None), or None where the bid was read
         answers: dict[int, tuple[bool, int | None] | None] = {}
@@ -514,8 +516,7 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
     and memos.  Work is counted into ``stats``, a fresh ``PvgStats`` when
     not given.
     """
-    greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
-    return greedy.outcome(greedy.truthful_run().states[-1])
+    return _Greedy(market, config, PvgStats() if stats is None else stats).outcome()
 
 
 def bid_grid_size(floor: float, top: float, xi: float) -> int:
@@ -554,10 +555,9 @@ def _with_bid(job: Job, bid: float) -> Job:
     return probe
 
 
-def critical_value(greedy: _Greedy, job: Job, truthful: _Run) -> float:
-    """Least grid bid at which ``job``, a winner of ``truthful``, still wins.
+def critical_value(greedy: _Greedy, job: Job) -> float:
+    """Least grid bid at which ``job``, a winner of ``greedy.truthful``, still wins.
 
-    ``truthful`` is the clearing's own run as ``greedy.truthful_run`` returns it.
     The candidate bids are ``eta_s * duration + k * xi`` for k = 0, 1, ...
     strictly below the reported value ``job.bid_value``, plus that value.
     Bid monotonicity makes the win predicate a threshold over them, so
@@ -570,7 +570,7 @@ def critical_value(greedy: _Greedy, job: Job, truthful: _Run) -> float:
     n = bid_grid_size(floor, top, config.xi)
     if n == 0:
         return top
-    wins = greedy.resumed_probe(job, truthful)
+    wins = greedy.resumed_probe(job)
     first = bisect_left(range(n), True,
                         key=lambda k: wins(bid_grid_point(floor, top, config.xi, k, n)))
     return bid_grid_point(floor, top, config.xi, first, n)
@@ -586,13 +586,11 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
     are reused where their orders agree (module docstring).
     """
     greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
-    truthful = greedy.truthful_run()
-    final = truthful.states[-1]
-    outcome = greedy.outcome(final)
+    outcome = greedy.outcome()
     payments = {j.id: 0.0 for j in market.jobs}
-    for snap in final.values():
+    for snap in greedy.truthful.states[-1].values():
         for winner in snap.winners:
-            payments[winner.id] = critical_value(greedy, winner, truthful)
+            payments[winner.id] = critical_value(greedy, winner)
     outcome.payments = payments
     return outcome
 

@@ -21,7 +21,7 @@ exactly when each component's part of it is, the optimum is the union of
 the component optima, and removing a winner changes only its own
 component.  Each component gets its own search over the market's one
 set of timelines and candidate channels, which every clearing of the
-market object shares (``LocalMarket.timelines``).
+market object shares (``LocalMarket.timelines`` and ``.candidates``).
 
 Payments follow the pivot rule: a winner pays the welfare the others
 lose by its presence, floored at the reserve for its requested time.
@@ -30,7 +30,7 @@ and ``vcg_payments`` reruns exactly those, so a solution is always
 priced at the reserve it was solved at.
 The market without winner k is the solve's own tree with k rejected, so
 one pricing search per component over the solve's setup (timelines,
-branching order, ``market.candidate_channels`` and later-fits memo)
+branching order, candidate channels and later-fits memo)
 prices every winner in it at once, the way shortest-path Vickrey prices
 are found all together (Hershberger & Suri 2001).  It keeps
 ``best_without[k]`` per winner, starting at the welfare of the
@@ -79,7 +79,6 @@ class VcgSolution:
     welfare: float
     assignment: dict[int, int]
     allocations: dict[int, list[int]]
-    timelines: dict[int, SegmentedTimeline]
     eta_s: float
     searches: list[_Search] = field(repr=False, compare=False)
 
@@ -320,7 +319,7 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX
         flows = window_flow_allocation(members, timelines[c.id])
         assert flows is not None, "search accepted an infeasible channel set"
         allocations.update(flows)
-    return VcgSolution(welfare, assignment, allocations, timelines, eta_s, searches)
+    return VcgSolution(welfare, assignment, allocations, eta_s, searches)
 
 
 def vcg_payments(market: LocalMarket, solution: VcgSolution) -> dict[int, float]:
@@ -354,5 +353,4 @@ def run_vcg(market: LocalMarket, config: AuctionConfig,
         assignment=dict(solution.assignment),
         allocations={k: list(v) for k, v in solution.allocations.items()},
         payments=payments,
-        timelines=solution.timelines,
     )

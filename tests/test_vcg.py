@@ -17,7 +17,7 @@ from spectrum_auctions import (
 )
 from spectrum_auctions import vcg
 from spectrum_auctions.experiment import trial_seed
-from spectrum_auctions.market import build_timelines, candidate_channels, set_feasible
+from spectrum_auctions.market import build_timelines, set_feasible
 from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
 from spectrum_auctions.pvg import processing_key
 from spectrum_auctions.vcg import _Search, _time_components
@@ -196,18 +196,19 @@ class TestSolveOptimal:
         for _ in range(60):
             m = random_market(rng, max_jobs=6, max_channels=2)
             sol = solve_optimal(m, 0.0)
-            per_channel_usage = {c.id: [0] * len(sol.timelines[c.id].slots) for c in m.channels}
+            timelines = build_timelines(m)
+            per_channel_usage = {c.id: [0] * len(timelines[c.id].slots) for c in m.channels}
             for jid, cid in sol.assignment.items():
                 j = m.job_by_id(jid)
                 amounts = sol.allocations[jid]
                 assert sum(amounts) == j.duration
-                tl = sol.timelines[cid]
+                tl = timelines[cid]
                 first, last = tl.job_windows[j.id]
                 for i, a in enumerate(amounts):
                     assert a == 0 or first <= i <= last
                     per_channel_usage[cid][i] += a
             for cid, usage in per_channel_usage.items():
-                tl = sol.timelines[cid]
+                tl = timelines[cid]
                 assert all(u <= s.capacity for u, s in zip(usage, tl.slots))
 
 
@@ -369,14 +370,14 @@ class TestVcgPayments:
         for _ in range(400):
             m = tied_bid_market(rng)
             sol = solve_optimal(m, 0.0)
-            candidates = candidate_channels(list(m.jobs), sol.timelines)
+            timelines = build_timelines(m)
             payments = []
             for key in orders:
                 searches = []
                 for component in _time_components(list(m.jobs)):
                     order = sorted(component, key=key)
-                    searches.append(_Search(order, sol.timelines,
-                                            [candidates[j.id] for j in order]))
+                    searches.append(_Search(order, timelines,
+                                            [m.candidates[j.id] for j in order]))
                 payments.append(vcg_payments(m, replace(sol, searches=searches)))
             assert payments[0] == payments[1] == payments[2]
 
@@ -418,7 +419,7 @@ class TestVcgPayments:
             vcg_payments(m, sol)
             for search in sol.searches:
                 for cid, memo in search.later_fits.items():
-                    timeline = sol.timelines[cid]
+                    timeline = build_timelines(m)[cid]
                     for mask, fits in memo.items():
                         members = [j for i, j in enumerate(search.order) if mask >> i & 1]
                         expected = sum(
