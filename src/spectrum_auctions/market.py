@@ -148,8 +148,8 @@ class LocalMarket:
                 for j in self.jobs}
 
     @cached_property
-    def greedy_runs(self) -> dict[float, dict]:
-        """The greedy's kept runs per beta, filled and read by ``pvg._Greedy``."""
+    def greedy_runs(self) -> dict[float, tuple]:
+        """The root of the greedy's prefix trie of runs per beta, grown and walked by ``pvg._Greedy``."""
         return {}
 
     def job_by_id(self, job_id: int) -> Job:

@@ -42,17 +42,17 @@ holds them for every probe.  A state maps each channel id to a
 allocations) that is never changed once built: a step returns a new
 mapping with a new snapshot for the one channel it changed, or its input
 when it placed nothing, so a kept state is a plain reference and runs
-share every channel they have in common.  ``run_pvg`` keeps the state of
-its allocation run before every rank.  For winner i it then runs the
-market without i once, from the kept state at i's rank, and keeps that
-run's state before every rank and the ranks at which it preempted; the
-ranks above i's are the truthful run's own kept states.  A probe at bid b
-puts i at its rank r for b under ``processing_key`` and resumes from the
-state before rank r.  This is exact: processing a job reads only the jobs
-ranked above it (case-3 readmission scans ``order[:idx]``, and the
-eviction prefix walks only placed jobs), so the jobs above r are processed
-in the probe exactly as in the run without i, and the runs with and
-without i agree above i's own rank.  From rank r on, the probe replays
+share every channel they have in common.  ``run_pvg``'s allocation run
+is a path in the market's trie of runs (below), which holds the state
+before every rank and whether each rank preempted.  For winner i it then
+runs the market without i once, down the trie from the truthful path's
+node at i's rank, since the ranks above i's are the truthful run's own.
+A probe at bid b puts i at its rank r for b under ``processing_key`` and
+resumes from the state before rank r.  This is exact: processing a job
+reads only the jobs ranked above it (case-3 readmission scans
+``order[:idx]``, and the eviction prefix walks only placed jobs), so the
+jobs above r are processed in the probe exactly as in the run without i,
+and the runs with and without i agree above i's own rank.  From rank r on, the probe replays
 only the ranks that can change whether i wins:
 
 * Losing side.  While i is unplaced it changes nothing, and a rank reads
@@ -91,29 +91,28 @@ Two kinds of reuse skip work without changing an answer:
   decisions up to the first one's bid read, so it reads the bid there too
   unless its stop test ends it sooner.
 
-Clearings of one market object share runs.  A market is often cleared at
-several reserves, and a reserve only drops the jobs whose per-second bid
-is below it, which come last in the processing order; so the orders of
-two clearings usually share a long prefix, and the state before rank k
-of any run is a function of its ``order[:k]`` alone (rank k reads only
-``order[:k + 1]`` and the state, as above).  The market therefore keeps,
-per beta, a truthful run and each winner's run without it, as orders
-with their states and preempting ranks.  A clearing finds the longest
-common prefix of its order with the kept run's (compared job by job, so
-float rounding in the reserve filter, or reserves in any order, only
-shorten it) and processes only the ranks after it; a winner's run
-without it starts from the longer of that prefix of its kept run and its
-own rank in the truthful run.  A run that processed any rank replaces
-the kept one, and a run wholly reused leaves it, so a clearing at a
-higher reserve never shortens what a lower one kept.  The runs are keyed
-by beta because the eviction walks, and so every placement memo, read
-it; the reserve and ``xi`` reach no step.  They live exactly as long as
-the market object (``LocalMarket.greedy_runs``), never keyed by its
-value, so an equal market built anew shares nothing.  Per clearing
-remain the order, its keys and ``highest`` (which depend on where the
-order ends), each winner's price floor and bid grid, and the probe
-answers.  ``PvgStats`` counts only ranks processed, so reused states add
-nothing to it.
+Clearings of one market object share runs.  The state before rank k of
+any run is a function of its ``order[:k]`` alone (rank k reads only
+``order[:k + 1]`` and the state, as above), and job ids are unique within
+a market object.  So the market keeps, per beta, one prefix trie of runs
+(``LocalMarket.greedy_runs``): the node of a sequence of job ids holds
+the state after those jobs, whether the last of them preempted, and its
+children by the next job's id.  Every run, truthful or without a winner,
+is one path down it from the root (``_Greedy.walk``), and a rank is
+processed only where no earlier walk made its node.  A market is often
+cleared at several reserves, and a reserve only drops the jobs whose
+per-second bid is below it, which come last in the processing order, so
+the paths of its clearings share long prefixes whatever order the
+reserves come in.  A path that leaves another (float rounding in the
+reserve filter can drop a job and keep one ranked after it) branches off
+there, and no node is ever replaced or dropped.  The trie is keyed by
+beta because the eviction walks, and so every placement memo, read it;
+the reserve and ``xi`` reach no step.  It lives exactly as long as the
+market object, never keyed by its value, so an equal market built anew
+shares nothing.  Per clearing remain the order, its keys and ``highest``
+(which depend on where the order ends), each winner's price floor and bid
+grid, and the probe answers.  ``PvgStats`` counts only ranks processed,
+so nodes reused from the trie add nothing to it.
 """
 
 from __future__ import annotations
@@ -123,7 +122,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .market import (
     AuctionConfig,
@@ -212,25 +210,10 @@ class _Snapshot:
 PvgState = dict[int, _Snapshot]
 
 
-class _Run(NamedTuple):
-    """A processing order run from the empty state.
-
-    ``states[k]`` is the state before rank k and ``states[-1]`` the end
-    state; ``preempting`` holds the ranks that preempted, ascending.
-    """
-
-    order: list[Job]
-    states: list[PvgState]
-    preempting: list[int]
-
-
-def _common_prefix(a: list[Job], b: list[Job]) -> int:
-    """How many leading jobs ``a`` and ``b`` share, position by position."""
-    n = min(len(a), len(b))
-    for k in range(n):
-        if a[k] is not b[k]:
-            return k
-    return n
+# A node of a market's trie of greedy runs (``_Greedy.walk``): the state
+# after its path of jobs, whether the path's last job preempted, and its
+# children by job id.  A plain tuple: a class per node made pricing slower.
+_Node = tuple[PvgState, bool, dict[int, "_Node"]]
 
 
 class _Greedy:
@@ -238,15 +221,14 @@ class _Greedy:
 
     Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` and
     ``candidates`` alias the market's own, which every clearing of the
-    market object shares; ``shared_runs`` maps a run's left-out winner
-    (None for the truthful run, the empty run until a clearing kept one)
-    to the run kept for the market at this beta (module docstring).
-    ``order`` is the clearing's processing order (``processing_key``) over
-    reserve-eligible jobs, ``keys`` its processing keys, ``highest[k]`` the
-    largest bid among ``order[k:]`` and ``truthful`` its run.  Work is
-    counted into ``stats``.  While a probe of job ``watched`` replays, a
-    step sets ``bid_read`` when one of its eviction walks reads that job's
-    bid.
+    market object shares; ``root`` is the root of the market's trie of
+    runs at this beta, whose state is the empty allocation (module
+    docstring).  ``order`` is the clearing's processing order
+    (``processing_key``) over reserve-eligible jobs, ``keys`` its
+    processing keys, ``highest[k]`` the largest bid among ``order[k:]``
+    and ``truthful`` its run's path down the trie.  Work is counted into
+    ``stats``.  While a probe of job ``watched`` replays, a step sets
+    ``bid_read`` when one of its eviction walks reads that job's bid.
     """
 
     def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
@@ -257,8 +239,8 @@ class _Greedy:
         if config.beta not in market.greedy_runs:
             empty = {cid: _Snapshot((), [0] * len(tl.slots), {})
                      for cid, tl in self.timelines.items()}
-            market.greedy_runs[config.beta] = {None: _Run([], [empty], [])}
-        self.shared_runs: dict[int | None, _Run] = market.greedy_runs[config.beta]
+            market.greedy_runs[config.beta] = (empty, False, {})
+        self.root: _Node = market.greedy_runs[config.beta]
         self.order = sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key)
         self.keys = [processing_key(j) for j in self.order]
         self.highest = list(accumulate(reversed([j.bid_value for j in self.order]), max))[::-1]
@@ -382,53 +364,34 @@ class _Greedy:
             return state, True
         return state, False
 
-    def run(self, order: list[Job], states: list[PvgState]) -> list[int]:
-        """Process ``order`` from the last of ``states``: the ranks that preempted.
+    def walk(self, order: list[Job], path: list[_Node]) -> list[_Node]:
+        """``path`` extended down the market's trie to the end of ``order``.
 
-        ``states`` holds the states before ranks ``0 .. k``; ranks k on
-        are processed and the state after each is appended, so ``states``
-        ends indexed by rank with the end state last.
+        ``path[k]`` is the node of ``order[:k]``, so ``path[k][0]`` is the
+        state before rank k, and ``path`` starts with the nodes of some
+        prefix of ``order``.  A rank is processed by ``step`` only where no
+        earlier walk made its node; ``path`` is extended in place and
+        returned.
         """
-        preempting = []
-        step = self.step
-        state = states[-1]
-        for idx in range(len(states) - 1, len(order)):
-            state, preempted = step(state, order, idx)
-            if preempted:
-                preempting.append(idx)
-            states.append(state)
-        return preempting
-
-    def resume(self, left_out: int | None, order: list[Job], base: _Run) -> _Run:
-        """``order`` run from the empty state, from the kept run that agrees with it longest.
-
-        The candidates are ``base`` and the run kept under ``left_out``.
-        Only the ranks after the chosen run's common prefix with ``order``
-        are processed, and the result is kept under ``left_out`` unless none
-        was, so a shorter run never replaces one it is a prefix of.
-        """
-        start, run = _common_prefix(base.order, order), base
-        kept = self.shared_runs.get(left_out, base)
-        if kept is not base:
-            agree = _common_prefix(kept.order, order)
-            if agree > start:
-                start, run = agree, kept
-        states = run.states[:start + 1]
-        preempting = run.preempting[:bisect_left(run.preempting, start)]
-        if start == len(order):
-            return _Run(order, states, preempting)
-        preempting += self.run(order, states)
-        run = self.shared_runs[left_out] = _Run(order, states, preempting)
-        return run
+        node = path[-1]
+        for idx in range(len(path) - 1, len(order)):
+            jid = order[idx].id
+            child = node[2].get(jid)
+            if child is None:
+                state, preempted = self.step(node[0], order, idx)
+                child = node[2][jid] = (state, preempted, {})
+            path.append(child)
+            node = child
+        return path
 
     @cached_property
-    def truthful(self) -> _Run:
-        """The clearing's own run, resumed from the market's kept truthful run."""
-        return self.resume(None, self.order, self.shared_runs[None])
+    def truthful(self) -> list[_Node]:
+        """The clearing's own run: the path of ``order`` from the trie's root."""
+        return self.walk(self.order, [self.root])
 
     def outcome(self) -> AuctionOutcome:
         """The allocation of ``truthful``; payments are left unset."""
-        state = self.truthful.states[-1]
+        state = self.truthful[-1][0]
         assignment = dict(sorted((j.id, cid) for cid, snap in state.items()
                                  for j in snap.winners))
         return AuctionOutcome(
@@ -441,19 +404,20 @@ class _Greedy:
     def resumed_probe(self, job: Job):
         """Win predicate over ``job``'s bid that replays only the ranks that can change it.
 
-        ``job`` is a winner of ``truthful``, so it is in ``order``.  Runs the
-        market without ``job`` once, from the truthful run's state at
-        ``job``'s rank or from a longer prefix of the kept run without it,
-        keeping its state before each rank and the ranks at which it
-        preempted.  Each probe inserts the deviated job at its rank under the
-        processing key, resumes from the state kept there, and stops by the
-        two rules of the module docstring; a probe at a rank already
-        replayed takes that replay's answer where the docstring allows.
+        ``job`` is a winner of ``truthful``, so it is in ``order``.  Walks
+        the market without ``job`` once, down the trie from the truthful
+        path's node at ``job``'s rank, which gives its state before each
+        rank and the ranks at which it preempted.  Each probe inserts the
+        deviated job at its rank under the processing key, resumes from the
+        state of the path's node there, and stops by the two rules of the
+        module docstring; a probe at a rank already replayed takes that
+        replay's answer where the docstring allows.
         """
         keys, highest, beta, stats = self.keys, self.highest, self.config.beta, self.stats
         rank = bisect_left(keys, processing_key(job))
         others = self.order[:rank] + self.order[rank + 1:]
-        _, without, preempting = self.resume(job.id, others, self.truthful)
+        without = self.walk(others, self.truthful[:rank + 1])
+        preempting = [k for k in range(rank, len(others)) if without[k + 1][1]]
         channels = self.candidates[job.id]
         # rank -> (answer, rank of an early win or None), or None where the bid was read
         answers: dict[int, tuple[bool, int | None] | None] = {}
@@ -463,13 +427,13 @@ class _Greedy:
 
         def replay(probe: Job, at: int) -> tuple[bool, int | None]:
             probe_order = others[:at] + [probe] + others[at:]
-            state = self.step(without[at], probe_order, at)[0]
+            state = self.step(without[at][0], probe_order, at)[0]
             idx = at
             if not holds(state):
                 # An unplaced probe changes nothing: this run is the run without
                 # it except at a preempting rank, whose case-3 scan may readmit it.
                 for k in preempting[bisect_left(preempting, at):]:
-                    state = self.step(without[k], probe_order, k + 1)[0]
+                    state = self.step(without[k][0], probe_order, k + 1)[0]
                     if holds(state):
                         idx = k + 1
                         break
@@ -512,9 +476,9 @@ def pvg_allocate(market: LocalMarket, config: AuctionConfig,
 
     Deterministic in (market, config): all orderings carry explicit id
     tie-breaks.  It is the truthful run of ``run_pvg``, so a later
-    clearing of the same market object at the same beta reuses its states
-    and memos.  Work is counted into ``stats``, a fresh ``PvgStats`` when
-    not given.
+    clearing of the same market object at the same beta reuses its path
+    in the market's trie and its memos.  Work is counted into ``stats``,
+    a fresh ``PvgStats`` when not given.
     """
     return _Greedy(market, config, PvgStats() if stats is None else stats).outcome()
 
@@ -581,14 +545,15 @@ def run_pvg(market: LocalMarket, config: AuctionConfig,
     """Allocate, price, and package the greedy mechanism's outcome.
 
     One ``_Greedy`` builds the clearing's rank tables once, and every
-    winner is priced by probes that resume from the kept states of the
-    allocation run; runs kept by earlier clearings of the market object
-    are reused where their orders agree (module docstring).
+    winner is priced by probes that resume from the states along its run
+    without it.  Every run is a walk down the market's trie, so
+    the ranks that earlier clearings of the market object processed are
+    not processed again (module docstring).
     """
     greedy = _Greedy(market, config, PvgStats() if stats is None else stats)
     outcome = greedy.outcome()
     payments = {j.id: 0.0 for j in market.jobs}
-    for snap in greedy.truthful.states[-1].values():
+    for snap in greedy.truthful[-1][0].values():
         for winner in snap.winners:
             payments[winner.id] = critical_value(greedy, winner)
     outcome.payments = payments

@@ -5,7 +5,8 @@ Criteria summary (stated tolerances pinned here, nothing deferred):
   2  optimal/greedy efficiency ratio <= 6+4*sqrt(2) + 1e-9 on the same set
   3  mean greedy/optimal efficiency >= 0.70 at every default sweep point
   4  value strategyproofness within one bid-grid step (both mechanisms)
-  5  longer-claimed-duration deviations never gain utility (exact)
+  5  longer-duration, later-arrival and earlier-deadline deviations never
+     gain utility (exact, both mechanisms)
   6  raised bids keep every sampled winner winning (both mechanisms)
   7  greedy payments within [reserve, bid] and equal to the linear scan
   8  split-capacity family: exact solver wins, contiguous model gets 0
@@ -134,18 +135,19 @@ def _deviated(market, job, **changes):
                        market.channels), new
 
 
-def _vcg_utility(market, job, reported_bid, reported_t, welfare_without):
-    dev_market, dev_job = _deviated(market, job, bid_value=reported_bid,
-                                    duration=reported_t)
+def _vcg_utility(market, job, welfare_without, **report):
+    """True utility of ``job`` reporting ``report`` (fields of ``Job``) to the exact mechanism."""
+    dev_market, dev_job = _deviated(market, job, **report)
     sol = solve_optimal(dev_market, 0.0)
     if job.id not in sol.assignment:
         return 0.0
-    pivot = welfare_without - (sol.welfare - reported_bid)
+    pivot = welfare_without - (sol.welfare - dev_job.bid_value)
     return job.bid_value - max(pivot, 0.0)
 
 
-def _pvg_utility(market, job, config, reported_bid, reported_t):
-    dev_market, _ = _deviated(market, job, bid_value=reported_bid, duration=reported_t)
+def _pvg_utility(market, job, config, **report):
+    """True utility of ``job`` reporting ``report`` (fields of ``Job``) to the greedy."""
+    dev_market, _ = _deviated(market, job, **report)
     out = run_pvg(dev_market, config)
     if job.id not in out.assignment:
         return 0.0
@@ -164,18 +166,17 @@ def test_criterion_4_value_strategyproofness(sp_pool):
                                  tuple(j for j in market.jobs if j.id != job.id),
                                  market.channels)
             without_cache[job.id] = solve_optimal(others, 0.0).welfare
-            truth_vcg = _vcg_utility(market, job, job.bid_value, job.duration,
-                                     without_cache[job.id])
-            truth_pvg = _pvg_utility(market, job, config, job.bid_value, job.duration)
+            truth_vcg = _vcg_utility(market, job, without_cache[job.id])
+            truth_pvg = _pvg_utility(market, job, config)
             for i in range(1, 26):
                 target = 2.0 * job.bid_value * i / 25.0
                 bid = XI * max(1, math.ceil(target / XI))
                 if bid == job.bid_value:
                     continue
-                assert _vcg_utility(market, job, bid, job.duration,
-                                    without_cache[job.id]) <= truth_vcg + XI + 1e-9
-                assert _pvg_utility(market, job, config, bid,
-                                    job.duration) <= truth_pvg + XI + 1e-9
+                assert _vcg_utility(market, job, without_cache[job.id],
+                                    bid_value=bid) <= truth_vcg + XI + 1e-9
+                assert _pvg_utility(market, job, config,
+                                    bid_value=bid) <= truth_pvg + XI + 1e-9
                 checked += 1
     assert checked >= 100 * 24
     print(f"\nPASS criterion 4: no profitable bid deviation beyond grid slack "
@@ -194,19 +195,22 @@ def test_criterion_5_time_strategyproofness(sp_pool):
                                  tuple(j for j in market.jobs if j.id != job.id),
                                  market.channels)
             welfare_without = solve_optimal(others, 0.0).welfare
-            truth_vcg = _vcg_utility(market, job, job.bid_value, job.duration,
-                                     welfare_without)
-            truth_pvg = _pvg_utility(market, job, config, job.bid_value, job.duration)
+            truth_vcg = _vcg_utility(market, job, welfare_without)
+            truth_pvg = _pvg_utility(market, job, config)
             steps = sorted({job.duration + max(1, round(slack * i / 5)) for i in range(1, 6)})
-            for longer in steps:
-                assert truth_vcg >= _vcg_utility(market, job, job.bid_value,
-                                                 longer, welfare_without)
-                assert truth_pvg >= _pvg_utility(market, job, config,
-                                                 job.bid_value, longer)
+            # every report inside the true window: a longer duration, a later
+            # arrival or an earlier deadline, by every shift the slack allows
+            reports = ([{"duration": longer} for longer in steps]
+                       + [{"arrival": job.arrival + shift} for shift in range(1, slack + 1)]
+                       + [{"deadline": job.deadline - shift} for shift in range(1, slack + 1)])
+            for report in reports:
+                assert truth_vcg >= _vcg_utility(market, job, welfare_without, **report), report
+                assert truth_pvg >= _pvg_utility(market, job, config, **report), report
                 checked += 1
-    assert checked >= 200
-    print(f"\nPASS criterion 5: no longer-duration deviation ever gained "
-          f"({checked} deviations)")
+    # on this pool: 230 longer durations and 231 each of later arrivals and earlier deadlines
+    assert checked >= 692
+    print(f"\nPASS criterion 5: no longer-duration, later-arrival or earlier-deadline "
+          f"deviation ever gained ({checked} deviations)")
 
 
 def test_criterion_6_bid_monotonicity(sp_pool):

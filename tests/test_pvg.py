@@ -248,7 +248,7 @@ class TestAllocation:
             m = random_market(rng, max_jobs=8, max_channels=2)
             config = AuctionConfig(beta=rng.choice([1.1, 2.0, BETA_STAR]))
             greedy = _Greedy(m, config, PvgStats())
-            for state in greedy.truthful.states:
+            for state, _, _ in greedy.truthful:
                 for j in greedy.order:
                     if holds(state, j.id):
                         continue
@@ -348,7 +348,7 @@ class TestAllocation:
             config = AuctionConfig(beta=rng.choice([1.0, 1.5, BETA_STAR, 3.0]),
                                    eta_s=random_reserve(rng))
             greedy = _Greedy(m, config, PvgStats())
-            for state in greedy.truthful.states:
+            for state, _, _ in greedy.truthful:
                 for cid, snap in state.items():
                     slots = greedy.timelines[cid].slots
                     assert all(0 <= u <= s.capacity for u, s in zip(snap.committed, slots))
@@ -675,8 +675,9 @@ class TestPrunedGreedy:
         """No snapshot's content and no kept state changes, whatever run built it, through all pricing.
 
         A snapshot keeps its winners, used seconds and allocations (only its
-        memos grow), and every state a run keeps, truthful or without a
-        winner, still maps each channel to the same snapshot object.
+        memos grow), and every state on the path a walk returns, truthful
+        or without a winner, still maps each channel to the same snapshot
+        object.
         """
         built, kept = [], []
 
@@ -687,15 +688,15 @@ class TestPrunedGreedy:
                 super().__init__(winners, committed, allocations)
                 built.append((self, copy.deepcopy((winners, committed, allocations))))
 
-        run = pvg._Greedy.run
+        walk = pvg._Greedy.walk
 
-        def keeping(greedy, order, states):
-            preempting = run(greedy, order, states)
-            kept.extend((s, dict(s)) for s in states)
-            return preempting
+        def keeping(greedy, order, path):
+            path = walk(greedy, order, path)
+            kept.extend((state, dict(state)) for state, _, _ in path)
+            return path
 
         monkeypatch.setattr(pvg, "_Snapshot", Recorded)
-        monkeypatch.setattr(pvg._Greedy, "run", keeping)
+        monkeypatch.setattr(pvg._Greedy, "walk", keeping)
         rig = random.Random(1718)
         stats = PvgStats()
         checked = shared = snapshots = 0
@@ -763,6 +764,33 @@ class TestClearingsShareRuns:
         # the shared market reran fewer ranks, and reused states count nothing
         assert shared_stats.commits < fresh_stats.commits
         assert shared_stats.fit_checks < fresh_stats.fit_checks
+
+    def test_a_clearing_at_an_earlier_order_steps_nothing(self, monkeypatch):
+        """Every run a clearing walks stays in the market's trie, whatever runs came after it.
+
+        At a reserve of 1.3 the filter drops job 1 and keeps job 2 (class
+        docstring), so the second clearing's order is no prefix of the
+        first's; the third clearing repeats the first, and every rank of
+        its walk, truthful or without a winner, is already in the trie.
+        """
+        steps = []
+        step = pvg._Greedy.step
+
+        def counting(greedy, state, order, idx):
+            steps.append(idx)
+            return step(greedy, state, order, idx)
+
+        monkeypatch.setattr(pvg._Greedy, "step", counting)
+        jobs = [job(1, 3.9, 0, 4, 3), job(2, 2.6, 2, 6, 2), job(3, 5.0, 0, 6, 2),
+                job(4, 1.0, 1, 5, 1), job(5, 6.0, 3, 8, 4)]
+        m = market(jobs, [Channel(1, REGION, BAND, ((0, 8),)), Channel(2, REGION, BAND, ((1, 6),))])
+        first = pvg_allocate(m, AuctionConfig(beta=2.0))
+        order = sorted(filter_reserve(m.jobs, 1.3), key=processing_key)
+        assert order != sorted(m.jobs, key=processing_key)[:len(order)]
+        run_pvg(m, AuctionConfig(beta=2.0, eta_s=1.3))
+        steps.clear()
+        assert pvg_allocate(m, AuctionConfig(beta=2.0)) == first
+        assert steps == []
 
     def test_a_wholly_reused_run_keeps_its_preempting_ranks(self):
         """The market of ``test_probe_readmitted_at_a_later_preempting_rank``, cleared three times.
