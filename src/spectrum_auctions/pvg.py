@@ -12,7 +12,12 @@ further eviction (case 3).  Jobs failing everywhere are rejected.
 A placed job is forward-filled slot by slot into its window's residual
 seconds by ``market.commit_allocation``, the fill that also gives the
 exact mechanism's allocations; only the greedy keeps per-slot usage
-between jobs.
+between jobs.  That slot-fill rule has one owner, ``_Snapshot``, a
+channel's state between two ranks: it answers case 1's window residual,
+case 2's eviction walk and case 3's fit test, and builds the snapshot
+after a placement.  ``_Greedy`` keeps the processing order, the order of
+the three cases and the pricing probes; it reads a snapshot's winners and
+allocations only to report the outcome and to see where a job is placed.
 
 Case 2 walks an eviction prefix only where one can pay.  At rank idx every
 placed job comes from ``order[:idx]``, so its per-second value is at least
@@ -67,15 +72,17 @@ only the ranks that can change whether i wins:
 
 Two kinds of reuse skip work without changing an answer:
 
-* Snapshot memos.  Each snapshot records, per job, the window residual
-  (by job id), the snapshot after placing the job (by job id and bid) and
-  the eviction walk with the ids of the winners it summed (by job id and
-  bid).  Each is a function of the snapshot's content and of the job's
-  window, duration and bid alone, never of the run that asks, so a run
-  without a winner, or a probe, that reaches a channel another run
+* Snapshot memos.  A snapshot memoizes its own answers, per job: the
+  window residual (``_Snapshot.residual``, by job id), the eviction walk
+  with the ids of the winners it summed (``eviction_prefix``, by job id
+  and bid) and the snapshot after placing the job (``place``, by job id
+  and bid).  Each is a function of the snapshot's content and of the
+  job's window, duration and bid alone, never of the run that asks, so a
+  run without a winner, or a probe, that reaches a channel another run
   already processed takes the answer instead of recomputing it.  Whether
   a job fits a snapshot decides which of case 1's fill or case 2's
-  eviction places it there, so one placement memo serves both.
+  eviction places it there, so one placement memo serves both.  Case 3's
+  fit test (``_Snapshot.fits``) is not memoized.
 * Probe answers by rank.  Two bids that put i at one rank give one
   processing order and the same place for i in every channel's winner
   list.  Then only three decisions read i's bid: an eviction walk that
@@ -171,39 +178,125 @@ def fits_in_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]
     return window_residual(job, timeline, committed) >= job.duration
 
 
-def release_allocation(timeline: SegmentedTimeline, committed: list[int], amounts: list[int]) -> None:
-    """Give back previously committed per-slot amounts."""
-    for l, a in enumerate(amounts):
-        if a:
-            committed[l] -= a
-            if committed[l] < 0:
-                raise ValueError(f"slot {l} of channel {timeline.channel_id} released below zero")
-
-
 class _Snapshot:
-    """One channel between two ranks; what it holds never changes once built.
+    """One channel between two ranks, and the greedy's slot-fill rule on it.
 
+    ``timeline`` is the channel's segmentation, the market's own object.
     ``winners`` is the channel's placed jobs in processing order,
     ``committed`` its per-slot used seconds, and ``allocations`` each
-    winner's per-slot amounts, which sum slot-wise to ``committed``.  The
-    memos only grow, and each answer in them is a function of the
-    snapshot's content and the asking job (module docstring):
-    ``residuals`` maps a job id to the job's free window seconds,
-    ``placed`` maps (job id, bid) to the snapshot after placing the job,
-    and ``walks`` maps (job id, bid) to the job's eviction walk as
-    ``_Greedy.eviction_prefix`` returns it.
+    winner's per-slot amounts, which sum slot-wise to ``committed``; none
+    of them changes once the snapshot is built.  Case 1's ``residual``,
+    case 2's ``eviction_prefix`` and both cases' ``place`` answer from
+    memos that only grow, each answer a function of the snapshot's
+    content and the asking job (module docstring): ``residuals`` maps a
+    job id to the job's free window seconds, ``walks`` maps (job id, bid)
+    to the job's eviction walk, and ``placed`` maps (job id, bid) to the
+    snapshot after placing the job.
     """
 
-    __slots__ = ("winners", "committed", "allocations", "residuals", "placed", "walks")
+    __slots__ = ("timeline", "winners", "committed", "allocations", "residuals", "placed", "walks")
 
-    def __init__(self, winners: tuple[Job, ...], committed: list[int],
-                 allocations: dict[int, list[int]]):
+    def __init__(self, timeline: SegmentedTimeline, winners: tuple[Job, ...],
+                 committed: list[int], allocations: dict[int, list[int]]):
+        self.timeline = timeline
         self.winners = winners
         self.committed = committed
         self.allocations = allocations
         self.residuals: dict[int, int] = {}
         self.placed: dict[tuple[int, float], _Snapshot] = {}
         self.walks: dict[tuple[int, float], tuple[list[Job] | None, tuple[int, ...]]] = {}
+
+    def residual(self, job: Job, stats: PvgStats) -> int:
+        """The free seconds in ``job``'s window: case 1 places it where they cover its duration."""
+        free = self.residuals.get(job.id)
+        if free is None:
+            free = self.residuals[job.id] = window_residual(job, self.timeline, self.committed)
+            stats.fit_checks += 1
+        return free
+
+    def eviction_prefix(self, job: Job, beta: float,
+                        stats: PvgStats) -> tuple[list[Job] | None, tuple[int, ...]]:
+        """Minimal cheapest-first prefix of overlapping winners freeing room for ``job``, if it pays.
+
+        Passed over, as ``(None, ())``, where the window's residual ``free``
+        leaves ``beta * (duration - free) > duration * (1 + 1e-9)`` (module
+        docstring).  Otherwise the walk's candidates are the winners with
+        any seconds inside ``job``'s window, ordered by per-second value
+        ascending (ties: descending id), which is ``winners`` reversed; a
+        winner whose window misses the job's slot range is passed over
+        unsummed.  Removing one frees exactly its in-window seconds, so a
+        running total from ``free`` finds the first point at which the job
+        fits.  The prefix is returned only if the job's bid exceeds
+        ``beta`` times its value; the walk gives up with None as soon as
+        the value so far reaches that, since adding non-negative bids never
+        lowers a float sum.  The channel is one of the job's candidates, so
+        removing every overlapping winner frees the whole window capacity,
+        which covers the job's duration.  Also returns the ids of the
+        winners whose bids were summed.  Memoized by (job id, bid).
+        """
+        free, duration = self.residual(job, stats), job.duration
+        if beta * (duration - free) > duration * (1.0 + 1e-9):
+            return None, ()
+        key = (job.id, job.bid_value)
+        walk = self.walks.get(key)
+        if walk is None:
+            windows = self.timeline.job_windows
+            first, last = windows[job.id]
+            value = 0.0
+            summed: list[Job] = []
+            prefix = None
+            for cand in reversed(self.winners):
+                lo, hi = windows[cand.id]
+                if hi < first or lo > last:
+                    continue
+                freed = sum(self.allocations[cand.id][max(lo, first):min(hi, last) + 1])
+                if not freed:
+                    continue
+                stats.fit_checks += 1
+                value += cand.bid_value
+                summed.append(cand)
+                if job.bid_value <= beta * value:
+                    break
+                free += freed
+                if free >= duration:
+                    prefix = summed
+                    break
+            walk = self.walks[key] = prefix, tuple(c.id for c in summed)
+        return walk
+
+    def place(self, job: Job, stats: PvgStats, prefix: list[Job] | None = None) -> _Snapshot:
+        """This snapshot with ``prefix`` evicted and ``job`` forward-filled into what is left.
+
+        Memoized by (job id, bid): whether the job fits here decides
+        between case 1's plain fill and case 2's eviction, and the walk
+        that picks the prefix reads only the snapshot and the job.
+        """
+        key = (job.id, job.bid_value)
+        placed = self.placed.get(key)
+        if placed is None:
+            committed = list(self.committed)
+            allocations = dict(self.allocations)
+            winners = self.winners
+            if prefix:
+                for victim in prefix:
+                    for l, a in enumerate(allocations.pop(victim.id)):
+                        if a:
+                            committed[l] -= a
+                            if committed[l] < 0:
+                                raise ValueError(f"slot {l} of channel {self.timeline.channel_id} "
+                                                 f"released below zero")
+                winners = tuple(w for w in winners if w.id in allocations)
+            allocations[job.id] = commit_allocation(job, self.timeline, committed)
+            at = bisect_left(winners, processing_key(job), key=processing_key)
+            placed = self.placed[key] = _Snapshot(
+                self.timeline, winners[:at] + (job,) + winners[at:], committed, allocations)
+            stats.commits += 1
+        return placed
+
+    def fits(self, job: Job, stats: PvgStats) -> bool:
+        """Case 3's readmission test, unmemoized: ``fits_in_residual`` on this snapshot."""
+        stats.fit_checks += 1
+        return fits_in_residual(job, self.timeline, self.committed)
 
 
 # The allocator's state between two processed ranks: each channel's snapshot.
@@ -219,26 +312,26 @@ _Node = tuple[PvgState, bool, dict[int, "_Node"]]
 class _Greedy:
     """One clearing's greedy: what no rank changes, and the steps between ``PvgState``s.
 
-    Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``timelines`` and
-    ``candidates`` alias the market's own, which every clearing of the
-    market object shares; ``root`` is the root of the market's trie of
-    runs at this beta, whose state is the empty allocation (module
-    docstring).  ``order`` is the clearing's processing order
-    (``processing_key``) over reserve-eligible jobs, ``keys`` its
-    processing keys, ``highest[k]`` the largest bid among ``order[k:]``
-    and ``truthful`` its run's path down the trie.  Work is counted into
-    ``stats``.  While a probe of job ``watched`` replays, a step sets
+    Built once per ``run_pvg`` or ``pvg_allocate`` call.  ``candidates``
+    aliases the market's own, which every clearing of the market object
+    shares; ``root`` is the root of the market's trie of runs at this
+    beta, whose state is the empty allocation (module docstring).
+    ``order`` is the clearing's processing order (``processing_key``)
+    over reserve-eligible jobs, ``keys`` its processing keys,
+    ``highest[k]`` the largest bid among ``order[k:]`` and ``truthful``
+    its run's path down the trie.  ``step`` fixes the order of the three
+    cases and each channel's ``_Snapshot`` answers them.  Work is counted
+    into ``stats``.  While a probe of job ``watched`` replays, a step sets
     ``bid_read`` when one of its eviction walks reads that job's bid.
     """
 
     def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
         self.config = config
         self.stats = stats
-        self.timelines = build_timelines(market)
+        timelines = build_timelines(market)
         self.candidates = market.candidates
         if config.beta not in market.greedy_runs:
-            empty = {cid: _Snapshot((), [0] * len(tl.slots), {})
-                     for cid, tl in self.timelines.items()}
+            empty = {cid: _Snapshot(tl, (), [0] * len(tl.slots), {}) for cid, tl in timelines.items()}
             market.greedy_runs[config.beta] = (empty, False, {})
         self.root: _Node = market.greedy_runs[config.beta]
         self.order = sorted(filter_reserve(market.jobs, config.eta_s), key=processing_key)
@@ -247,71 +340,6 @@ class _Greedy:
         self.watched: int | None = None
         self.bid_read = False
 
-    def eviction_prefix(self, job: Job, cid: int, free: int,
-                        snap: _Snapshot) -> tuple[list[Job] | None, tuple[int, ...]]:
-        """Minimal cheapest-first prefix of overlapping jobs freeing room for ``job``, if it pays.
-
-        Candidates are the channel's winners with any seconds inside ``job``'s
-        window, ordered by per-second value ascending (ties: descending id),
-        which is ``snap.winners`` reversed; a winner whose window misses the
-        job's slot range is passed over unsummed.  Removing one frees exactly
-        its in-window seconds, so a running total from the window's residual
-        ``free`` finds the first point at which the job fits.  The prefix is
-        returned only if the job's bid exceeds ``beta`` times its value; the
-        walk gives up with None as soon as the value so far reaches that,
-        since adding non-negative bids never lowers a float sum.  ``cid`` is
-        one of the job's candidate channels, so removing every overlapping
-        winner frees the whole window capacity, which covers the job's
-        duration.  Also returns the ids of the winners whose bids were summed.
-        """
-        windows = self.timelines[cid].job_windows
-        first, last = windows[job.id]
-        beta = self.config.beta
-        value = 0.0
-        summed: list[Job] = []
-        for cand in reversed(snap.winners):
-            lo, hi = windows[cand.id]
-            if hi < first or lo > last:
-                continue
-            freed = sum(snap.allocations[cand.id][max(lo, first):min(hi, last) + 1])
-            if not freed:
-                continue
-            self.stats.fit_checks += 1
-            value += cand.bid_value
-            summed.append(cand)
-            if job.bid_value <= beta * value:
-                break
-            free += freed
-            if free >= job.duration:
-                return summed, tuple(c.id for c in summed)
-        return None, tuple(c.id for c in summed)
-
-    def place(self, job: Job, cid: int, snap: _Snapshot,
-              prefix: list[Job] | None = None) -> _Snapshot:
-        """``snap`` with ``prefix`` evicted and ``job`` forward-filled into what is left.
-
-        Memoized on ``snap`` by (job id, bid): whether the job fits there
-        decides between case 1's plain fill and case 2's eviction, and the
-        walk that picks the prefix reads only the snapshot and the job.
-        """
-        key = (job.id, job.bid_value)
-        placed = snap.placed.get(key)
-        if placed is None:
-            timeline = self.timelines[cid]
-            committed = list(snap.committed)
-            allocations = dict(snap.allocations)
-            winners = snap.winners
-            if prefix:
-                for victim in prefix:
-                    release_allocation(timeline, committed, allocations.pop(victim.id))
-                winners = tuple(w for w in winners if w.id in allocations)
-            allocations[job.id] = commit_allocation(job, timeline, committed)
-            at = bisect_left(winners, processing_key(job), key=processing_key)
-            placed = _Snapshot(winners[:at] + (job,) + winners[at:], committed, allocations)
-            snap.placed[key] = placed
-            self.stats.commits += 1
-        return placed
-
     def step(self, state: PvgState, order: list[Job], idx: int) -> tuple[PvgState, bool]:
         """Process ``order[idx]`` from ``state``: the state after it, and True iff it preempted.
 
@@ -319,46 +347,31 @@ class _Greedy:
         mapping whose one changed channel has a new snapshot; a rank that
         leaves its job unplaced returns ``state`` itself.
         """
-        timelines, stats = self.timelines, self.stats
+        stats = self.stats
         job = order[idx]
-        jid, duration = job.id, job.duration
-        channels = self.candidates[jid]
-        residuals = []
+        channels = self.candidates[job.id]
         for cid in channels:  # case 1: conflict-free acceptance
             snap = state[cid]
-            free = snap.residuals.get(jid)
-            if free is None:
-                free = snap.residuals[jid] = window_residual(job, timelines[cid], snap.committed)
-                stats.fit_checks += 1
-            if free >= duration:
-                return {**state, cid: self.place(job, cid, snap)}, False
-            residuals.append(free)
+            if snap.residual(job, stats) >= job.duration:
+                return {**state, cid: snap.place(job, stats)}, False
         # case 2: try to preempt cheaper overlap where an eviction prefix can pay
-        beta, key = self.config.beta, (jid, job.bid_value)
-        for cid, free in zip(channels, residuals):
-            if beta * (duration - free) > duration * (1.0 + 1e-9):
-                continue
+        for cid in channels:
             snap = state[cid]
-            walk = snap.walks.get(key)
-            if walk is None:
-                walk = snap.walks[key] = self.eviction_prefix(job, cid, free, snap)
-            prefix, summed = walk
-            if summed and (jid == self.watched or self.watched in summed):
+            prefix, summed = snap.eviction_prefix(job, self.config.beta, stats)
+            if summed and (job.id == self.watched or self.watched in summed):
                 self.bid_read = True
             if prefix is None:
                 continue
             stats.preemptions += len(prefix)
-            snap = self.place(job, cid, snap, prefix)
+            snap = snap.place(job, stats, prefix)
             state = {**state, cid: snap}
             # case 3: readmission into this channel only
             placed_ids = {w for other in state.values() for w in other.allocations}
-            timeline = timelines[cid]
             for earlier in order[:idx]:
                 if earlier.id in placed_ids or cid not in self.candidates[earlier.id]:
                     continue
-                stats.fit_checks += 1
-                if fits_in_residual(earlier, timeline, snap.committed):
-                    snap = self.place(earlier, cid, snap)
+                if snap.fits(earlier, stats):
+                    snap = snap.place(earlier, stats)
                     stats.readmissions += 1
             state[cid] = snap
             return state, True
