@@ -39,6 +39,21 @@ it rejects, and a node is pruned when its bound is below the smallest
 entry among the winners it has not accepted (so also once it has
 accepted them all).  That minimum is cached per set of accepted winners
 until a leaf raises an entry.
+
+Branch and bound may close a node once a feasible leaf meets the node's
+bound (Land & Doig 1960), and pricing does so at a node's first leaf:
+each alive job, lowest branching index first, accepted on the first
+candidate channel where it still fits.  When that leaf accepts every job
+alive at the node, no leaf below holds more bids.  So it is the best leaf
+below for every winner rejected above the node, and for a winner k still
+alive there the best is that leaf without k: a subset of a feasible
+channel set is feasible, and when every bid is positive no other set
+ties it.  The search offers those leaves and skips the rest of the
+subtree.  The solve does not use this rule, because it breaks welfare
+ties by channel ids too and another assignment of the same winners can
+have smaller ones.  Nor does a node where a job bidding at most
+``PRUNE_EPS`` is alive: the sets with and without a zero bid tie, and the
+tie goes to the smaller key.
 """
 
 from __future__ import annotations
@@ -108,6 +123,19 @@ class _Search:
     key among the leaves that reach it (winner ids, then for the solve
     channel ids), so no result depends on the branching order.  All runs
     share the memo.
+
+    A parent checks each child's bound against the child's cutoff before
+    calling it, so every ``_dfs`` call is a node past its cutoff.  A
+    pricing ``_dfs`` returns the winner ids of its node's first leaf when
+    that leaf took every job alive at the node (the rule in the module
+    docstring); a parent whose first accept branch returned ids and killed
+    no job offers the leaf without its own job, then returns the same
+    ids.  When the cutoff prunes a first child that is a leaf, the
+    parent's own target is the only one that can still rise there, and
+    the leaf's winners are the ids.  A pruned first child that is not a
+    leaf is searched no further: walking its first path could still close
+    the ancestors, but on the exact-hot panel those walks cost more
+    feasibility checks and time than the closures saved.
     """
 
     # The bound is compared with a hair of slack: an exactly-tight float
@@ -142,6 +170,8 @@ class _Search:
                 self.root_alive |= 1 << i
                 self.root_bound += self.bids[i]
         self.later_fits = {cid: {0: fits} for cid, fits in self.fits.items()}
+        # jobs whose bid is too small for a first leaf to settle a subtree
+        self.tiny = sum(1 << i for i, b in enumerate(self.bids) if b <= self.PRUNE_EPS)
 
     def _fill_later_fits(self, cid: int, mask: int, parent_fits: int) -> int:
         """Memoize which of ``parent_fits`` after ``mask``'s last job fit beside ``mask``."""
@@ -185,7 +215,8 @@ class _Search:
         self.best_sets = best_sets
         self.watched = sum(excluded)
         self.cutoffs: dict[int, float] = {}
-        self._dfs(self.root_alive, self.root_bound, 0)
+        if self.root_bound >= self._cutoff(0):
+            self._dfs(self.root_alive, self.root_bound, 0)
 
     def _cutoff(self, accepted: int) -> float:
         # min best over the live targets; with none left nothing can rise
@@ -194,21 +225,27 @@ class _Search:
         self.cutoffs[accepted] = cutoff
         return cutoff
 
-    def _dfs(self, alive: int, bound: float, accepted: int) -> None:
-        cutoff = self.cutoffs.get(accepted)
-        if cutoff is None:
-            cutoff = self._cutoff(accepted)
-        if bound < cutoff:
-            return
+    def _dfs(self, alive: int, bound: float, accepted: int) -> tuple[int, ...] | None:
+        """Search below a node whose bound reaches its cutoff; the caller checks that.
+
+        Returns the first leaf's winner ids when a pricing run's first leaf
+        took every job alive here (the subtree is then settled), else None.
+        """
         if not alive:
-            self._offer_leaf(accepted)
-            return
+            winners = tuple(sorted(self.assignment))
+            self._offer(winners, accepted)
+            return winners if self.watched else None
         bit = alive & -alive
         depth = bit.bit_length() - 1
         job = self.order[depth]
         rest = alive ^ bit
-        taken = accepted | (bit & self.watched)
+        own = bit & self.watched
+        taken = accepted | own
+        bids, cutoffs = self.bids, self.cutoffs
         fits, masks, assignment = self.fits, self.masks, self.assignment
+        # only the first accept branch can close the node, and a bid of
+        # PRUNE_EPS or less would tie the leaves with and without it
+        first = not alive & self.tiny
         for cid in self.candidates[depth]:
             before = fits[cid]
             if not before & bit:
@@ -224,19 +261,41 @@ class _Search:
                 for other, other_fits in fits.items():
                     if other != cid:
                         dead &= ~other_fits
-                for i in _indices(dead):
-                    child_bound -= self.bids[i]
-            fits[cid] = after
-            masks[cid] = mask
-            assignment[job.id] = cid
-            self._dfs(rest ^ dead, child_bound, taken)
-            del assignment[job.id]
-            masks[cid] = mask ^ bit
-            fits[cid] = before
-        self._dfs(rest, bound - self.bids[depth], accepted)
+                left = dead
+                while left:
+                    low = left & -left
+                    child_bound -= bids[low.bit_length() - 1]
+                    left ^= low
+            cutoff = cutoffs.get(taken)
+            if cutoff is None:
+                cutoff = self._cutoff(taken)
+            if child_bound >= cutoff:
+                fits[cid] = after
+                masks[cid] = mask
+                assignment[job.id] = cid
+                ids = self._dfs(rest ^ dead, child_bound, taken)
+                del assignment[job.id]
+                masks[cid] = mask ^ bit
+                fits[cid] = before
+            elif first and own and not rest:
+                # a pruned leaf: no target live there can rise, and its
+                # winners are all this job's own target needs
+                ids = tuple(sorted([*assignment, job.id]))
+            else:
+                ids = None
+            if first and not dead and ids is not None:
+                if own:
+                    self._offer(tuple(w for w in ids if w != job.id), accepted | rest & self.watched)
+                return ids
+            first = False
+        cutoff = cutoffs.get(accepted)
+        if cutoff is None:
+            cutoff = self._cutoff(accepted)
+        if bound - bids[depth] >= cutoff:
+            self._dfs(rest, bound - bids[depth], accepted)
+        return None
 
-    def _offer_leaf(self, accepted: int) -> None:
-        winners = tuple(sorted(self.assignment))
+    def _offer(self, winners: tuple[int, ...], accepted: int) -> None:
         # winner_welfare's id-ordered sum, over a tuple already in id order
         canon = sum(map(self.value_by_id.__getitem__, winners), 0.0)
         best = self.best

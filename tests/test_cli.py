@@ -126,6 +126,10 @@ class TestGolden:
                               "--sets", "1,2", "--beta", "2.0", "--trials", "2", "--seed", "1"]),
         ("golden_run.csv", ["sweep", "--lambda-list", "15", "--sets", "2", "--eta-s-list", "0.0005",
                             "--trials", "2", "--seed", "3"]),
+        # exact rows at lambda 25, where pricing settles the most subtrees at their first leaf
+        ("golden_cap25.csv", ["sweep", "--lambda-list", "25", "--sets", "1,2", "--eta-s-list",
+                              "0.0,0.001", "--trials", "5", "--seed", "1", "--beta", "2.0",
+                              "--vcg-max-jobs", "25"]),
     ])
     def test_matches_committed_csv(self, tmp_path, name, argv):
         grid = tmp_path / "grid.csv"

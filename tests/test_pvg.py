@@ -216,6 +216,26 @@ class TestAllocation:
         placed = [i for i, a in enumerate(out.allocations[1]) if a]
         assert all(tl.slots[i].start >= 6 * H for i in placed)
 
+    def test_readmission_reaches_across_time_components(self):
+        """Case 3 can readmit a job from another time component, so the greedy is not per-component.
+
+        Both channels are free on [0, 10) and [20, 30).  Job 4 evicts job 3
+        from channel 1, and case 3 retries only channel 1.  Job 7's later
+        preemption of job 6 on channel 2 rescans every earlier unplaced
+        job and readmits job 3 into channel 2's free second in [0, 10).
+        Clearing each time component on its own leaves job 3 out.
+        """
+        channels = [Channel(cid, REGION, BAND, ((0, 10), (20, 30))) for cid in (1, 2)]
+        early = [job(1, 70.0, 0, 10, 7), job(2, 72.0, 0, 10, 8), job(3, 1.0, 0, 10, 1),
+                 job(4, 2.7, 0, 10, 3)]
+        late = [job(5, 5.0, 20, 30, 10), job(6, 0.8, 20, 30, 2), job(7, 3.0, 20, 30, 10)]
+        config = AuctionConfig(beta=2.0, xi=0.25)
+        whole = run_pvg(market(early + late, channels), config).assignment
+        assert whole == {1: 1, 2: 2, 3: 2, 4: 1, 5: 1, 7: 2}
+        apart = {**run_pvg(market(early, channels), config).assignment,
+                 **run_pvg(market(late, channels), config).assignment}
+        assert apart == {1: 1, 2: 2, 4: 1, 5: 1, 7: 2}
+
     def test_reserve_gate_excludes_cheap_bids(self):
         ch = one_channel((0, 4 * H))
         junk = job(1, 1.0, 0, 4 * H, 4 * H)  # 1.0 < 0.25/s * 4h

@@ -381,6 +381,31 @@ class TestVcgPayments:
                 payments.append(vcg_payments(m, replace(sol, searches=searches)))
             assert payments[0] == payments[1] == payments[2]
 
+    def test_zero_bid_ties_price_to_the_smallest_winner_set(self, rng):
+        """Each pricing set is the smallest sorted-id set among the oracle's optima without the winner.
+
+        A zero bid ties the sets with and without it, so the search must
+        not settle a subtree at its first leaf when a zero bid is alive
+        there.  Payments cannot show this, because a zero bid adds exactly
+        0.0 to a welfare sum, so the sets are checked.
+        """
+        checked = 0
+        for _ in range(400):
+            channels = [random_channel(rng, cid + 1) for cid in range(rng.randint(1, 2))]
+            jobs = []
+            for jid in range(1, rng.randint(2, 7) + 1):
+                # every window holds [3, 4), so the market is one time component
+                a, d = rng.randint(0, 3), rng.randint(4, 8)
+                jobs.append(job(jid, rng.choice((0.0, 0.0, 0.5, 1.0, 1.0, 2.0)), a, d,
+                                rng.randint(1, d - a)))
+            sol = solve_optimal(market(jobs, channels), 0.0)
+            [search] = sol.searches
+            for winner, ids in search.price(set(sol.assignment)):
+                without = enumerate_optimal(market([x for x in jobs if x is not winner], channels), 0.0)
+                assert ids == min(tuple(sorted(s)) for s in without.best_winner_sets)
+                checked += 1
+        assert checked > 250
+
     def test_prices_at_the_given_reserve(self):
         # job 2 bids 3 for 2 h, under the 3.6 reserve at 0.0005/s: it competes only at 0.0
         m = market([job(1, 10.0, 0, 2 * H, H), job(2, 3.0, 0, 2 * H, 2 * H)],
@@ -476,6 +501,19 @@ def clear_exact_hot_panel(trials):
         run_vcg(LocalMarket(REGION, BAND, tuple(jobs), channels), AuctionConfig(eta_s=0.0))
 
 
+def count_dfs_calls(monkeypatch):
+    """A one-item list that counts ``_Search._dfs`` calls from here on."""
+    calls = [0]
+    dfs = _Search._dfs
+
+    def counting(self, *args):
+        calls[0] += 1
+        return dfs(self, *args)
+
+    monkeypatch.setattr(_Search, "_dfs", counting)
+    return calls
+
+
 class TestSearchCost:
     def test_exact_hot_panel_node_count(self, monkeypatch):
         """Branching on the largest bids first keeps the exact-hot panel's DFS small.
@@ -483,26 +521,23 @@ class TestSearchCost:
         Solve plus pricing over the first six exact-hot panel markets
         (set 2, lambda 18, no reserve) took 643,221 DFS calls in per-second
         rate order, 147,835 in bid order, and 45,802 once jobs that fit no
-        channel are skipped and left out of the bound.
+        channel are skipped and left out of the bound.  A call is now a
+        node past its cutoff, since each parent checks its children's
+        bounds first, and pricing settles a subtree at its first leaf when
+        that leaf takes every job alive there: 17,163 calls.
         """
-        calls = [0]
-        dfs = _Search._dfs
-
-        def counting(self, *args):
-            calls[0] += 1
-            return dfs(self, *args)
-
-        monkeypatch.setattr(_Search, "_dfs", counting)
+        calls = count_dfs_calls(monkeypatch)
         clear_exact_hot_panel(6)
-        assert calls[0] <= 50_000
+        assert calls[0] <= 17_163
 
     def test_exact_hot_panel_feasibility_checks(self, monkeypatch):
         """Each channel set is decided once per search, through the module-level name.
 
         The same six markets asked 4,603 channel-set questions, and 4,238
         once a lone job is read off its candidate channels and a set is
-        asked about only if it also fits without its next-to-last job; a
-        lost memo would ask again, and a private feasibility path would
+        asked about only if it also fits without its next-to-last job.
+        Settling pricing subtrees at their first leaf brought it to 3,807.
+        A lost memo would ask again, and a private feasibility path would
         ask 0.
         """
         calls = [0]
@@ -513,7 +548,7 @@ class TestSearchCost:
 
         monkeypatch.setattr(vcg, "set_feasible", counting)
         clear_exact_hot_panel(6)
-        assert 0 < calls[0] <= 4_238
+        assert 0 < calls[0] <= 3_807
 
     def test_jobs_that_fit_no_channel_are_skipped(self, monkeypatch):
         """Once the only channel is full, the jobs after the winner are not branched on one by one.
@@ -526,15 +561,25 @@ class TestSearchCost:
         k = 16
         m = market([job(i + 1, float(k - i), 0, 4 * H, 2 * H) for i in range(k)],
                    [Channel(1, REGION, BAND, ((H, 3 * H),))])
-        calls = [0]
-        dfs = _Search._dfs
-
-        def counting(self, *args):
-            calls[0] += 1
-            return dfs(self, *args)
-
-        monkeypatch.setattr(_Search, "_dfs", counting)
+        calls = count_dfs_calls(monkeypatch)
         sol = solve_optimal(m, 0.0)
         assert sol.assignment == {1: 1}
         assert calls[0] <= 2 * k
         assert vcg_payments(m, sol) == {1: float(k - 1), **{i: 0.0 for i in range(2, k + 1)}}
+
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_pricing_settles_a_market_where_everyone_wins(self, k, monkeypatch):
+        """Pricing k one-hour jobs that all fit one free 16-hour channel walks one path.
+
+        Each node's first leaf takes every job still alive, so pricing
+        settles the root's subtree at that leaf: at most k + 1 DFS calls,
+        where proving node by node that nothing beats "everyone wins"
+        took 73, 157 and 273 at k = 8, 12 and 16.
+        """
+        m = market([job(i + 1, float(i + 1), 0, 16 * H, H) for i in range(k)],
+                   [Channel(1, REGION, BAND, ((0, 16 * H),))])
+        sol = solve_optimal(m, 0.0)
+        assert sorted(sol.assignment) == list(range(1, k + 1))
+        calls = count_dfs_calls(monkeypatch)
+        assert vcg_payments(m, sol) == {i: 0.0 for i in range(1, k + 1)}
+        assert calls[0] <= k + 1
