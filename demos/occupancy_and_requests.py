@@ -25,7 +25,7 @@ grid = synthesize_occupancy(channels=3, days=5, duty_cycle=0.5, seed=7)
 print(f"grid: {grid.n_channels} channels x {grid.horizon_slots} slots of "
       f"{grid.slot_seconds}s = {grid.horizon_seconds / H / 24:.0f} days")
 for cid, row in enumerate(grid.occupancy, start=1):
-    print(f"  channel {cid}: {100 * (1 - row.mean()):.0f}% free")
+    print(f"  channel {cid}: {100 * row.count(0) / len(row):.0f}% free")
 
 day = grid.day_slice(0)
 channels = day.to_channels("r1", "tv")
@@ -50,7 +50,7 @@ with tempfile.TemporaryDirectory(prefix="spectrum-demo-") as tmp:
     save_requests(generate_requests(WorkloadSpec(n_requests=25, set_kind=2, seed=3)),
                   str(out_dir / "requests.csv"))
     reloaded = load_occupancy(str(out_dir / "grid.csv"))
-    assert (reloaded.occupancy == grid.occupancy).all()
+    assert reloaded.occupancy == grid.occupancy
 print("\ngrid.csv and requests.csv round-trip verified (written to a temporary directory)")
 print("Write your own and feed them to the CLI, e.g.:")
 print("  spectrum-auction gen-occupancy --channels 3 --seed 7 --out grid.csv")

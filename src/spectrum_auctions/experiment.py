@@ -19,13 +19,12 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .market import AuctionConfig, Job, LocalMarket
 from .metrics import social_efficiency, utilization_ratio
 from .pvg import pvg_allocate, run_pvg
 from .vcg import DEFAULT_MAX_JOBS, SolverSizeError, run_vcg, solve_optimal
-from .workload import BAND_TYPE, REGION, OccupancyGrid, WorkloadSpec, generate_requests
+from .workload import (BAND_TYPE, REGION, OccupancyGrid, WorkloadSpec, _seed_state,
+                       generate_requests)
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +76,7 @@ class ExperimentPlan:
 
 def trial_seed(master_seed: int, set_kind: int, lam: int, trial: int) -> int:
     """Stable per-trial workload seed; independent of the reserve sweep."""
-    return int(np.random.SeedSequence((master_seed, set_kind, lam, trial)).generate_state(1)[0])
+    return _seed_state((master_seed, set_kind, lam, trial), 1)[0]
 
 
 def _run_mechanism(mech: str, market: LocalMarket, config: AuctionConfig,

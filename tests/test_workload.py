@@ -15,7 +15,8 @@ from spectrum_auctions import (
     synthesize_occupancy,
 )
 from spectrum_auctions import workload
-from spectrum_auctions.workload import HOT_WINDOW
+from spectrum_auctions.experiment import trial_seed
+from spectrum_auctions.workload import HOT_WINDOW, _Pcg64, _seed_state
 
 DAY = 86_400
 
@@ -27,7 +28,7 @@ class TestOccupancyCsv:
         save_occupancy(grid, str(path))
         loaded = load_occupancy(str(path))
         assert loaded.slot_seconds == grid.slot_seconds
-        assert np.array_equal(loaded.occupancy, grid.occupancy)
+        assert loaded.occupancy == grid.occupancy
 
     def test_five_day_horizon(self, tmp_path):
         grid = synthesize_occupancy(3, 5, 0.5, seed=1)
@@ -53,11 +54,34 @@ class TestOccupancyCsv:
             load_occupancy(str(path))
 
     @pytest.mark.parametrize("cells, shown", [([[2]], "2"), ([[-1, 0]], "-1"),
-                                              ([[0, 0.5]], "0.5"), ([[1, float("nan")]], "nan")])
+                                              ([[0, 0.5]], "0.5"), ([[1, float("nan")]], "nan"),
+                                              (np.array([[0, 0.5]]), "0.5"), ((b"\x00\x02",), "2")])
     def test_grid_rejects_non_binary_cell(self, cells, shown):
-        # unchecked, a 2 reads as a free slot and a -1 overflows the uint8 cast
+        # unchecked, a 2 would read as an occupied slot; the message names the cell as a number
         with pytest.raises(ValueError, match=f"occupancy cell {shown} is not 0 or 1"):
             OccupancyGrid(75, cells)
+
+    def test_rows_are_bytes_whatever_the_input(self):
+        cells = [[0, 1, 1], [1, 0, 0]]
+        grids = [OccupancyGrid(75, cells), OccupancyGrid(75, np.array(cells, dtype=np.uint8)),
+                 OccupancyGrid(75, np.array(cells, dtype=np.int64)),
+                 OccupancyGrid(75, np.array(cells, dtype=float)),
+                 OccupancyGrid(75, (b"\x00\x01\x01", b"\x01\x00\x00"))]
+        for grid in grids:
+            assert grid.occupancy == (b"\x00\x01\x01", b"\x01\x00\x00")
+        assert (grids[0].n_channels, grids[0].horizon_slots) == (2, 3)
+
+    @pytest.mark.parametrize("cells", [[0, 1], np.zeros(3, dtype=np.uint8),
+                                       np.zeros((1, 2, 2), dtype=np.uint8), [[[0], [1]]], 7])
+    def test_grid_rejects_other_dimensions(self, cells):
+        with pytest.raises(ValueError, match="occupancy must be 2-dimensional"):
+            OccupancyGrid(75, cells)
+
+    def test_grid_rejects_ragged_or_empty_rows(self):
+        with pytest.raises(ValueError, match="occupancy rows must all have the same length"):
+            OccupancyGrid(75, [[0, 1], [0]])
+        with pytest.raises(ValueError, match="occupancy must have at least one row"):
+            OccupancyGrid(75, [])
 
     def test_all_free_row_is_one_interval(self):
         grid = OccupancyGrid(75, np.array([[0] * 10, [1] * 10], dtype=np.uint8))
@@ -85,9 +109,9 @@ class TestOccupancyCsv:
 def free_runs_cell_by_cell(grid):
     """Reference: each row's free runs, found by walking its cells one by one."""
     rows = []
-    for row in grid.occupancy.tolist():
+    for row in grid.occupancy:
         runs, start = [], None
-        for slot, cell in enumerate(row + [1]):
+        for slot, cell in enumerate([*row, 1]):
             if cell == 0 and start is None:
                 start = slot
             elif cell == 1 and start is not None:
@@ -99,36 +123,36 @@ def free_runs_cell_by_cell(grid):
 
 class TestSynthesize:
     def test_extreme_duty_cycles(self):
-        assert not synthesize_occupancy(2, 1, 0.0, seed=0).occupancy.any()
-        assert synthesize_occupancy(2, 1, 1.0, seed=0).occupancy.all()
+        assert not any(any(row) for row in synthesize_occupancy(2, 1, 0.0, seed=0).occupancy)
+        assert all(all(row) for row in synthesize_occupancy(2, 1, 1.0, seed=0).occupancy)
 
     def test_daily_pattern_repeats(self):
         grid = synthesize_occupancy(3, 5, 0.5, seed=3)
         per_day = DAY // 75
-        day0 = grid.occupancy[:, :per_day]
+        day0 = [row[:per_day] for row in grid.occupancy]
         for day in range(1, 5):
-            chunk = grid.occupancy[:, day * per_day:(day + 1) * per_day]
-            assert np.array_equal(day0, chunk)
+            chunk = [row[day * per_day:(day + 1) * per_day] for row in grid.occupancy]
+            assert day0 == chunk
 
     def test_duty_cycle_exact_per_channel(self):
         grid = synthesize_occupancy(4, 1, 0.5, seed=9)
         per_day = DAY // 75
         for row in grid.occupancy:
-            assert row.sum() == round(0.5 * per_day)
+            assert sum(row) == round(0.5 * per_day)
 
     def test_deterministic_per_seed(self):
         a = synthesize_occupancy(3, 2, 0.3, seed=42)
         b = synthesize_occupancy(3, 2, 0.3, seed=42)
         c = synthesize_occupancy(3, 2, 0.3, seed=43)
-        assert np.array_equal(a.occupancy, b.occupancy)
-        assert not np.array_equal(a.occupancy, c.occupancy)
+        assert a.occupancy == b.occupancy
+        assert a.occupancy != c.occupancy
 
     def test_day_slice(self):
         grid = synthesize_occupancy(2, 3, 0.5, seed=4)
         day1 = grid.day_slice(1)
         per_day = DAY // 75
         assert day1.horizon_slots == per_day
-        assert np.array_equal(day1.occupancy, grid.occupancy[:, per_day:2 * per_day])
+        assert day1.occupancy == tuple(row[per_day:2 * per_day] for row in grid.occupancy)
         with pytest.raises(ValueError):
             grid.day_slice(3)
 
@@ -212,3 +236,56 @@ class TestRequestCsv:
         path = tmp_path / "req.csv"
         save_requests(jobs, str(path))
         assert load_requests(str(path)) == jobs
+
+
+class TestNumpyStream:
+    """The in-repo stream against numpy's ``default_rng``, its reference.
+
+    A failure here with the golden CSVs still passing means numpy's stream
+    moved, not the repo's.
+    """
+
+    # spans at and around each ``integers`` path: 32-bit Lemire, exactly
+    # 2**32 (one raw 32-bit draw) and 64-bit Lemire
+    SPANS = (1, 2, 7, 1_000, 5_401, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**33, 2**62,
+             2**63 - 200)
+
+    def test_draw_for_draw(self):
+        plan = np.random.default_rng(2024)
+        for seed in [*range(200), 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**130 + 7]:
+            ours, ref = _Pcg64(seed), np.random.default_rng(seed)
+            for op in plan.integers(0, 5, size=150).tolist():
+                if op == 0:
+                    low = int(plan.integers(-100, 100))
+                    high = low + self.SPANS[int(plan.integers(0, len(self.SPANS)))]
+                    assert ours.integers(low, high) == int(ref.integers(low, high)), seed
+                elif op == 1:
+                    assert ours.random() == float(ref.random()), seed
+                elif op == 2:
+                    assert ours.uniform(1.0, 10.0) == float(ref.uniform(1.0, 10.0)), seed
+                elif op == 3:
+                    # one draw at a time is numpy's ``size=`` fill
+                    n, high = int(plan.integers(1, 6)), int(plan.integers(1, 5_000))
+                    assert [ours.integers(0, high) for _ in range(n)] == \
+                        ref.integers(0, high, size=n).tolist(), seed
+                else:
+                    # an odd number of 32-bit draws leaves half a 64-bit word buffered
+                    assert ours.integers(3, 9) == int(ref.integers(3, 9)), seed
+
+    def test_seed_state_matches_seed_sequence(self):
+        for entropy in [0, 1, 2**32, 2**100 + 3, (0, 1, 10, 0), (2**32, 2, 40, 7),
+                        (1, 2**64 + 1, 3, 4, 5, 6), (5, 0, 0, 0, 0, 0, 0, 2**33)]:
+            assert _seed_state(entropy, 9) == \
+                np.random.SeedSequence(entropy).generate_state(9).tolist(), entropy
+
+    def test_trial_seed_matches_seed_sequence(self):
+        for entropy in [(0, 1, 8, 0), (1, 2, 25, 19), (2**32, 1, 8, 3), (7, 2, 40, 2**33 + 1),
+                        (2**64 - 1, 1, 0, 0)]:
+            assert trial_seed(*entropy) == int(
+                np.random.SeedSequence(entropy).generate_state(1)[0]), entropy
+
+    def test_refuses_negative_or_empty(self):
+        with pytest.raises(ValueError, match="must not be negative"):
+            _seed_state((1, -1), 1)
+        with pytest.raises(ValueError, match="empty range"):
+            _Pcg64(0).integers(5, 5)
