@@ -3,8 +3,10 @@
 Two mechanisms over the same market model: an exact branch-and-bound
 welfare maximizer with pivot payments, and a polynomial-time greedy
 allocator with preemption and critical-value payments.  Supporting
-modules provide brute-force oracles, outcome metrics, and a simulation
-harness with occupancy grids and synthetic request workloads.
+modules provide outcome metrics and a simulation harness with occupancy
+grids and synthetic request workloads.  The brute-force references the
+tests check against live in ``spectrum_auctions.oracle``, which this
+package does not import.
 """
 
 from .market import (
@@ -23,7 +25,6 @@ from .market import (
     set_feasible,
 )
 from .metrics import social_efficiency, utilization_ratio
-from .oracle import OracleCapError, OracleResult, contiguous_optimal, enumerate_optimal, scan_critical_value
 from .pvg import PvgStats, pvg_allocate, rho_bound, run_pvg
 from .vcg import SolverSizeError, VcgSolution, run_vcg, solve_optimal, vcg_payments
 from .workload import (
@@ -43,8 +44,6 @@ __all__ = [
     "SegmentedTimeline", "Slot", "SpectrumAuctionError",
     "build_timelines", "filter_reserve", "partition_markets", "segment_timeline", "set_feasible",
     "social_efficiency", "utilization_ratio",
-    "OracleCapError", "OracleResult", "contiguous_optimal",
-    "enumerate_optimal", "scan_critical_value",
     "PvgStats", "pvg_allocate", "rho_bound", "run_pvg",
     "SolverSizeError", "VcgSolution", "run_vcg",
     "solve_optimal", "vcg_payments",

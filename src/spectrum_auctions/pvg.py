@@ -13,11 +13,12 @@ A placed job is forward-filled slot by slot into its window's residual
 seconds by ``market.commit_allocation``, the fill that also gives the
 exact mechanism's allocations; only the greedy keeps per-slot usage
 between jobs.  That slot-fill rule has one owner, ``_Snapshot``, a
-channel's state between two ranks: it answers case 1's window residual,
-case 2's eviction walk and case 3's fit test, and builds the snapshot
-after a placement.  ``_Greedy`` keeps the processing order, the order of
-the three cases and the pricing probes; it reads a snapshot's winners and
-allocations only to report the outcome and to see where a job is placed.
+channel's state between two ranks: ``residual`` is case 1's test,
+``place`` fills a job in (cases 1 and 3) or walks, releases and fills
+(case 2), and ``readmit`` is case 3's loop.  ``_Greedy`` keeps the
+processing order, the order of the three cases and the pricing probes; it
+reads a snapshot's winners and allocations only to report the outcome,
+to pick the jobs case 3 retries and to see where a job is placed.
 
 Case 2 walks an eviction prefix only where one can pay.  At rank idx every
 placed job comes from ``order[:idx]``, so its per-second value is at least
@@ -72,17 +73,20 @@ only the ranks that can change whether i wins:
 
 Two kinds of reuse skip work without changing an answer:
 
-* Snapshot memos.  A snapshot memoizes its own answers, per job: the
-  window residual (``_Snapshot.residual``, by job id), the eviction walk
-  with the ids of the winners it summed (``eviction_prefix``, by job id
-  and bid) and the snapshot after placing the job (``place``, by job id
-  and bid).  Each is a function of the snapshot's content and of the
-  job's window, duration and bid alone, never of the run that asks, so a
-  run without a winner, or a probe, that reaches a channel another run
-  already processed takes the answer instead of recomputing it.  Whether
-  a job fits a snapshot decides which of case 1's fill or case 2's
-  eviction places it there, so one placement memo serves both.  Case 3's
-  fit test (``_Snapshot.fits``) is not memoized.
+* Snapshot memos.  A snapshot memoizes two answers per job: the window
+  residual (``_Snapshot.residual``, by job id) and ``place``'s answer,
+  the snapshot after placing the job or None with the ids of the winners
+  a case-2 walk summed (by job id and bid).  One placement memo serves
+  all three cases.  For one snapshot and one job, case 2 asks only where
+  the job does not fit, since case 1 would otherwise have placed it, and
+  cases 1 and 3 ask only where it fits.  Whether it fits depends only on
+  the snapshot and the job's window and duration, and every answer only
+  on the snapshot's content, the job's window, duration and bid, and
+  beta, which is fixed per trie (below).  So a key never needs two kinds
+  of answer, and no answer depends on the run that asks: a run without a
+  winner, or a probe, that reaches a channel another run already
+  processed takes the answer instead of recomputing it.  Case 3's fit
+  test (``_Snapshot.readmit``) is not memoized.
 * Probe answers by rank.  Two bids that put i at one rank give one
   processing order and the same place for i in every channel's winner
   list.  Then only three decisions read i's bid: an eviction walk that
@@ -185,16 +189,15 @@ class _Snapshot:
     ``winners`` is the channel's placed jobs in processing order,
     ``committed`` its per-slot used seconds, and ``allocations`` each
     winner's per-slot amounts, which sum slot-wise to ``committed``; none
-    of them changes once the snapshot is built.  Case 1's ``residual``,
-    case 2's ``eviction_prefix`` and both cases' ``place`` answer from
-    memos that only grow, each answer a function of the snapshot's
-    content and the asking job (module docstring): ``residuals`` maps a
-    job id to the job's free window seconds, ``walks`` maps (job id, bid)
-    to the job's eviction walk, and ``placed`` maps (job id, bid) to the
-    snapshot after placing the job.
+    of them changes once the snapshot is built.  ``residual`` and
+    ``place`` answer from memos that only grow, each answer a function of
+    the snapshot's content and the asking job (module docstring):
+    ``residuals`` maps a job id to the job's free window seconds, and
+    ``placed`` maps (job id, bid) to ``place``'s answer in whichever case
+    asked.  ``readmit`` is case 3.
     """
 
-    __slots__ = ("timeline", "winners", "committed", "allocations", "residuals", "placed", "walks")
+    __slots__ = ("timeline", "winners", "committed", "allocations", "residuals", "placed")
 
     def __init__(self, timeline: SegmentedTimeline, winners: tuple[Job, ...],
                  committed: list[int], allocations: dict[int, list[int]]):
@@ -203,8 +206,7 @@ class _Snapshot:
         self.committed = committed
         self.allocations = allocations
         self.residuals: dict[int, int] = {}
-        self.placed: dict[tuple[int, float], _Snapshot] = {}
-        self.walks: dict[tuple[int, float], tuple[list[Job] | None, tuple[int, ...]]] = {}
+        self.placed: dict[tuple[int, float], tuple[_Snapshot | None, tuple[int, ...]]] = {}
 
     def residual(self, job: Job, stats: PvgStats) -> int:
         """The free seconds in ``job``'s window: case 1 places it where they cover its duration."""
@@ -214,89 +216,90 @@ class _Snapshot:
             stats.fit_checks += 1
         return free
 
-    def eviction_prefix(self, job: Job, beta: float,
-                        stats: PvgStats) -> tuple[list[Job] | None, tuple[int, ...]]:
-        """Minimal cheapest-first prefix of overlapping winners freeing room for ``job``, if it pays.
+    def place(self, job: Job, stats: PvgStats,
+              beta: float | None = None) -> tuple[_Snapshot | None, tuple[int, ...]]:
+        """This snapshot with ``job`` placed, or None, and the ids of the winners a walk summed.
 
-        Passed over, as ``(None, ())``, where the window's residual ``free``
+        Without ``beta`` the caller has seen that ``job`` fits (cases 1 and
+        3), and it is forward-filled into the residual; no ids are summed.
+        With ``beta`` it does not fit (case 2).  The channel is passed over
+        unwalked, and unmemoized, where the window's residual ``free``
         leaves ``beta * (duration - free) > duration * (1 + 1e-9)`` (module
         docstring).  Otherwise the walk's candidates are the winners with
         any seconds inside ``job``'s window, ordered by per-second value
         ascending (ties: descending id), which is ``winners`` reversed; a
-        winner whose window misses the job's slot range is passed over
-        unsummed.  Removing one frees exactly its in-window seconds, so a
-        running total from ``free`` finds the first point at which the job
-        fits.  The prefix is returned only if the job's bid exceeds
-        ``beta`` times its value; the walk gives up with None as soon as
-        the value so far reaches that, since adding non-negative bids never
-        lowers a float sum.  The channel is one of the job's candidates, so
-        removing every overlapping winner frees the whole window capacity,
-        which covers the job's duration.  Also returns the ids of the
-        winners whose bids were summed.  Memoized by (job id, bid).
+        winner whose window misses the job's slot range frees nothing and
+        is passed over unsummed.  Removing one frees exactly its in-window
+        seconds, so a running total from ``free`` finds the first prefix
+        after which the job fits.  That prefix is released and the job
+        filled in only if the job's bid exceeds ``beta`` times its value;
+        the walk gives up as soon as the value so far reaches that, since
+        adding non-negative bids never lowers a float sum.  The channel is
+        one of the job's candidates, so removing every overlapping winner
+        frees the whole window capacity, which covers the job's duration.
+        Memoized by (job id, bid).
         """
-        free, duration = self.residual(job, stats), job.duration
-        if beta * (duration - free) > duration * (1.0 + 1e-9):
-            return None, ()
+        if beta is not None:
+            free, duration = self.residual(job, stats), job.duration
+            if beta * (duration - free) > duration * (1.0 + 1e-9):
+                return None, ()
         key = (job.id, job.bid_value)
-        walk = self.walks.get(key)
-        if walk is None:
+        answer = self.placed.get(key)
+        if answer is not None:
+            return answer
+        summed: list[int] = []
+        if beta is not None:
             windows = self.timeline.job_windows
             first, last = windows[job.id]
             value = 0.0
-            summed: list[Job] = []
-            prefix = None
             for cand in reversed(self.winners):
                 lo, hi = windows[cand.id]
-                if hi < first or lo > last:
-                    continue
                 freed = sum(self.allocations[cand.id][max(lo, first):min(hi, last) + 1])
                 if not freed:
                     continue
                 stats.fit_checks += 1
                 value += cand.bid_value
-                summed.append(cand)
+                summed.append(cand.id)
                 if job.bid_value <= beta * value:
                     break
                 free += freed
                 if free >= duration:
-                    prefix = summed
                     break
-            walk = self.walks[key] = prefix, tuple(c.id for c in summed)
-        return walk
+            if free < duration:  # stopped by value, or no prefix fits it
+                answer = self.placed[key] = None, tuple(summed)
+                return answer
+        committed = list(self.committed)
+        allocations = dict(self.allocations)
+        winners = self.winners
+        for victim in summed:
+            for l, a in enumerate(allocations.pop(victim)):
+                committed[l] -= a
+                if committed[l] < 0:
+                    raise ValueError(f"slot {l} of channel {self.timeline.channel_id} "
+                                     f"released below zero")
+            # not ``w.id in allocations`` in a comprehension: that closure costs every call
+            at = [w.id for w in winners].index(victim)
+            winners = winners[:at] + winners[at + 1:]
+        allocations[job.id] = commit_allocation(job, self.timeline, committed)
+        at = bisect_left(winners, processing_key(job), key=processing_key)
+        answer = self.placed[key] = (
+            _Snapshot(self.timeline, winners[:at] + (job,) + winners[at:], committed, allocations),
+            tuple(summed))
+        stats.commits += 1
+        return answer
 
-    def place(self, job: Job, stats: PvgStats, prefix: list[Job] | None = None) -> _Snapshot:
-        """This snapshot with ``prefix`` evicted and ``job`` forward-filled into what is left.
+    def readmit(self, jobs: list[Job], stats: PvgStats) -> _Snapshot:
+        """Case 3: this snapshot with each of ``jobs`` in turn placed where it fits.
 
-        Memoized by (job id, bid): whether the job fits here decides
-        between case 1's plain fill and case 2's eviction, and the walk
-        that picks the prefix reads only the snapshot and the job.
+        The fit test is ``fits_in_residual``, unmemoized.
         """
-        key = (job.id, job.bid_value)
-        placed = self.placed.get(key)
-        if placed is None:
-            committed = list(self.committed)
-            allocations = dict(self.allocations)
-            winners = self.winners
-            if prefix:
-                for victim in prefix:
-                    for l, a in enumerate(allocations.pop(victim.id)):
-                        if a:
-                            committed[l] -= a
-                            if committed[l] < 0:
-                                raise ValueError(f"slot {l} of channel {self.timeline.channel_id} "
-                                                 f"released below zero")
-                winners = tuple(w for w in winners if w.id in allocations)
-            allocations[job.id] = commit_allocation(job, self.timeline, committed)
-            at = bisect_left(winners, processing_key(job), key=processing_key)
-            placed = self.placed[key] = _Snapshot(
-                self.timeline, winners[:at] + (job,) + winners[at:], committed, allocations)
-            stats.commits += 1
-        return placed
-
-    def fits(self, job: Job, stats: PvgStats) -> bool:
-        """Case 3's readmission test, unmemoized: ``fits_in_residual`` on this snapshot."""
-        stats.fit_checks += 1
-        return fits_in_residual(job, self.timeline, self.committed)
+        snap = self
+        for job in jobs:
+            stats.fit_checks += 1
+            if fits_in_residual(job, snap.timeline, snap.committed):
+                snap = snap.place(job, stats)[0]
+                stats.readmissions += 1
+        return snap
 
 
 # The allocator's state between two processed ranks: each channel's snapshot.
@@ -320,9 +323,10 @@ class _Greedy:
     over reserve-eligible jobs, ``keys`` its processing keys,
     ``highest[k]`` the largest bid among ``order[k:]`` and ``truthful``
     its run's path down the trie.  ``step`` fixes the order of the three
-    cases and each channel's ``_Snapshot`` answers them.  Work is counted
-    into ``stats``.  While a probe of job ``watched`` replays, a step sets
-    ``bid_read`` when one of its eviction walks reads that job's bid.
+    cases and picks the jobs case 3 retries, and each channel's
+    ``_Snapshot`` answers them.  Work is counted into ``stats``.  While a
+    probe of job ``watched`` replays, a step sets ``bid_read`` when one of
+    its eviction walks reads that job's bid.
     """
 
     def __init__(self, market: LocalMarket, config: AuctionConfig, stats: PvgStats):
@@ -353,27 +357,24 @@ class _Greedy:
         for cid in channels:  # case 1: conflict-free acceptance
             snap = state[cid]
             if snap.residual(job, stats) >= job.duration:
-                return {**state, cid: snap.place(job, stats)}, False
+                return {**state, cid: snap.place(job, stats)[0]}, False
         # case 2: try to preempt cheaper overlap where an eviction prefix can pay
         for cid in channels:
-            snap = state[cid]
-            prefix, summed = snap.eviction_prefix(job, self.config.beta, stats)
+            snap, summed = state[cid].place(job, stats, self.config.beta)
             if summed and (job.id == self.watched or self.watched in summed):
                 self.bid_read = True
-            if prefix is None:
+            if snap is None:
                 continue
-            stats.preemptions += len(prefix)
-            snap = snap.place(job, stats, prefix)
+            # a paying walk evicts every winner it summed
+            stats.preemptions += len(summed)
             state = {**state, cid: snap}
             # case 3: readmission into this channel only
             placed_ids = {w for other in state.values() for w in other.allocations}
+            retried = []  # a loop, not a closure over ``self`` and ``cid`` in every step
             for earlier in order[:idx]:
-                if earlier.id in placed_ids or cid not in self.candidates[earlier.id]:
-                    continue
-                if snap.fits(earlier, stats):
-                    snap = snap.place(earlier, stats)
-                    stats.readmissions += 1
-            state[cid] = snap
+                if earlier.id not in placed_ids and cid in self.candidates[earlier.id]:
+                    retried.append(earlier)
+            state[cid] = snap.readmit(retried, stats)
             return state, True
         return state, False
 

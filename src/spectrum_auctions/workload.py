@@ -295,9 +295,7 @@ def synthesize_occupancy(channels: int, days: int, duty_cycle: float, seed: int,
     for _ in range(channels):
         busy = int(round(duty_cycle * per_day))
         row = bytearray(per_day)
-        if busy >= per_day:
-            row[:] = b"\x01" * per_day
-        elif busy > 0:
+        if busy > 0:
             free_total = per_day - busy
             # interior gaps use one free slot each, bounding the run count
             n_runs_max = min(busy, 6, free_total + 1)
@@ -314,12 +312,11 @@ def synthesize_occupancy(channels: int, days: int, duty_cycle: float, seed: int,
 
 
 def _random_composition(rng: _Pcg64, total: int, parts: int, minimum: int) -> list[int]:
-    """Split ``total`` into ``parts`` ordered pieces, each >= minimum."""
+    """Split ``total`` into ``parts`` ordered pieces, each >= minimum.
+
+    Both callers pass a ``total`` of at least ``minimum * parts``.
+    """
     spare = total - minimum * parts
-    if spare < 0:
-        raise ValueError("total too small for the requested parts")
-    if parts == 1:
-        return [total]
     cuts = sorted(rng.integers(0, spare + 1) for _ in range(parts - 1))
     return [hi - lo + minimum for lo, hi in zip([0, *cuts], [*cuts, spare])]
 
@@ -391,22 +388,14 @@ def generate_requests(spec: WorkloadSpec) -> list[Job]:
 def _arrival_hitting(rng: _Pcg64, window: int, hs: int, he: int,
                      horizon: int) -> int:
     """Uniform arrival whose [a, a+window) intersects the hot range."""
-    lo = max(0, hs - window + 1)
-    hi = min(he - 1, horizon - window)
-    if hi < lo:
-        raise ValueError("hot window admits no feasible arrivals")
-    return rng.integers(lo, hi + 1)
+    return rng.integers(hs - window + 1, min(he - 1, horizon - window) + 1)
 
 
 def _arrival_missing(rng: _Pcg64, window: int, hs: int, he: int,
                      horizon: int) -> int:
     """Uniform arrival whose window stays fully clear of the hot range."""
     left = hs - window + 1  # arrivals in [0, hs - window]
-    right = horizon - window - he + 1  # arrivals in [he, horizon - window]
-    left = max(0, left)
-    right = max(0, right)
-    if left + right == 0:
-        raise ValueError("no room outside the hot window for this window length")
+    right = max(0, horizon - window - he + 1)  # arrivals in [he, horizon - window]
     pick = rng.integers(0, left + right)
     return pick if pick < left else he + (pick - left)
 

@@ -326,6 +326,8 @@ class TestBadInput:
         ("--days", "0", "days must be at least 1, got 0"),
         ("--channels", "0", "channels must be at least 1, got 0"),
         ("--seed", "-1", "seed must not be negative, got -1"),
+        ("--duty-cycle", "1.5", "duty_cycle must lie in [0, 1]"),
+        ("--duty-cycle", "nan", "duty_cycle must lie in [0, 1]"),
     ])
     def test_bad_occupancy_flag(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "grid.csv"
@@ -336,6 +338,9 @@ class TestBadInput:
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "seed must not be negative, got -1"),
         ("--lambda", "-1", "n_requests must be >= 0"),
+        ("--delta", "0", "hot_fraction must lie in (0, 1]"),
+        ("--delta", "1.5", "hot_fraction must lie in (0, 1]"),
+        ("--horizon", "3600", "windows cannot exceed the horizon"),
     ])
     def test_bad_request_generator_flag(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "req.csv"

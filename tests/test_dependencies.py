@@ -29,11 +29,15 @@ assert spectrum_auctions.cli.main([*sweep, "--grid", grid, "--out", out]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
                 and sys.modules[m] is not None)
 assert not loaded, loaded
+assert "spectrum_auctions.oracle" not in sys.modules, "the test-only oracle was loaded"
 """
 
 
-def test_runtime_imports_no_scipy(tmp_path):
-    """Nor numpy: the probe makes any numpy import fail, then draws, clears and writes."""
+def test_runtime_imports_no_numpy_scipy_or_oracle(tmp_path):
+    """The probe makes any numpy import fail, then draws, clears and writes.
+
+    Nor does it load the test-only ``spectrum_auctions.oracle``.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     grid, out = tmp_path / "grid.csv", tmp_path / "probe.csv"

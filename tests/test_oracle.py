@@ -10,10 +10,10 @@ from spectrum_auctions import (
     Channel,
     Job,
     LocalMarket,
-    OracleCapError,
     run_pvg,
 )
 from spectrum_auctions.oracle import (
+    OracleCapError,
     contiguous_optimal,
     enumerate_optimal,
     scan_critical_value,

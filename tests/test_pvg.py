@@ -258,14 +258,14 @@ class TestAllocation:
         assert stats.preemptions == 2
 
     def test_eviction_prefix_matches_simulated_removals(self, rng):
-        """On a candidate channel the job does not fit, as case 2 calls it.
+        """Case 2's ``place`` on a candidate channel the job does not fit.
 
         Each walk runs on a fresh copy of the snapshot, whose memos are
-        empty, so every winner it sums is one fit check.  The prefix is a
-        list, so equality with the reference means removing it frees room
-        for the job and the job's bid pays for it.  Where the skip bound
-        passes the channel over unwalked, the reference finds no paying
-        prefix either.
+        empty, so every winner it sums is one fit check.  A paying walk's
+        prefix is its summed list, so equal ids and an equal decision mean
+        removing the reference's prefix frees room for the job and the
+        job's bid pays for it.  Where the skip bound passes the channel
+        over unwalked, the reference finds no paying prefix either.
         """
         compared = paying = skipped = 0
         for _ in range(80):
@@ -284,16 +284,20 @@ class TestAllocation:
                         if free >= j.duration:
                             continue
                         stats = PvgStats()
-                        prefix, summed = fresh.eviction_prefix(j, beta, stats)
-                        expected = simulated_eviction_prefix(greedy, j, snap)
+                        placed, summed = fresh.place(j, stats, beta)
+                        prefix, expected = simulated_eviction_prefix(greedy, j, snap)
                         if beta * (j.duration - free) > j.duration * (1.0 + 1e-9):
-                            assert (prefix, summed) == (None, ()) and expected[0] is None
+                            assert (placed, summed) == (None, ()) and prefix is None
                             skipped += 1
                         else:
-                            assert (prefix, summed) == expected
+                            assert (placed is None, summed) == (prefix is None, expected)
+                        if placed is not None:
+                            # a paying walk evicts exactly the winners it summed
+                            kept = set(snap.allocations) - set(summed)
+                            assert set(placed.allocations) == kept | {j.id}
                         assert stats.fit_checks == len(summed)
                         compared += 1
-                        paying += prefix is not None
+                        paying += placed is not None
         assert compared > 50 and 0 < paying < compared and 0 < skipped < compared
 
     def test_winners_partition_the_allocations(self, rng, monkeypatch):
@@ -611,11 +615,13 @@ def unpruned_eviction_prefix(greedy, job, snap):
 def unpruned_step(greedy, state, order, idx):
     """Reference: one greedy rank that walks an eviction prefix on every candidate channel.
 
-    It reads no snapshot memo except through ``_Snapshot.place``, so it
-    builds the snapshots the greedy builds, and it marks every probe's bid
-    as read, so each probe replays.
+    It decides every case-2 step itself, with neither the skip bound nor
+    the value stop, and places through ``_Snapshot.place`` only after
+    checking that the production answer is its own decision and prefix,
+    so it builds the snapshots the greedy builds.  It marks every probe's
+    bid as read, so each probe replays.
     """
-    candidates, stats = greedy.candidates, greedy.stats
+    candidates, stats, beta = greedy.candidates, greedy.stats, greedy.config.beta
     job = order[idx]
     greedy.bid_read = True
 
@@ -625,20 +631,23 @@ def unpruned_step(greedy, state, order, idx):
 
     for cid in candidates[job.id]:  # case 1: conflict-free acceptance
         if fits(job, state[cid]):
-            return {**state, cid: state[cid].place(job, stats)}, False
+            return {**state, cid: state[cid].place(job, stats)[0]}, False
     for cid in candidates[job.id]:  # case 2: try to preempt cheaper overlap
         prefix = unpruned_eviction_prefix(greedy, job, state[cid])
-        if job.bid_value > greedy.config.beta * sum(p.bid_value for p in prefix):
+        if job.bid_value > beta * sum(p.bid_value for p in prefix):
+            placed, summed = state[cid].place(job, stats, beta)
+            assert placed is not None and summed == tuple(p.id for p in prefix)
             stats.preemptions += len(prefix)
-            state = {**state, cid: state[cid].place(job, stats, prefix)}
+            state = {**state, cid: placed}
             # case 3: readmission into this channel only
             for earlier in order[:idx]:
                 if holds(state, earlier.id) or cid not in candidates[earlier.id]:
                     continue
                 if fits(earlier, state[cid]):
-                    state[cid] = state[cid].place(earlier, stats)
+                    state[cid] = state[cid].place(earlier, stats)[0]
                     stats.readmissions += 1
             return state, True
+        assert state[cid].place(job, PvgStats(), beta)[0] is None
     return state, False
 
 

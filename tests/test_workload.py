@@ -30,6 +30,11 @@ class TestOccupancyCsv:
         assert loaded.slot_seconds == grid.slot_seconds
         assert loaded.occupancy == grid.occupancy
 
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("slot_seconds,75\n0,1,0\n\n1,1,0\n")
+        assert load_occupancy(str(path)).occupancy == (b"\x00\x01\x00", b"\x01\x01\x00")
+
     def test_five_day_horizon(self, tmp_path):
         grid = synthesize_occupancy(3, 5, 0.5, seed=1)
         assert grid.horizon_slots == 5760
@@ -76,6 +81,10 @@ class TestOccupancyCsv:
     def test_grid_rejects_other_dimensions(self, cells):
         with pytest.raises(ValueError, match="occupancy must be 2-dimensional"):
             OccupancyGrid(75, cells)
+
+    def test_grid_rejects_non_positive_slot_seconds(self):
+        with pytest.raises(ValueError, match="slot_seconds must be positive"):
+            OccupancyGrid(0, [[0]])
 
     def test_grid_rejects_ragged_or_empty_rows(self):
         with pytest.raises(ValueError, match="occupancy rows must all have the same length"):
@@ -235,6 +244,14 @@ class TestRequestCsv:
         jobs = generate_requests(WorkloadSpec(n_requests=40, set_kind=2, seed=3))
         path = tmp_path / "req.csv"
         save_requests(jobs, str(path))
+        assert load_requests(str(path)) == jobs
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        jobs = generate_requests(WorkloadSpec(n_requests=3, seed=3))
+        path = tmp_path / "req.csv"
+        save_requests(jobs, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
         assert load_requests(str(path)) == jobs
 
 
