@@ -34,7 +34,9 @@ for j in jobs:
           f"inside [{j.arrival / H:.0f}h, {j.deadline / H:.0f}h)  "
           f"(rate {j.unit_value * H:.2f}/h)")
 timeline = segment_timeline(channel, jobs)
-print(f"  channel 1 slots: {[(s.start // H, s.end // H, s.capacity // H) for s in timeline.slots]}"
+cuts, before = timeline.boundaries, timeline.free_before
+free = [b - a for a, b in zip(before, before[1:])]  # each slot's free seconds
+print(f"  channel 1 slots: {[(s // H, e // H, f // H) for s, e, f in zip(cuts, cuts[1:], free)]}"
       " (start h, end h, free h)")
 
 config = AuctionConfig(eta_s=0.0, xi=0.01)  # beta defaults to 1 + sqrt(2)

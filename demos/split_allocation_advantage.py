@@ -19,8 +19,10 @@ job = Job(id=1, region="r1", band_type="tv", bid_value=7.5,
 market = LocalMarket(region="r1", band_type="tv", jobs=(job,), channels=(channel,))
 
 timeline = segment_timeline(channel, [job])
+cuts, before = timeline.boundaries, timeline.free_before
+free = [b - a for a, b in zip(before, before[1:])]  # each slot's free seconds
 print("channel slots (hours, free):",
-      [(s.start / H, s.end / H, s.capacity / H) for s in timeline.slots])
+      [(s / H, e / H, f / H) for s, e, f in zip(cuts, cuts[1:], free)])
 print(f"request: {job.duration / H}h anywhere in [0h, 3h), bid {job.bid_value}")
 
 solution = solve_optimal(market, 0.0)

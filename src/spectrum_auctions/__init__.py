@@ -16,7 +16,6 @@ from .market import (
     Job,
     LocalMarket,
     SegmentedTimeline,
-    Slot,
     SpectrumAuctionError,
     build_timelines,
     filter_reserve,
@@ -41,7 +40,7 @@ from .workload import (
 
 __all__ = [
     "AuctionConfig", "AuctionOutcome", "Channel", "Job", "LocalMarket",
-    "SegmentedTimeline", "Slot", "SpectrumAuctionError",
+    "SegmentedTimeline", "SpectrumAuctionError",
     "build_timelines", "filter_reserve", "partition_markets", "segment_timeline", "set_feasible",
     "social_efficiency", "utilization_ratio",
     "PvgStats", "pvg_allocate", "rho_bound", "run_pvg",

@@ -6,7 +6,7 @@ A channel offers free time intervals; everything outside them belongs to
 the primary user and is unsellable.  Jobs and channels are grouped into
 independent local markets by (region, band_type), and each channel's time
 axis is cut at every job arrival/deadline and free-interval edge so that
-feasibility questions reduce to slot-capacity arithmetic.
+feasibility questions reduce to arithmetic on free-second prefix sums.
 
 Counting only the free seconds before each slot boundary maps every job
 window to a span of free-second coordinates.  Occupied slots vanish
@@ -26,7 +26,7 @@ All times are integer seconds.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import inf, sqrt
@@ -183,40 +183,26 @@ class AuctionConfig:
 
 
 @dataclass(frozen=True)
-class Slot:
-    """One segment of a channel's time axis.
-
-    ``capacity`` equals ``end - start`` while the primary user is idle and
-    0 while the slot is occupied.
-    """
-
-    start: int
-    end: int
-    capacity: int
-
-
-@dataclass(frozen=True)
 class SegmentedTimeline:
     """A channel's horizon cut at every job endpoint and free-interval edge.
 
+    Its slot ``l`` is ``[boundaries[l], boundaries[l + 1])``, and
+    ``free_before[l]`` counts the free seconds before ``boundaries[l]``, so
+    slot ``l`` has ``free_before[l + 1] - free_before[l]`` free seconds: its
+    length while the primary user is idle, 0 while it is occupied.
     ``job_windows`` maps a job id to the inclusive slot-index range
     ``(first, last)`` covered by its ``[arrival, deadline)`` window;
     ``last == first - 1`` means no whole slot lies inside the window, which
     ``segment_timeline`` never produces since it cuts at every endpoint.
-    ``free_before[l]`` is the capacity of ``slots[:l]``, derived once when
-    the timeline is built; bids never change it.  A window's span in those
-    free-second coordinates is ``[free_before[first], free_before[last + 1])``
-    and its capacity is that span's length, read when asked, never stored.
+    A window's span in free-second coordinates is ``[free_before[first],
+    free_before[last + 1])`` and its capacity is that span's length, read
+    when asked, never stored.  Bids never change a timeline.
     """
 
     channel_id: int
-    slots: tuple[Slot, ...]
+    boundaries: tuple[int, ...]
+    free_before: tuple[int, ...]
     job_windows: dict[int, tuple[int, int]]
-    free_before: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        before = tuple(accumulate((slot.capacity for slot in self.slots), initial=0))
-        object.__setattr__(self, "free_before", before)
 
     def window_capacity(self, job: Job) -> int:
         """Free seconds inside the job's window."""
@@ -256,8 +242,9 @@ def partition_markets(jobs: list[Job], channels: list[Channel]) -> list[LocalMar
 def segment_timeline(channel: Channel, jobs: list[Job]) -> SegmentedTimeline:
     """Cut the channel's time axis at every job endpoint and interval edge.
 
-    Slots between consecutive boundaries carry their full length as
-    capacity when they lie inside a free interval and 0 otherwise.  Every
+    A slot between consecutive boundaries has its full length free when
+    it lies inside a free interval and nothing free otherwise; the prefix
+    sums of those free seconds are the timeline's ``free_before``.  Every
     job's window is recorded once as the slot range between its endpoints.
     """
     edges: set[int] = set()
@@ -267,20 +254,19 @@ def segment_timeline(channel: Channel, jobs: list[Job]) -> SegmentedTimeline:
     for s, e in channel.free_intervals:
         edges.add(s)
         edges.add(e)
-    boundaries = sorted(edges)
+    boundaries = tuple(sorted(edges))
     # Interval edges are boundaries, so each slot lies wholly inside one
     # free interval or wholly outside all of them: one forward walk decides.
     intervals = channel.free_intervals
     k = 0
-    slots = []
+    free = []
     for s, e in zip(boundaries, boundaries[1:]):
         while k < len(intervals) and intervals[k][1] <= s:
             k += 1
-        free = k < len(intervals) and intervals[k][0] <= s
-        slots.append(Slot(start=s, end=e, capacity=e - s if free else 0))
+        free.append(e - s if k < len(intervals) and intervals[k][0] <= s else 0)
     index = {b: i for i, b in enumerate(boundaries)}
     job_windows = {j.id: (index[j.arrival], index[j.deadline] - 1) for j in jobs}
-    return SegmentedTimeline(channel_id=channel.id, slots=tuple(slots), job_windows=job_windows)
+    return SegmentedTimeline(channel.id, boundaries, tuple(accumulate(free, initial=0)), job_windows)
 
 
 def window_residual(job: Job, timeline: SegmentedTimeline, committed: list[int]) -> int:
@@ -293,18 +279,18 @@ def commit_allocation(job: Job, timeline: SegmentedTimeline, committed: list[int
     """Forward-fill the job from its arrival toward its deadline.
 
     Walks the window slots in time order, taking the smaller of the
-    slot's residual and the remaining need from each until the full
-    duration is covered.  The caller has checked that the window's
-    residual covers the duration.  Updates ``committed`` in place and
-    returns the per-slot amounts (aligned with ``timeline.slots``; zero
-    outside the window).
+    slot's residual (its free seconds less ``committed``) and the
+    remaining need from each until the full duration is covered.  The
+    caller has checked that the window's residual covers the duration.
+    Updates ``committed`` in place and returns the per-slot amounts
+    (one per slot, like ``committed``; zero outside the window).
     """
-    amounts = [0] * len(timeline.slots)
+    amounts = [0] * len(committed)
     need = job.duration
     first, last = timeline.job_windows[job.id]
-    slots = timeline.slots
+    before = timeline.free_before
     for l in range(first, last + 1):
-        room = slots[l].capacity - committed[l]
+        room = before[l + 1] - before[l] - committed[l]
         take = room if room < need else need
         if take > 0:
             amounts[l] = take
@@ -354,7 +340,7 @@ def window_flow_allocation(jobs: list[Job], timeline: SegmentedTimeline) -> dict
     fit.  The amounts are returned in ``jobs`` order.
     """
     windows = timeline.job_windows
-    committed = [0] * len(timeline.slots)
+    committed = [0] * (len(timeline.boundaries) - 1)
     amounts = {}
     for j in sorted(jobs, key=lambda j: (windows[j.id][1], j.id)):
         if window_residual(j, timeline, committed) < j.duration:
@@ -373,8 +359,9 @@ class AuctionOutcome:
     """Result of running one mechanism on one local market.
 
     ``assignment`` maps winning job ids to channel ids; ``allocations``
-    holds each winner's per-slot seconds on its channel's timeline in
-    ``market.timelines``;
+    holds each winner's seconds in every slot of its channel's timeline in
+    ``market.timelines`` (``len(boundaries) - 1`` entries, zero outside the
+    winner's window);
     ``payments`` covers every job once priced (losers pay 0; empty when
     only the allocation step has run).
     """

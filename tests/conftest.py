@@ -19,6 +19,21 @@ def channel(cid, intervals, region=REGION, band=BAND):
     return Channel(id=cid, region=region, band_type=band, free_intervals=tuple(intervals))
 
 
+def job(jid, v, a, d, t, region=REGION, band=BAND):
+    return Job(id=jid, region=region, band_type=band, bid_value=v,
+               arrival=a, deadline=d, duration=t)
+
+
+def market(jobs, channels):
+    return LocalMarket(REGION, BAND, tuple(jobs), tuple(channels))
+
+
+def slot_free(timeline) -> list[int]:
+    """Each slot's free seconds, the differences of the timeline's ``free_before``."""
+    before = timeline.free_before
+    return [b - a for a, b in zip(before, before[1:])]
+
+
 def random_channel(rng: random.Random, cid: int, grid_max: int = 8) -> Channel:
     """1-3 disjoint free intervals with endpoints on the integer grid."""
     n_points = rng.randint(2, min(6, grid_max + 1))

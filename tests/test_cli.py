@@ -303,6 +303,13 @@ class TestBadInput:
                                    "--out", str(tmp_path / "x.csv")],
                           f"{name} must not be empty")
 
+    @pytest.mark.parametrize("sets", ["3", "1,3"])
+    def test_unknown_set_kind(self, grid_csv, tmp_path, capsys, sets):
+        out = tmp_path / "x.csv"
+        self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3", "--sets", sets,
+                                   "--out", str(out)], "set_kind must be 1 or 2")
+        assert not out.exists()
+
     def test_zero_trials(self, grid_csv, tmp_path, capsys):
         self.assert_error(capsys, ["sweep", "--grid", grid_csv, "--lambda-list", "3",
                                    "--trials", "0", "--out", str(tmp_path / "x.csv")],

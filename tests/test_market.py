@@ -7,24 +7,18 @@ import pytest
 
 from spectrum_auctions import (
     AuctionConfig,
-    Job,
     LocalMarket,
     partition_markets,
     segment_timeline,
     set_feasible,
 )
-from spectrum_auctions.market import SegmentedTimeline, Slot, window_flow_allocation
+from spectrum_auctions.market import SegmentedTimeline, window_flow_allocation
 from spectrum_auctions.oracle import _channel_set_feasible
 from spectrum_auctions.pvg import fits_in_residual
 
-from conftest import BAND, REGION, channel, random_channel, random_market
+from conftest import BAND, REGION, channel, job, random_channel, random_market, slot_free
 
 H = 3600
-
-
-def job(jid, v, a, d, t, region=REGION, band=BAND):
-    return Job(id=jid, region=region, band_type=band, bid_value=v,
-               arrival=a, deadline=d, duration=t)
 
 
 class TestValidation:
@@ -80,6 +74,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             LocalMarket(REGION, BAND, (), (channel(1, [(0, 2)], band="fm"),))
 
+    def test_job_by_id_refuses_an_unknown_id(self):
+        m = LocalMarket(REGION, BAND, (job(1, 1.0, 0, 2, 1),), ())
+        assert m.job_by_id(1).id == 1
+        with pytest.raises(KeyError):
+            m.job_by_id(2)
+
 
 class TestPartitionMarkets:
     def test_groups_by_region_and_band(self):
@@ -124,13 +124,13 @@ class TestSegmentTimeline:
         ch = channel(1, [(0, 10 * H)])
         jobs = [job(1, 1.0, 2 * H, 5 * H, H), job(2, 1.0, 4 * H, 8 * H, H)]
         tl = segment_timeline(ch, jobs)
-        assert [s.start for s in tl.slots] == [0, 2 * H, 4 * H, 5 * H, 8 * H]
-        assert [s.capacity for s in tl.slots] == [2 * H, 2 * H, H, 3 * H, 2 * H]
+        assert tl.boundaries == (0, 2 * H, 4 * H, 5 * H, 8 * H, 10 * H)
+        assert slot_free(tl) == [2 * H, 2 * H, H, 3 * H, 2 * H]
 
     def test_occupied_gap_has_zero_capacity(self):
         ch = channel(1, [(0, 1), (2, 3)])
         tl = segment_timeline(ch, [])
-        assert [(s.start, s.end, s.capacity) for s in tl.slots] == [
+        assert list(zip(tl.boundaries, tl.boundaries[1:], slot_free(tl))) == [
             (0, 1, 1), (1, 2, 0), (2, 3, 1)]
 
     def test_single_job_spanning_two_free_slots(self):
@@ -138,8 +138,8 @@ class TestSegmentTimeline:
         ch = channel(1, [(0, H), (2 * H, 3 * H)])
         j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
         tl = segment_timeline(ch, [j])
-        assert len(tl.slots) == 3
-        assert tl.slots[1].capacity == 0
+        assert len(tl.boundaries) - 1 == 3
+        assert slot_free(tl)[1] == 0
         assert tl.job_windows[j.id] == (0, 2)
 
     def test_window_capacity_matches_interval_intersection(self):
@@ -163,12 +163,12 @@ class TestSegmentTimeline:
             tl = segment_timeline(ch, list(market.jobs))
             for j in market.jobs:
                 first, last = tl.job_windows[j.id]
-                slot_sum = sum(s.capacity for s in tl.slots[first:last + 1])
+                slot_sum = sum(slot_free(tl)[first:last + 1])
                 direct = sum(max(0, min(e, j.deadline) - max(s, j.arrival))
                              for s, e in ch.free_intervals)
                 assert tl.window_capacity(j) == slot_sum == direct
-        # a hand-built timeline derives it too; an empty window holds 0
-        tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 2, 2), Slot(2, 4, 0), Slot(4, 6, 2)),
+        # a hand-built timeline reads it from its prefix sums too; an empty window holds 0
+        tl = SegmentedTimeline(channel_id=1, boundaries=(0, 2, 4, 6), free_before=(0, 2, 2, 4),
                                job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
         assert [tl.window_capacity(job(jid, 1.0, 0, 6, 1)) for jid in (1, 2, 3)] == [0, 4, 2]
 
@@ -184,9 +184,8 @@ class TestSegmentTimeline:
                 start, end = tl.free_before[first], tl.free_before[last + 1]
                 assert start == sum(max(0, min(e, j.arrival) - s) for s, e in ch.free_intervals)
                 assert end - start == tl.window_capacity(j)
-        # a hand-built timeline derives the prefix sums too
-        tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 2, 2), Slot(2, 4, 0), Slot(4, 6, 2)),
-                               job_windows={1: (1, 0), 2: (0, 2), 3: (1, 2)})
+        # the prefix sums stay flat across an occupied slot
+        tl = segment_timeline(channel(1, [(0, 2), (4, 6)]), [job(1, 1.0, 0, 6, 1)])
         assert tl.free_before == (0, 2, 2, 4)
 
     def test_slots_tile_without_overlap(self):
@@ -194,21 +193,23 @@ class TestSegmentTimeline:
         for _ in range(100):
             market = random_market(rig, max_jobs=4, max_channels=1)
             tl = segment_timeline(market.channels[0], list(market.jobs))
-            for a, b in zip(tl.slots, tl.slots[1:]):
-                assert a.end == b.start
-                assert a.end > a.start
+            # slot l ends where slot l + 1 starts, so the slots tile once the boundaries increase
+            bounds = tl.boundaries
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))
+            assert all(f in (0, b - a) for a, b, f in zip(bounds, bounds[1:], slot_free(tl)))
 
 
 def brute_force_feasible(jobs, timeline):
     """Deficiency check over every job subset: an independent third route."""
     n = len(jobs)
+    free = slot_free(timeline)
     for mask in range(1, 1 << n):
         members = [jobs[i] for i in range(n) if mask >> i & 1]
         slot_union = set()
         for j in members:
             first, last = timeline.job_windows[j.id]
             slot_union.update(range(first, last + 1))
-        capacity = sum(timeline.slots[i].capacity for i in slot_union)
+        capacity = sum(free[i] for i in slot_union)
         if sum(j.duration for j in members) > capacity:
             return False
     return True
@@ -257,7 +258,7 @@ class TestSetFeasible:
             market = random_market(rig, max_jobs=4, max_channels=1)
             tl = segment_timeline(market.channels[0], list(market.jobs))
             for j in market.jobs:
-                if fits_in_residual(j, tl, [0] * len(tl.slots)):
+                if fits_in_residual(j, tl, [0] * (len(tl.boundaries) - 1)):
                     assert set_feasible([j], tl)
 
     def test_matches_exhaustive_subset_search(self):
@@ -279,14 +280,14 @@ class TestSetFeasible:
             assert _channel_set_feasible(ch, jobs) == (flows is not None)
             assert set_feasible(jobs, tl) == (flows is not None)
             if flows is not None:
-                per_slot = [0] * len(tl.slots)
+                per_slot = [0] * (len(tl.boundaries) - 1)
                 for j in jobs:
                     assert sum(flows[j.id]) == j.duration
                     first, last = tl.job_windows[j.id]
                     for i, a in enumerate(flows[j.id]):
                         assert a == 0 or first <= i <= last
                         per_slot[i] += a
-                assert all(u <= s.capacity for u, s in zip(per_slot, tl.slots))
+                assert all(u <= f for u, f in zip(per_slot, slot_free(tl)))
 
 
 class TestEdf:
@@ -307,14 +308,14 @@ class TestEdf:
         too_long = job(2, 1.0, 0, 6, 5)
         inside_gap = job(3, 1.0, 2, 4, 1)
         tl = segment_timeline(ch, [spans, too_long, inside_gap])
-        assert [s.capacity for s in tl.slots] == [2, 0, 2]
+        assert slot_free(tl) == [2, 0, 2]
         assert window_flow_allocation([spans], tl) == {1: [2, 0, 2]}
         assert not set_feasible([too_long], tl)
         assert not set_feasible([inside_gap], tl)
 
     def test_window_without_a_whole_slot(self):
         # a hand-built timeline may record an empty (first > last) window
-        tl = SegmentedTimeline(channel_id=1, slots=(Slot(0, 4, 4),),
+        tl = SegmentedTimeline(channel_id=1, boundaries=(0, 4), free_before=(0, 4),
                                job_windows={1: (1, 0), 2: (0, 0)})
         empty, fine = job(1, 1.0, 0, 4, 1), job(2, 1.0, 0, 4, 1)
         assert set_feasible([fine], tl)
@@ -333,7 +334,7 @@ class TestEdf:
 
 
 def slot_walk_edf(jobs, timeline, per_job):
-    """Slot-by-slot EDF, the reference for ``set_feasible`` and ``window_flow_allocation``.
+    """A slot-by-slot EDF, the reference for ``set_feasible`` and ``window_flow_allocation``.
 
     Walks the slots in time order, pouring each slot's free seconds into
     the released job with the earliest last slot (ties by id).
@@ -345,7 +346,7 @@ def slot_walk_edf(jobs, timeline, per_job):
             return False
         pending.append((first, last, j.id, j.duration))
     pending.sort(reverse=True)
-    slots = timeline.slots
+    free_in = slot_free(timeline)
     ready = []
     l = 0
     while pending or ready:
@@ -354,7 +355,7 @@ def slot_walk_edf(jobs, timeline, per_job):
         while pending and pending[-1][0] <= l:
             _, last, jid, need = pending.pop()
             heapq.heappush(ready, [last, jid, need])
-        free = slots[l].capacity
+        free = free_in[l]
         while free and ready:
             top = ready[0]
             take = min(free, top[2])
@@ -396,14 +397,14 @@ class TestEdfMatchesSlotWalk:
                 members = [j for i, j in enumerate(jobs) if mask >> i & 1]
                 fits = slot_walk_edf(members, tl, None)
                 assert set_feasible(members, tl) == fits
-                expected = {j.id: [0] * len(tl.slots) for j in members}
+                expected = {j.id: [0] * (len(tl.boundaries) - 1) for j in members}
                 slot_walk_edf(members, tl, expected)
                 assert window_flow_allocation(members, tl) == (expected if fits else None)
                 if not fits:
                     continue
                 seen["feasible"] += 1
                 windows = [tl.job_windows[j.id] for j in members]
-                seen["zero slot"] += any(tl.slots[l].capacity == 0
+                seen["zero slot"] += any(tl.free_before[l + 1] == tl.free_before[l]
                                          for first, last in windows for l in range(first, last + 1))
                 seen["touching"] += any(a.deadline == b.arrival for a in members for b in members)
                 seen["same end, other slot"] += any(
@@ -435,7 +436,7 @@ class TestEdfMatchesSlotWalk:
             tl = segment_timeline(ch, jobs)
             fits = slot_walk_edf(jobs, tl, None)
             assert set_feasible(jobs, tl) == fits == _channel_set_feasible(ch, jobs)
-            expected = {j.id: [0] * len(tl.slots) for j in jobs}
+            expected = {j.id: [0] * (len(tl.boundaries) - 1) for j in jobs}
             slot_walk_edf(jobs, tl, expected)
             flows = window_flow_allocation(jobs, tl)
             assert flows == (expected if fits else None)

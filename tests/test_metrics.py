@@ -5,7 +5,6 @@ import pytest
 from spectrum_auctions import (
     AuctionConfig,
     Channel,
-    Job,
     LocalMarket,
     pvg_allocate,
     run_vcg,
@@ -13,14 +12,9 @@ from spectrum_auctions import (
     utilization_ratio,
 )
 
-from conftest import BAND, REGION, random_market
+from conftest import BAND, REGION, job, random_market
 
 H = 3600
-
-
-def job(jid, v, a, d, t):
-    return Job(id=jid, region=REGION, band_type=BAND, bid_value=v,
-               arrival=a, deadline=d, duration=t)
 
 
 @pytest.fixture

@@ -8,8 +8,7 @@ import pytest
 from spectrum_auctions import (
     AuctionConfig,
     Channel,
-    Job,
-    LocalMarket,
+    SpectrumAuctionError,
     run_pvg,
 )
 from spectrum_auctions.oracle import (
@@ -19,18 +18,9 @@ from spectrum_auctions.oracle import (
     scan_critical_value,
 )
 
-from conftest import BAND, REGION, random_channel, random_market, random_reserve
+from conftest import BAND, REGION, job, market, random_channel, random_market, random_reserve
 
 H = 3600
-
-
-def job(jid, v, a, d, t):
-    return Job(id=jid, region=REGION, band_type=BAND, bid_value=v,
-               arrival=a, deadline=d, duration=t)
-
-
-def market(jobs, channels):
-    return LocalMarket(REGION, BAND, tuple(jobs), tuple(channels))
 
 
 class TestEnumerateOptimal:
@@ -129,6 +119,8 @@ class TestScanCriticalValue:
         m = market([job(1, 10.0, 0, 2 * H, 2 * H), job(2, 6.0, 0, 2 * H, 2 * H)], [ch])
         config = AuctionConfig(beta=1 + math.sqrt(2), eta_s=0.0, xi=0.01)
         assert scan_critical_value(m, config, 1) == 6.0
+        with pytest.raises(SpectrumAuctionError, match="job 2 does not win even at its truthful bid"):
+            scan_critical_value(m, config, 2)
 
     def test_lone_job_scans_to_floor(self):
         ch = Channel(1, REGION, BAND, ((0, 2 * H),))

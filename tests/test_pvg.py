@@ -39,19 +39,10 @@ from spectrum_auctions.pvg import (
 )
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
-from conftest import BAND, REGION, channel, random_market, random_reserve
+from conftest import BAND, REGION, channel, job, market, random_market, random_reserve, slot_free
 
 H = 3600
 BETA_STAR = 1.0 + math.sqrt(2.0)
-
-
-def job(jid, v, a, d, t):
-    return Job(id=jid, region=REGION, band_type=BAND, bid_value=v,
-               arrival=a, deadline=d, duration=t)
-
-
-def market(jobs, channels):
-    return LocalMarket(REGION, BAND, tuple(jobs), tuple(channels))
 
 
 def one_channel(*intervals):
@@ -97,13 +88,13 @@ class TestFitsInResidual:
         ch = channel(1, [(0, H), (2 * H, 3 * H)])
         j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
         tl = segment_timeline(ch, [j])
-        assert fits_in_residual(j, tl, [0] * len(tl.slots))
+        assert fits_in_residual(j, tl, [0] * (len(tl.boundaries) - 1))
 
     def test_empty_window_rejected(self):
         ch = channel(1, [(10, 20)])
         j = job(1, 5.0, 0, 8, 2)
         tl = segment_timeline(ch, [j])
-        assert not fits_in_residual(j, tl, [0] * len(tl.slots))
+        assert not fits_in_residual(j, tl, [0] * (len(tl.boundaries) - 1))
 
     def test_sum_short_of_demand_rejected(self):
         # residuals 1800 + 2520 + 2520 = 6840 < 7200
@@ -112,7 +103,7 @@ class TestFitsInResidual:
         j = job(1, 5.0, 0, 3 * H, 2 * H)
         tl = segment_timeline(ch, [j] + cuts)
         committed = [H - 1800, H - 2520, H - 2520]
-        assert sum(tl.slots[i].capacity - committed[i] for i in range(3)) == 6840
+        assert sum(slot_free(tl)[i] - committed[i] for i in range(3)) == 6840
         assert not fits_in_residual(j, tl, committed)
 
 
@@ -126,7 +117,7 @@ class TestCommitAllocation:
         ch = channel(1, [(0, H), (2 * H, 3 * H)])
         j = job(1, 5.0, 0, 3 * H, int(1.5 * H))
         tl = segment_timeline(ch, [j])
-        committed = [0] * len(tl.slots)
+        committed = [0] * (len(tl.boundaries) - 1)
         amounts = commit_allocation(j, tl, committed)
         assert amounts == [H, 0, 1800]
         assert committed == [H, 0, 1800]
@@ -136,7 +127,7 @@ class TestCommitAllocation:
         marker = job(2, 1.0, 0, 2 * H, H)
         j = job(1, 5.0, 0, 4 * H, H)
         tl = segment_timeline(ch, [j, marker])
-        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
+        amounts = commit_allocation(j, tl, [0] * (len(tl.boundaries) - 1))
         assert amounts == [H, 0]
 
     def test_exact_fit_across_slots(self):
@@ -144,7 +135,7 @@ class TestCommitAllocation:
         cuts = [job(2, 1.0, 0, H, 1), job(3, 1.0, H, 2 * H, 1)]
         j = job(1, 5.0, 0, 3 * H, 3 * H)
         tl = segment_timeline(ch, [j] + cuts)
-        amounts = commit_allocation(j, tl, [0] * len(tl.slots))
+        amounts = commit_allocation(j, tl, [0] * (len(tl.boundaries) - 1))
         assert amounts == [H, H, H]
 
     def test_never_exceeds_capacity_and_allocates_exactly(self):
@@ -152,7 +143,7 @@ class TestCommitAllocation:
         for _ in range(200):
             market = random_market(rig, max_jobs=6, max_channels=1)
             tl = segment_timeline(market.channels[0], list(market.jobs))
-            committed = [0] * len(tl.slots)
+            committed = [0] * (len(tl.boundaries) - 1)
             for j in market.jobs:
                 if not fits_in_residual(j, tl, committed):
                     continue
@@ -160,7 +151,7 @@ class TestCommitAllocation:
                 assert sum(amounts) == j.duration
                 first, last = tl.job_windows[j.id]
                 assert all(a == 0 for i, a in enumerate(amounts) if not first <= i <= last)
-            assert all(c <= s.capacity for c, s in zip(committed, tl.slots))
+            assert all(c <= f for c, f in zip(committed, slot_free(tl)))
 
 
 class TestAllocation:
@@ -214,7 +205,7 @@ class TestAllocation:
         tl = build_timelines(m)[1]
         first, last = tl.job_windows[early.id]
         placed = [i for i, a in enumerate(out.allocations[1]) if a]
-        assert all(tl.slots[i].start >= 6 * H for i in placed)
+        assert all(tl.boundaries[i] >= 6 * H for i in placed)
 
     def test_readmission_reaches_across_time_components(self):
         """Case 3 can readmit a job from another time component, so the greedy is not per-component.
@@ -333,7 +324,7 @@ class TestAllocation:
                 for snap in state.values():
                     assert list(snap.winners) == sorted(snap.winners, key=processing_key)
                     assert {w.id for w in snap.winners} == set(snap.allocations)
-                    total = [0] * len(snap.timeline.slots)
+                    total = [0] * (len(snap.timeline.boundaries) - 1)
                     for w in snap.winners:
                         total = [t + a for t, a in zip(total, snap.allocations[w.id])]
                     assert snap.committed == total
@@ -385,8 +376,8 @@ class TestAllocation:
             greedy = _Greedy(m, config, PvgStats())
             for state, _, _ in greedy.truthful:
                 for snap in state.values():
-                    slots = snap.timeline.slots
-                    assert all(0 <= u <= s.capacity for u, s in zip(snap.committed, slots))
+                    free = slot_free(snap.timeline)
+                    assert all(0 <= u <= f for u, f in zip(snap.committed, free))
             out = pvg_allocate(m, config)
             for jid in out.assignment:
                 assert sum(out.allocations[jid]) == m.job_by_id(jid).duration

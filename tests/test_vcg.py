@@ -7,7 +7,6 @@ import pytest
 from spectrum_auctions import (
     AuctionConfig,
     Channel,
-    Job,
     LocalMarket,
     SolverSizeError,
     filter_reserve,
@@ -23,18 +22,10 @@ from spectrum_auctions.pvg import processing_key
 from spectrum_auctions.vcg import _Search, _time_components
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
-from conftest import BAND, REGION, random_channel, random_job, random_market, random_reserve
+from conftest import (BAND, REGION, job, market, random_channel, random_job, random_market,
+                      random_reserve, slot_free)
 
 H = 3600
-
-
-def job(jid, v, a, d, t):
-    return Job(id=jid, region=REGION, band_type=BAND, bid_value=v,
-               arrival=a, deadline=d, duration=t)
-
-
-def market(jobs, channels):
-    return LocalMarket(REGION, BAND, tuple(jobs), tuple(channels))
 
 
 def cent_market(rng, max_jobs=7, max_channels=2):
@@ -197,7 +188,7 @@ class TestSolveOptimal:
             m = random_market(rng, max_jobs=6, max_channels=2)
             sol = solve_optimal(m, 0.0)
             timelines = build_timelines(m)
-            per_channel_usage = {c.id: [0] * len(timelines[c.id].slots) for c in m.channels}
+            per_channel_usage = {c.id: [0] * (len(timelines[c.id].boundaries) - 1) for c in m.channels}
             for jid, cid in sol.assignment.items():
                 j = m.job_by_id(jid)
                 amounts = sol.allocations[jid]
@@ -209,7 +200,7 @@ class TestSolveOptimal:
                     per_channel_usage[cid][i] += a
             for cid, usage in per_channel_usage.items():
                 tl = timelines[cid]
-                assert all(u <= s.capacity for u, s in zip(usage, tl.slots))
+                assert all(u <= f for u, f in zip(usage, slot_free(tl)))
 
 
 class TestTimeComponents:
