@@ -2,9 +2,10 @@
 
 Two mechanisms over the same market model: an exact branch-and-bound
 welfare maximizer with pivot payments, and a polynomial-time greedy
-allocator with preemption and critical-value payments.  Supporting
-modules provide outcome metrics and a simulation harness with occupancy
-grids and synthetic request workloads.  The brute-force references the
+allocator with preemption and critical-value payments.  The market
+module also scores an outcome by its social efficiency and utilization,
+and supporting modules provide a simulation harness with occupancy grids
+and synthetic request workloads.  The brute-force references the
 tests check against live in ``spectrum_auctions.oracle``, which this
 package does not import.
 """
@@ -22,8 +23,9 @@ from .market import (
     partition_markets,
     segment_timeline,
     set_feasible,
+    social_efficiency,
+    utilization_ratio,
 )
-from .metrics import social_efficiency, utilization_ratio
 from .pvg import PvgStats, pvg_allocate, rho_bound, run_pvg
 from .vcg import SolverSizeError, VcgSolution, run_vcg, solve_optimal, vcg_payments
 from .workload import (

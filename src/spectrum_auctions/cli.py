@@ -46,18 +46,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers") from None
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from None
+def _comma_list(parse, what: str):
+    """An argparse type reading a comma list of ``parse``d values, ``what`` naming them in errors."""
+    def values(text: str) -> list:
+        try:
+            return [parse(x) for x in text.split(",") if x]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of {what}") from None
+    return values
 
 
 def _mechanisms(text: str) -> tuple[str, ...]:
@@ -113,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cartesian sweep over lambda, set and eta_s")
     p.add_argument("--grid", required=True)
-    p.add_argument("--lambda-list", type=_int_list, required=True,
+    p.add_argument("--lambda-list", type=_comma_list(int, "integers"), required=True,
                    help="comma list, e.g. 8,15,25")
-    p.add_argument("--eta-s-list", type=_float_list, default=[AuctionConfig.eta_s])
-    p.add_argument("--sets", type=_int_list, default=[1, 2])
+    p.add_argument("--eta-s-list", type=_comma_list(float, "numbers"), default=[AuctionConfig.eta_s])
+    p.add_argument("--sets", type=_comma_list(int, "integers"), default=[1, 2])
     p.add_argument("--trials", type=int, default=ExperimentPlan.trials)
     p.add_argument("--seed", type=int, default=ExperimentPlan.master_seed,
                    help="master seed (default %(default)s)")

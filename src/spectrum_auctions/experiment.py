@@ -19,8 +19,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from .market import AuctionConfig, Job, LocalMarket
-from .metrics import social_efficiency, utilization_ratio
+from .market import AuctionConfig, Job, LocalMarket, social_efficiency, utilization_ratio
 from .pvg import pvg_allocate, run_pvg
 from .vcg import DEFAULT_MAX_JOBS, SolverSizeError, run_vcg, solve_optimal
 from .workload import (BAND_TYPE, REGION, OccupancyGrid, WorkloadSpec, _seed_state,

@@ -20,6 +20,10 @@ allocation is the forward fill (``commit_allocation``) run job by job
 in (last slot, id) order.  The greedy places its winners with the same
 fill.
 
+An outcome is scored here too: its social efficiency is the winners'
+true values summed, and its utilization is the seconds it allocates over
+the market's free seconds.
+
 All times are integer seconds.
 """
 
@@ -370,8 +374,22 @@ class AuctionOutcome:
     allocations: dict[int, list[int]]
     payments: dict[int, float]
 
-    def allocated_seconds(self) -> int:
-        return sum(sum(a) for a in self.allocations.values())
-
     def total_revenue(self) -> float:
         return float(sum(self.payments.values()))
+
+
+def social_efficiency(outcome: AuctionOutcome, jobs: Iterable[Job]) -> float:
+    """Sum of the true valuations of the winning jobs."""
+    return winner_welfare({j.id: j.bid_value for j in jobs}, outcome.assignment)
+
+
+def utilization_ratio(outcome: AuctionOutcome, market: LocalMarket) -> float:
+    """Allocated seconds over the free (sellable) seconds of the market's channels.
+
+    Wall-clock time the primary user occupies is unsellable and excluded
+    from the denominator.  Returns 0.0 when there is no free time at all.
+    """
+    free = sum(c.free_seconds for c in market.channels)
+    if free == 0:
+        return 0.0
+    return sum(map(sum, outcome.allocations.values())) / free

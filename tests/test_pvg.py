@@ -291,6 +291,18 @@ class TestAllocation:
                         paying += placed is not None
         assert compared > 50 and 0 < paying < compared and 0 < skipped < compared
 
+    def test_release_below_zero_is_refused(self):
+        """A case-2 release that would leave a slot's used seconds negative raises.
+
+        The snapshot is inconsistent on purpose: its winner holds 4 s of
+        the one slot, but ``committed`` counts only 3.
+        """
+        winner, newcomer = job(1, 1.0, 0, 4, 4), job(2, 10.0, 0, 4, 2)
+        timeline = segment_timeline(one_channel((0, 4)), [winner, newcomer])
+        snap = pvg._Snapshot(timeline, (winner,), [3], {winner.id: [4]})
+        with pytest.raises(ValueError, match="slot 0 of channel 1 released below zero"):
+            snap.place(newcomer, PvgStats(), beta=2.0)
+
     def test_winners_partition_the_allocations(self, rng, monkeypatch):
         """Every state a greedy run reaches, price probes included.
 
