@@ -335,19 +335,12 @@ def _time_components(jobs: list[Job]) -> list[list[Job]]:
     return components
 
 
-def _component_searches(jobs: list[Job], timelines: dict[int, SegmentedTimeline],
-                        candidates: dict[int, list[int]]) -> list[_Search]:
-    """One search per time component, over the market's timelines and candidate channels."""
-    searches = []
-    for component in _time_components(jobs):
-        order = sorted(component, key=lambda j: (-j.bid_value, j.id))
-        searches.append(_Search(order, timelines, [candidates[j.id] for j in order]))
-    return searches
-
-
 def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX_JOBS) -> VcgSolution:
     """Exact welfare-maximizing assignment for one local market.
 
+    The reserve-eligible jobs are split by ``_time_components``, and each
+    component gets one search over the market's timelines and candidate
+    channels, branching on its jobs largest bid first (ties by id).
     Each time component is solved on its own, and welfare ties are broken
     per component: toward the lexicographically smallest winner id set,
     then the smallest channel ids, so payments are reproducible.  With
@@ -365,7 +358,10 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX
             "pass max_jobs (--vcg-max-jobs) to override"
         )
     timelines = build_timelines(market)
-    searches = _component_searches(jobs, timelines, market.candidates)
+    searches = []
+    for component in _time_components(jobs):
+        order = sorted(component, key=lambda j: (-j.bid_value, j.id))
+        searches.append(_Search(order, timelines, [market.candidates[j.id] for j in order]))
     assignment = dict(sorted(pair for search in searches for pair in search.solve().items()))
     by_id = {j.id: j for j in jobs}
     welfare = winner_welfare({j.id: j.bid_value for j in jobs}, assignment)
@@ -408,8 +404,4 @@ def run_vcg(market: LocalMarket, config: AuctionConfig,
     """Solve, price, and package the exact mechanism's outcome."""
     solution = solve_optimal(market, config.eta_s, max_jobs=max_jobs)
     payments = vcg_payments(market, solution)
-    return AuctionOutcome(
-        assignment=dict(solution.assignment),
-        allocations={k: list(v) for k, v in solution.allocations.items()},
-        payments=payments,
-    )
+    return AuctionOutcome(solution.assignment, solution.allocations, payments)

@@ -2,9 +2,11 @@
 
 import copy
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,8 @@ from conftest import BAND, REGION, channel, job, market, random_market, random_r
 
 H = 3600
 BETA_STAR = 1.0 + math.sqrt(2.0)
+COUNTEREXAMPLES = json.loads(
+    (Path(__file__).parent / "data" / "greedy_counterexamples.json").read_text())["entries"]
 
 
 def one_channel(*intervals):
@@ -852,6 +856,19 @@ class TestClearingsShareRuns:
 
 
 class TestBidMonotonicity:
+    @pytest.mark.parametrize("entry", COUNTEREXAMPLES, ids=[e["name"] for e in COUNTEREXAMPLES])
+    def test_counterexample_corpus(self, entry):
+        """An open entry still shows its defect; a mended one wins at both bids."""
+        chans = [channel(cid, [tuple(iv) for iv in free]) for cid, free in entry["channels"]]
+        jobs = [job(jid, entry["low_bid"] if bid is None else bid, a, d, t)
+                for jid, bid, a, d, t in entry["jobs"]]
+        m = market(jobs, chans)
+        config = AuctionConfig(beta=entry["beta"])
+        low, high = (_wins_at_bid(m, config, m.job_by_id(entry["probe"]), entry[key])
+                     for key in ("low_bid", "high_bid"))
+        assert low
+        assert high != entry["open"]
+
     def test_raised_bids_keep_winning(self, rng):
         checked = 0
         for _ in range(30):
