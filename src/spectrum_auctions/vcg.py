@@ -40,20 +40,23 @@ entry among the winners it has not accepted (so also once it has
 accepted them all).  That minimum is cached per set of accepted winners
 until a leaf raises an entry.
 
+Every search breaks welfare ties toward the smallest winner ids, and
+among leaves with the same winners keeps the first one found.  So no
+winner set or payment depends on the branching order, while the solve's
+channels do: they are those of the first optimal leaf it reaches.
+
 Branch and bound may close a node once a feasible leaf meets the node's
-bound (Land & Doig 1960), and pricing does so at a node's first leaf:
-each alive job, lowest branching index first, accepted on the first
-candidate channel where it still fits.  When that leaf accepts every job
-alive at the node, no leaf below holds more bids.  So it is the best leaf
-below for every winner rejected above the node, and for a winner k still
-alive there the best is that leaf without k: a subset of a feasible
-channel set is feasible, and when every bid is positive no other set
-ties it.  The search offers those leaves and skips the rest of the
-subtree.  The solve does not use this rule, because it breaks welfare
-ties by channel ids too and another assignment of the same winners can
-have smaller ones.  Nor does a node where a job bidding at most
-``PRUNE_EPS`` is alive: the sets with and without a zero bid tie, and the
-tie goes to the smaller key.
+bound (Land & Doig 1960), and the solve and pricing both do so at a
+node's first leaf: each alive job, lowest branching index first,
+accepted on the first candidate channel where it still fits.  When that
+leaf accepts every job alive at the node, no leaf below holds more bids.
+So it is the best leaf below for the solve and for every winner rejected
+above the node, and for a winner k still alive there the best is that
+leaf without k: a subset of a feasible channel set is feasible, and when
+every bid is positive no other set ties it.  The search offers those
+leaves and skips the rest of the subtree.  A node where a job bidding at
+most ``PRUNE_EPS`` is alive is not closed: the sets with and without a
+zero bid tie, and the tie goes to the smaller winner ids.
 """
 
 from __future__ import annotations
@@ -120,22 +123,23 @@ class _Search:
     bit), and a node is searched while its bound reaches the smallest
     target it can still raise.  ``solve()`` has one target that excludes
     nothing; ``price()`` one per winner.  Each target keeps the smallest
-    key among the leaves that reach it (winner ids, then for the solve
-    channel ids), so no result depends on the branching order.  All runs
-    share the memo.
+    winner ids among the leaves that reach it, from the first such leaf
+    found; the solve also records that leaf's assignment.  All runs share
+    the memo.
 
     A parent checks each child's bound against the child's cutoff before
     calling it, so every ``_dfs`` call is a node past its cutoff.  A
-    pricing ``_dfs`` returns the winner ids of its node's first leaf when
-    that leaf took every job alive at the node (the rule in the module
+    ``_dfs`` returns the winner ids of its node's first leaf when that
+    leaf took every job alive at the node (the rule in the module
     docstring); a parent whose first accept branch returned ids and killed
-    no job offers the leaf without its own job, then returns the same
-    ids.  When the cutoff prunes a first child that is a leaf, the
-    parent's own target is the only one that can still rise there, and
-    the leaf's winners are the ids.  A pruned first child that is not a
-    leaf is searched no further: walking its first path could still close
-    the ancestors, but on the exact-hot panel those walks cost more
-    feasibility checks and time than the closures saved.
+    no job offers the leaf without its own job to its own target, if it
+    has one, then returns the same ids.  When the cutoff prunes a first
+    child that is a leaf, the parent's own target is the only one that
+    can still rise there, and the leaf's winners are the ids.  A pruned
+    first child that is not a leaf is searched no further: walking its
+    first path could still close the ancestors, but on the exact-hot panel
+    those walks cost more feasibility checks and time than the closures
+    saved.
     """
 
     # The bound is compared with a hair of slack: an exactly-tight float
@@ -186,9 +190,9 @@ class _Search:
         return fits
 
     def solve(self) -> dict[int, int]:
-        """The best assignment, ties to the smallest (winner ids, channel ids)."""
+        """The best assignment: ties to the smallest winner ids, then to the first leaf found."""
         self._run([0], [-1.0], [()])
-        return dict(zip(*self.best_sets[0]))
+        return self.solved
 
     def price(self, winners: set[int]) -> list[tuple[Job, tuple[int, ...]]]:
         """The best winner set without each winner of ``winners``, all from one DFS.
@@ -208,8 +212,9 @@ class _Search:
         # A node carries ``accepted``, the excluded bits it has taken;
         # target t is alive there while ``excluded[t] & accepted`` is 0.
         # The cutoff of each ``accepted`` is cached until a leaf raises a
-        # target (every optimal leaf is kept by the slack pruning, so the
-        # tie-break still sees them all).
+        # target (the slack pruning keeps every optimal leaf outside the
+        # settled subtrees, so the tie-break still sees every optimal
+        # winner set).
         self.excluded = excluded
         self.best = best
         self.best_sets = best_sets
@@ -228,13 +233,13 @@ class _Search:
     def _dfs(self, alive: int, bound: float, accepted: int) -> tuple[int, ...] | None:
         """Search below a node whose bound reaches its cutoff; the caller checks that.
 
-        Returns the first leaf's winner ids when a pricing run's first leaf
-        took every job alive here (the subtree is then settled), else None.
+        Returns the first leaf's winner ids when it took every job alive
+        here (the subtree is then settled), else None.
         """
         if not alive:
             winners = tuple(sorted(self.assignment))
             self._offer(winners, accepted)
-            return winners if self.watched else None
+            return winners
         bit = alive & -alive
         depth = bit.bit_length() - 1
         job = self.order[depth]
@@ -302,12 +307,13 @@ class _Search:
         for t, bit in enumerate(self.excluded):
             if bit & accepted or canon < best[t]:
                 continue
-            # ties go to the smaller key; the solve's key adds its channels
-            key = winners if bit else (winners, tuple(self.assignment[w] for w in winners))
-            if canon == best[t] and key >= self.best_sets[t]:
+            # ties go to the smaller winner ids, and equal ones to the first leaf
+            if canon == best[t] and winners >= self.best_sets[t]:
                 continue
             best[t] = canon
-            self.best_sets[t] = key
+            self.best_sets[t] = winners
+            if not bit:
+                self.solved = dict(self.assignment)
             self.cutoffs.clear()
 
 
@@ -342,9 +348,11 @@ def solve_optimal(market: LocalMarket, eta_s: float, max_jobs: int = DEFAULT_MAX
     component gets one search over the market's timelines and candidate
     channels, branching on its jobs largest bid first (ties by id).
     Each time component is solved on its own, and welfare ties are broken
-    per component: toward the lexicographically smallest winner id set,
-    then the smallest channel ids, so payments are reproducible.  With
-    positive bids this is the market-wide smallest winner id set too.  A
+    per component toward the lexicographically smallest winner id set,
+    so payments are reproducible.  With positive bids this is the
+    market-wide smallest winner id set too.  Of the assignments of those
+    winners it keeps the first the search reaches: winners in branching
+    order, each on the lowest channel id where it still fits.  A
     zero-bid job wins only when, in its own component, a winner with a
     higher id wins beside it; winners in other components do not count.
     The assignment is keyed in id order, whatever the branching order.

@@ -41,7 +41,8 @@ from spectrum_auctions.pvg import (
 )
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
 
-from conftest import BAND, REGION, channel, job, market, random_market, random_reserve, slot_free
+from conftest import (BAND, REGION, channel, job, market, random_channel, random_job,
+                      random_market, random_reserve, slot_free)
 
 H = 3600
 BETA_STAR = 1.0 + math.sqrt(2.0)
@@ -868,6 +869,28 @@ class TestBidMonotonicity:
                      for key in ("low_bid", "high_bid"))
         assert low
         assert high != entry["open"]
+
+    def test_non_monotone_markets_do_not_grow(self):
+        """A ratchet on the greedy's known bid-monotonicity defects: the count may only fall.
+
+        200 markets (``random.Random(41)``) of 1-3 channels and jobs 1-3,
+        at beta = 2.  A market counts when one of its jobs wins at some
+        bid 0.25 * k (k = 1..48) and loses at a higher one.  6 count at
+        the time this was pinned.
+        """
+        rng = random.Random(41)
+        config = AuctionConfig(beta=2.0, xi=0.25)
+        non_monotone = 0
+        for _ in range(200):
+            chans = [random_channel(rng, cid) for cid in range(1, rng.randint(1, 3) + 1)]
+            jobs = [random_job(rng, jid) for jid in range(1, 4)]
+            m = market(jobs, chans)
+            for j in jobs:
+                wins = [_wins_at_bid(m, config, j, 0.25 * k) for k in range(1, 49)]
+                if True in wins and not all(wins[wins.index(True):]):
+                    non_monotone += 1
+                    break
+        assert non_monotone <= 6
 
     def test_raised_bids_keep_winning(self, rng):
         checked = 0

@@ -1,5 +1,6 @@
 """Exact solver: optimality, payments, truthfulness side conditions."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ from spectrum_auctions import (
 from spectrum_auctions import vcg
 from spectrum_auctions.experiment import trial_seed
 from spectrum_auctions.market import build_timelines, set_feasible
-from spectrum_auctions.oracle import contiguous_optimal, enumerate_optimal
+from spectrum_auctions.oracle import _channel_set_feasible, contiguous_optimal, enumerate_optimal
 from spectrum_auctions.pvg import processing_key
 from spectrum_auctions.vcg import _Search, _time_components
 from spectrum_auctions.workload import WorkloadSpec, generate_requests, synthesize_occupancy
@@ -149,6 +150,43 @@ class TestSolveOptimal:
         chans = [Channel(1, REGION, BAND, ((0, 4),)), Channel(2, REGION, BAND, ((0, 4),))]
         sol = solve_optimal(market([job(1, 4.0, 0, 4, 2)], chans), 0.0)
         assert sol.assignment == {1: 1}
+
+    def test_equal_assignments_go_to_the_first_leaf(self):
+        """Of two assignments of the same winners, the one the search reaches first wins.
+
+        Each job needs a whole channel.  Job 2 bids more, so it is
+        branched on first and takes channel 1, and job 1 takes channel 2.
+        """
+        chans = [Channel(cid, REGION, BAND, ((0, 4 * H),)) for cid in (1, 2)]
+        m = market([job(1, 5.0, 0, 4 * H, 4 * H), job(2, 9.0, 0, 4 * H, 4 * H)], chans)
+        sol = solve_optimal(m, 0.0)
+        assert sol.assignment == {1: 2, 2: 1}
+        assert vcg_payments(m, sol) == {1: 0.0, 2: 0.0}
+
+    def test_assignment_is_the_first_feasible_channel_vector(self, rng):
+        """Winners in branching order (-bid, id), each on the lowest channel id that still fits.
+
+        The channel vectors of the solve's winners, in that order, are
+        tried lexicographically by channel id, and the first whose
+        per-channel sets are all feasible is the assignment.  Taking the
+        winners in id order instead gives another vector on some markets.
+        """
+        reordered = 0
+        for _ in range(150):
+            m = random_market(rng, max_jobs=6, max_channels=3)
+            sol = solve_optimal(m, random_reserve(rng))
+            cids = sorted(c.id for c in m.channels)
+
+            def first_vector(winners):
+                for vector in itertools.product(cids, repeat=len(winners)):
+                    if all(_channel_set_feasible(c, [j for j, cid in zip(winners, vector)
+                                                     if cid == c.id]) for c in m.channels):
+                        return {j.id: cid for j, cid in zip(winners, vector)}
+
+            winners = sorted(map(m.job_by_id, sol.assignment), key=lambda j: (-j.bid_value, j.id))
+            assert sol.assignment == first_vector(winners)
+            reordered += sol.assignment != first_vector(sorted(winners, key=lambda j: j.id))
+        assert reordered > 0
 
     def test_tiebreak_winner_set_matches_oracle_minimum(self, rng):
         hits = 0
@@ -390,7 +428,8 @@ class TestVcgPayments:
         A zero bid ties the sets with and without it, so the search must
         not settle a subtree at its first leaf when a zero bid is alive
         there.  Payments cannot show this, because a zero bid adds exactly
-        0.0 to a welfare sum, so the sets are checked.
+        0.0 to a welfare sum, so the sets are checked.  The solve settles
+        subtrees by the same rule, so its winner set is checked too.
         """
         checked = 0
         for _ in range(400):
@@ -403,6 +442,8 @@ class TestVcgPayments:
                 jobs.append(job(jid, rng.choice((0.0, 0.0, 0.5, 1.0, 1.0, 2.0)), a, d,
                                 rng.randint(1, d - a)))
             sol = solve_optimal(market(jobs, channels), 0.0)
+            optima = enumerate_optimal(market(jobs, channels), 0.0).best_winner_sets
+            assert tuple(sorted(sol.assignment)) == min(tuple(sorted(s)) for s in optima)
             for search in sol.searches:
                 own = {w for w in sol.assignment if w in search.value_by_id}
                 for winner, ids in search.price(own):
@@ -530,11 +571,12 @@ class TestSearchCost:
         channel are skipped and left out of the bound.  A call is now a
         node past its cutoff, since each parent checks its children's
         bounds first, and pricing settles a subtree at its first leaf when
-        that leaf takes every job alive there: 17,163 calls.
+        that leaf takes every job alive there: 17,163 calls.  The solve
+        settling its subtrees by the same rule brought it to 16,784.
         """
         calls = count_dfs_calls(monkeypatch)
         clear_exact_hot_panel(6)
-        assert calls[0] <= 17_163
+        assert calls[0] <= 16_784
 
     def test_exact_hot_panel_feasibility_checks(self, monkeypatch):
         """Each channel set is decided once per search, through the module-level name.
@@ -542,9 +584,9 @@ class TestSearchCost:
         The same six markets asked 4,603 channel-set questions, and 4,238
         once a lone job is read off its candidate channels and a set is
         asked about only if it also fits without its next-to-last job.
-        Settling pricing subtrees at their first leaf brought it to 3,807.
-        A lost memo would ask again, and a private feasibility path would
-        ask 0.
+        Settling pricing subtrees at their first leaf brought it to 3,807,
+        and settling the solve's subtrees the same way to 3,650.  A lost
+        memo would ask again, and a private feasibility path would ask 0.
         """
         calls = [0]
 
@@ -554,7 +596,7 @@ class TestSearchCost:
 
         monkeypatch.setattr(vcg, "set_feasible", counting)
         clear_exact_hot_panel(6)
-        assert 0 < calls[0] <= 3_807
+        assert 0 < calls[0] <= 3_650
 
     def test_jobs_that_fit_no_channel_are_skipped(self, monkeypatch):
         """Once the only channel is full, the jobs after the winner are not branched on one by one.
